@@ -4,6 +4,5 @@ use abonn_bench::{experiments, Args};
 
 fn main() {
     let args = Args::from_env();
-    args.apply_substrate();
     print!("{}", experiments::ablation(&args));
 }

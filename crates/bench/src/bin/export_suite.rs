@@ -20,7 +20,6 @@ use std::fs;
 
 fn main() {
     let args = Args::from_env();
-    args.apply_substrate();
     let root = args.out_dir.join("suite");
     let mut total = 0usize;
     for kind in ModelKind::ALL {

@@ -4,7 +4,6 @@ use abonn_bench::{experiments, Args};
 
 fn main() {
     let args = Args::from_env();
-    args.apply_substrate();
     let records = experiments::rq1_records(&args);
     print!("{}", experiments::fig6(&args, &records));
 }

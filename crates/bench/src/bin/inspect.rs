@@ -11,7 +11,6 @@ use abonn_data::zoo::ModelKind;
 
 fn main() {
     let args = Args::from_env();
-    args.apply_substrate();
     let budget = args.scale.budget();
     for kind in ModelKind::ALL {
         let prepared = prepare_model_cached(kind, args.scale.per_model(), args.seed, &args.out_dir);

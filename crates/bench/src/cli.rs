@@ -18,20 +18,6 @@ pub struct Args {
     /// machine's available parallelism). Reports are byte-identical
     /// regardless of this value.
     pub threads: usize,
-    /// Incremental bound caching (parent-prefix reuse). On by default;
-    /// `--no-bound-cache` disables it for A/B equivalence checks. Reports
-    /// are byte-identical regardless of this value.
-    pub bound_cache: bool,
-    /// LP warm starting (simplex basis reuse in the exact leaf solver). On
-    /// by default; `--no-warm-start` disables it for A/B equivalence
-    /// checks. Reports are byte-identical regardless of this value.
-    pub warm_start: bool,
-    /// Run on the reference substrate: naive rolled tensor kernels and
-    /// the dense-tableau simplex instead of the tiled kernels and the
-    /// revised engine. Off by default; `--reference-kernels` enables it
-    /// for A/B equivalence checks. Reports are byte-identical regardless
-    /// of this value.
-    pub reference_kernels: bool,
 }
 
 impl Default for Args {
@@ -42,9 +28,6 @@ impl Default for Args {
             out_dir: PathBuf::from("target/experiments"),
             fresh: false,
             threads: abonn_core::pool::default_threads(),
-            bound_cache: true,
-            warm_start: true,
-            reference_kernels: false,
         }
     }
 }
@@ -82,14 +65,10 @@ impl Args {
                         return Err("--threads must be at least 1".into());
                     }
                 }
-                "--no-bound-cache" => args.bound_cache = false,
-                "--no-warm-start" => args.warm_start = false,
-                "--reference-kernels" => args.reference_kernels = true,
                 "--help" | "-h" => {
                     return Err(
                         "usage: [--scale smoke|default|full] [--seed N] [--out-dir DIR] \
-                         [--fresh] [--threads N] [--no-bound-cache] [--no-warm-start] \
-                         [--reference-kernels]"
+                         [--fresh] [--threads N]"
                             .into(),
                     )
                 }
@@ -113,15 +92,6 @@ impl Args {
             }
         }
     }
-
-    /// Installs the selected compute substrate process-wide (tensor
-    /// kernels and LP pivot engine together — the `--reference-kernels`
-    /// flag means "the whole pre-optimization substrate"). Call once at
-    /// the top of each binary's `main`, right after parsing.
-    pub fn apply_substrate(&self) {
-        abonn_tensor::set_reference_kernels(self.reference_kernels);
-        abonn_lp::set_reference_solver(self.reference_kernels);
-    }
 }
 
 #[cfg(test)]
@@ -138,30 +108,6 @@ mod tests {
         assert_eq!(a.scale, Scale::Smoke);
         assert!(!a.fresh);
         assert!(a.threads >= 1, "default pool must have at least one lane");
-        assert!(a.bound_cache, "incremental bounding defaults to on");
-        assert!(a.warm_start, "LP warm starting defaults to on");
-    }
-
-    #[test]
-    fn no_bound_cache_flag_disables_caching() {
-        let a = parse(&["--no-bound-cache"]).unwrap();
-        assert!(!a.bound_cache);
-        assert!(a.warm_start, "bound-cache flag must not affect warm start");
-    }
-
-    #[test]
-    fn no_warm_start_flag_disables_warm_starting() {
-        let a = parse(&["--no-warm-start"]).unwrap();
-        assert!(!a.warm_start);
-        assert!(a.bound_cache, "warm-start flag must not affect bound cache");
-    }
-
-    #[test]
-    fn reference_kernels_flag_selects_the_reference_substrate() {
-        let a = parse(&["--reference-kernels"]).unwrap();
-        assert!(a.reference_kernels);
-        assert!(!parse(&[]).unwrap().reference_kernels, "defaults to optimized");
-        assert!(a.bound_cache && a.warm_start, "substrate flag must not affect A/B toggles");
     }
 
     #[test]

@@ -6,8 +6,7 @@ use crate::report::{
     save_records, write_csv,
 };
 use crate::scenario::{
-    group_by_model_approach, prepare_all, prepare_model_cached, run_grid_configured,
-    run_instance_configured,
+    group_by_model_approach, prepare_all, prepare_model_cached, run_grid, run_instance_pooled,
     Approach, InstanceRecord,
 };
 use abonn_core::heuristics::HeuristicKind;
@@ -82,14 +81,7 @@ pub fn rq1_records(args: &Args) -> Vec<InstanceRecord> {
     eprintln!("  preparing models (training, deterministic in the seed)...");
     let models = prepare_all(args.scale, args.seed, &args.out_dir);
     let pool = Arc::new(WorkerPool::new(args.threads));
-    let records = run_grid_configured(
-        &models,
-        &Approach::rq1_lineup(),
-        &args.scale.budget(),
-        &pool,
-        args.bound_cache,
-        args.warm_start,
-    );
+    let records = run_grid(&models, &Approach::rq1_lineup(), &args.scale.budget(), &pool);
     save_records(&cache, &records).expect("persist rq1 records");
     records
 }
@@ -324,15 +316,7 @@ pub fn fig5(args: &Args) -> String {
                 // them in instance order, so the heatmap and CSV are
                 // independent of the thread count.
                 let recs = pool.map(prepared.instances.iter().collect(), |instance| {
-                    run_instance_configured(
-                        &prepared,
-                        instance,
-                        approach,
-                        &budget,
-                        &pool,
-                        args.bound_cache,
-                        args.warm_start,
-                    )
+                    run_instance_pooled(&prepared, instance, approach, &budget, &pool)
                 });
                 let mut solved = 0usize;
                 let mut calls = Vec::new();

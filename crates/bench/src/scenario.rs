@@ -147,39 +147,18 @@ impl Approach {
     /// sequential by design and ignores the pool.
     #[must_use]
     pub fn build_with_pool(&self, pool: Arc<WorkerPool>) -> Box<dyn Verifier> {
-        self.build_configured(pool, true, true)
-    }
-
-    /// Like [`Approach::build_with_pool`], additionally choosing whether
-    /// the searches thread parent bound prefixes into child nodes
-    /// (`bound_cache`) and whether the exact-LP leaf solver reuses simplex
-    /// bases (`warm_start`). Verdicts and persisted records are bit-for-bit
-    /// identical either way — both switches only change how much bounding
-    /// work is executed.
-    #[must_use]
-    pub fn build_configured(
-        &self,
-        pool: Arc<WorkerPool>,
-        bound_cache: bool,
-        warm_start: bool,
-    ) -> Box<dyn Verifier> {
         let planet = || std::sync::Arc::new(abonn_bound::DeepPoly::planet());
         match self {
-            Approach::BabBaseline => {
-                let mut bab =
-                    BabBaseline::new(abonn_core::heuristics::HeuristicKind::DeepSplit, planet());
-                bab.incremental = bound_cache;
-                bab.warm_start = warm_start;
-                Box::new(bab.with_pool(pool))
-            }
+            Approach::BabBaseline => Box::new(
+                BabBaseline::new(abonn_core::heuristics::HeuristicKind::DeepSplit, planet())
+                    .with_pool(pool),
+            ),
             Approach::CrownStyle => Box::new(CrownStyle::default()),
             Approach::Abonn { lambda, c } => Box::new(
                 AbonnVerifier::new(
                     AbonnConfig {
                         lambda: *lambda,
                         c: *c,
-                        incremental: bound_cache,
-                        warm_start,
                         ..AbonnConfig::default()
                     },
                     planet(),
@@ -380,26 +359,6 @@ pub fn run_instance_pooled(
     budget: &Budget,
     pool: &Arc<WorkerPool>,
 ) -> InstanceRecord {
-    run_instance_configured(prepared, instance, approach, budget, pool, true, true)
-}
-
-/// Like [`run_instance_pooled`], additionally choosing whether incremental
-/// bound caching (`bound_cache`) and LP warm starting (`warm_start`) are
-/// used; the record is identical either way.
-///
-/// # Panics
-///
-/// Panics if the instance is inconsistent with the prepared network.
-#[must_use]
-pub fn run_instance_configured(
-    prepared: &PreparedModel,
-    instance: &VerificationInstance,
-    approach: Approach,
-    budget: &Budget,
-    pool: &Arc<WorkerPool>,
-    bound_cache: bool,
-    warm_start: bool,
-) -> InstanceRecord {
     let problem = RobustnessProblem::new(
         &prepared.network,
         instance.input.clone(),
@@ -407,7 +366,7 @@ pub fn run_instance_configured(
         instance.epsilon,
     )
     .expect("suite instances are valid specifications");
-    let verifier = approach.build_configured(Arc::clone(pool), bound_cache, warm_start);
+    let verifier = approach.build_with_pool(Arc::clone(pool));
     let result = verifier.verify(&problem, budget);
     InstanceRecord {
         model: prepared.kind.paper_name().to_string(),
@@ -438,21 +397,6 @@ pub fn run_grid(
     budget: &Budget,
     pool: &Arc<WorkerPool>,
 ) -> Vec<InstanceRecord> {
-    run_grid_configured(models, approaches, budget, pool, true, true)
-}
-
-/// Like [`run_grid`], additionally choosing whether incremental bound
-/// caching (`bound_cache`) and LP warm starting (`warm_start`) are used;
-/// the records are identical either way.
-#[must_use]
-pub fn run_grid_configured(
-    models: &[PreparedModel],
-    approaches: &[Approach],
-    budget: &Budget,
-    pool: &Arc<WorkerPool>,
-    bound_cache: bool,
-    warm_start: bool,
-) -> Vec<InstanceRecord> {
     let mut tasks = Vec::new();
     for prepared in models {
         for approach in approaches {
@@ -469,7 +413,7 @@ pub fn run_grid_configured(
         }
     }
     pool.map(tasks, |(prepared, approach, instance)| {
-        run_instance_configured(prepared, instance, approach, budget, pool, bound_cache, warm_start)
+        run_instance_pooled(prepared, instance, approach, budget, pool)
     })
 }
 

@@ -1,33 +1,62 @@
-//! Acceptance check for the warm-started-LP + stable-neuron-masking
-//! optimisations on an MNIST suite slice.
+//! Trained-model oracles for the bounding optimisations on an MNIST
+//! suite slice, asserted on call-based counters only, never wall time.
 //!
-//! Drives the BaB baseline with the exact triangle-LP relaxation as its
-//! `AppVer` on calibrated MNIST instances, once with warm starting and
-//! once cold, and asserts — on call-based counters only, never wall
-//! time — that:
-//!
-//! * verdicts and search shape are identical (warm starting is a pure
-//!   work optimisation),
-//! * warm starting cuts total simplex pivots by at least 40%,
-//! * stable-neuron masking skips at least 30% of back-substitution rows.
+//! * Warm-started LPs: the BaB baseline with the exact triangle-LP
+//!   relaxation as its `AppVer` runs once with warm starting and once
+//!   cold ([`LpVerifier::with_warm_start`]`(false)`). Verdicts and search
+//!   shape must be identical (warm starting is a pure work
+//!   optimisation), warm starting must cut total simplex pivots by at
+//!   least 40%, and stable-neuron masking must skip at least 30% of
+//!   back-substitution rows.
+//! * Incremental bounding: ABONN and the BaB baseline on the Planet-style
+//!   DeepPoly of the experiments run once with parent-prefix reuse and
+//!   once over [`FromScratch`], which bounds every node from scratch, on
+//!   the same slice plus an MNIST_L4 one at the smoke-scale budget.
+//!   Verdicts (witnesses included) and every search counter must match.
 
-use abonn_bench::scenario::prepare_model;
-use abonn_bound::LpVerifier;
+use abonn_bench::scenario::{prepare_model, PreparedModel, Scale};
+use abonn_bound::{AppVer, DeepPoly, FromScratch, LpVerifier};
 use abonn_core::heuristics::HeuristicKind;
-use abonn_core::{BabBaseline, Budget, RobustnessProblem, RunResult, Verifier, WorkerPool};
+use abonn_core::{
+    AbonnConfig, AbonnVerifier, BabBaseline, Budget, RobustnessProblem, RunResult, RunStats,
+    Verifier, WorkerPool,
+};
 use abonn_data::zoo::ModelKind;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+/// The two-instance MNIST_L2 slice both tests share (training dominates
+/// their cost, so it runs once per test binary).
+fn mnist_slice() -> &'static PreparedModel {
+    static SLICE: OnceLock<PreparedModel> = OnceLock::new();
+    SLICE.get_or_init(|| prepare_model(ModelKind::MnistL2, 2, 2025))
+}
+
+fn problems(prepared: &PreparedModel) -> Vec<RobustnessProblem> {
+    prepared
+        .instances
+        .iter()
+        .map(|instance| {
+            RobustnessProblem::new(
+                &prepared.network,
+                instance.input.clone(),
+                instance.label,
+                instance.epsilon,
+            )
+            .expect("suite instances are valid specifications")
+        })
+        .collect()
+}
 
 fn run_lp_bab(warm: bool, problem: &RobustnessProblem, budget: &Budget) -> RunResult {
     let lp = LpVerifier::new().with_warm_start(warm);
-    let mut bab = BabBaseline::new(HeuristicKind::DeepSplit, Arc::new(lp));
-    bab.warm_start = warm;
-    bab.with_pool(Arc::new(WorkerPool::new(1))).verify(problem, budget)
+    BabBaseline::new(HeuristicKind::DeepSplit, Arc::new(lp))
+        .with_pool(Arc::new(WorkerPool::new(1)))
+        .verify(problem, budget)
 }
 
 #[test]
 fn warm_start_cuts_pivots_and_masking_skips_rows_on_mnist() {
-    let prepared = prepare_model(ModelKind::MnistL2, 2, 2025);
     let budget = Budget::with_appver_calls(10);
 
     let mut warm_pivots = 0usize;
@@ -35,14 +64,7 @@ fn warm_start_cuts_pivots_and_masking_skips_rows_on_mnist() {
     let mut warm_hits = 0usize;
     let mut rows_skipped = 0usize;
     let mut rows_total = 0usize;
-    for instance in &prepared.instances {
-        let problem = RobustnessProblem::new(
-            &prepared.network,
-            instance.input.clone(),
-            instance.label,
-            instance.epsilon,
-        )
-        .expect("suite instances are valid specifications");
+    for problem in problems(mnist_slice()) {
         let warm = run_lp_bab(true, &problem, &budget);
         let cold = run_lp_bab(false, &problem, &budget);
 
@@ -81,5 +103,68 @@ fn warm_start_cuts_pivots_and_masking_skips_rows_on_mnist() {
         rows_skipped * 10 >= rows_total * 3,
         "expected >= 30% of back-substitution rows skipped, \
          got {rows_skipped}/{rows_total}"
+    );
+}
+
+/// Every counter except wall time and the bound-work counters that only
+/// incremental bounding fills in.
+fn search_counters(mut s: RunStats) -> RunStats {
+    s.wall = Duration::ZERO;
+    s.cache_layers_reused = 0;
+    s.cache_layers_recomputed = 0;
+    s.backsub_steps = 0;
+    s.backsub_rows_skipped = 0;
+    s.backsub_rows_total = 0;
+    s.blocks_skipped = 0;
+    s.arena_bytes_peak = 0;
+    s
+}
+
+/// Builds one engine over an `AppVer`, on a one-lane pool.
+type Build = fn(Arc<dyn AppVer>) -> Box<dyn Verifier>;
+
+fn abonn(appver: Arc<dyn AppVer>) -> Box<dyn Verifier> {
+    let pool = Arc::new(WorkerPool::new(1));
+    Box::new(AbonnVerifier::new(AbonnConfig::default(), appver).with_pool(pool))
+}
+
+fn bab(appver: Arc<dyn AppVer>) -> Box<dyn Verifier> {
+    let pool = Arc::new(WorkerPool::new(1));
+    Box::new(BabBaseline::new(HeuristicKind::DeepSplit, appver).with_pool(pool))
+}
+
+#[test]
+fn incremental_bounding_matches_scratch_on_mnist() {
+    let budget = Scale::Smoke.budget();
+
+    // MNIST_L4's deeper stack gives prefix reuse more layers to skip.
+    let deeper = prepare_model(ModelKind::MnistL4, 2, 2025);
+    let (mut layers_reused, mut calls) = (0usize, 0usize);
+    for problem in problems(mnist_slice()).into_iter().chain(problems(&deeper)) {
+        for (name, build) in [("ABONN", abonn as Build), ("BaB", bab)] {
+            let cached = build(Arc::new(DeepPoly::planet())).verify(&problem, &budget);
+            let scratch =
+                build(Arc::new(FromScratch(DeepPoly::planet()))).verify(&problem, &budget);
+            assert_eq!(
+                cached.verdict, scratch.verdict,
+                "{name}: verdict or witness"
+            );
+            assert_eq!(
+                search_counters(cached.stats),
+                search_counters(scratch.stats),
+                "{name}: search counters"
+            );
+            assert_eq!(
+                scratch.stats.cache_layers_reused, 0,
+                "{name}: scratch reused layers"
+            );
+            layers_reused += cached.stats.cache_layers_reused;
+            calls += cached.stats.appver_calls;
+        }
+    }
+    eprintln!("mnist slices: {layers_reused} parent layers reused over {calls} AppVer calls");
+    assert!(
+        layers_reused > 0,
+        "no parent layers were reused on the slice"
     );
 }

@@ -1,25 +1,22 @@
-//! Block-sparse back-substitution: optimized vs reference substrate.
+//! Block-sparse back-substitution on a kernel-dominated workload.
 //!
-//! Builds a kernel-dominated workload — wide hidden layers so the
-//! `A ← A·W` back-substitution products carry the cost, with every
-//! second still-unstable neuron split `Neg` layer by layer so the skip
-//! mask scatters short masked blocks through each layer (each such
-//! split collapses the neuron's relaxation to the zero function) —
-//! then bounds the same node twice under distinct bench names: once on
-//! the default substrate (`fused_affine_into_runs` over the condensed
-//! unmasked runs, register-tiled kernels) and once with
-//! `set_reference_kernels(true)` (naive rolled kernels testing the mask
-//! column by column). Both paths are bit-for-bit identical (asserted on
-//! `p_hat` outside the timed loops). The committed trajectory in
-//! `perf/BENCH_backsub.jsonl` leads with this workload measured on the
-//! pre-optimization substrate, so the speedup is visible in-repo.
+//! Builds wide hidden layers so the `A ← A·W` back-substitution products
+//! carry the cost, with every second still-unstable neuron split `Neg`
+//! layer by layer so the skip mask scatters short masked blocks through
+//! each layer (each such split collapses the neuron's relaxation to the
+//! zero function), then times bounding that node: the fused kernel walks
+//! the condensed unmasked runs (`fused_affine_into_runs`) with register
+//! tiles. The kernel's bit-identity to the rolled masked loop it replaced
+//! is pinned by the oracle proptests in `abonn-tensor`'s `matrix.rs`.
+//! The committed trajectory in `perf/BENCH_backsub.jsonl` leads with this
+//! workload measured on the pre-optimization substrate.
 //!
 //! Run with `cargo bench -p abonn-bound --bench backsub_sparse`; under
 //! `cargo test` each routine runs once as a smoke check.
 
 use abonn_bound::{AppVer, DeepPoly, InputBox, SplitSet, SplitSign};
 use abonn_nn::{AffinePair, CanonicalNetwork};
-use abonn_tensor::{set_reference_kernels, Matrix};
+use abonn_tensor::Matrix;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -71,43 +68,25 @@ fn bench_block_sparse(c: &mut Criterion) {
     let dp = DeepPoly::new();
     let splits = layered_neg_splits(&dp, &net, &region);
 
-    // Pin substrate equivalence and report the machine-independent skip
-    // counters once, outside the timed loops.
-    set_reference_kernels(true);
-    let reference = dp.analyze_cached(&net, &region, &splits, None);
-    set_reference_kernels(false);
-    let optimized = dp.analyze_cached(&net, &region, &splits, None);
-    assert_eq!(
-        reference.analysis.p_hat.to_bits(),
-        optimized.analysis.p_hat.to_bits(),
-        "substrates must agree bit-for-bit"
-    );
-    assert_eq!(
-        reference.stats.blocks_skipped, optimized.stats.blocks_skipped,
-        "blocks_skipped is substrate-invariant"
-    );
+    // Report the machine-independent skip counters once, outside the
+    // timed loop.
+    let node = dp.analyze_cached(&net, &region, &splits, None);
     assert!(
-        optimized.stats.backsub_rows_skipped > optimized.stats.backsub_rows_total / 2,
+        node.stats.backsub_rows_skipped > node.stats.backsub_rows_total / 2,
         "workload must be majority-stable for the block-sparse regime"
     );
     println!(
         "block-sparse node ({} splits, p_hat bits {:x}): {} / {} substitution rows skipped, {} masked blocks elided",
         splits.len(),
-        optimized.analysis.p_hat.to_bits(),
-        optimized.stats.backsub_rows_skipped,
-        optimized.stats.backsub_rows_total,
-        optimized.stats.blocks_skipped,
+        node.analysis.p_hat.to_bits(),
+        node.stats.backsub_rows_skipped,
+        node.stats.backsub_rows_total,
+        node.stats.blocks_skipped,
     );
 
-    set_reference_kernels(false);
     c.bench_function("bound/backsub_block_sparse", |bench| {
         bench.iter(|| black_box(dp.analyze(&net, &region, black_box(&splits)).p_hat))
     });
-    set_reference_kernels(true);
-    c.bench_function("bound/backsub_reference", |bench| {
-        bench.iter(|| black_box(dp.analyze(&net, &region, black_box(&splits)).p_hat))
-    });
-    set_reference_kernels(false);
 }
 
 criterion_group!(benches, bench_block_sparse);

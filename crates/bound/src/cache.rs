@@ -95,9 +95,7 @@ pub struct BoundComputeStats {
     /// skipped-row ratio).
     pub backsub_rows_total: usize,
     /// Contiguous masked column blocks elided structurally by the
-    /// block-sparse fused kernels (one count per gap per kernel call).
-    /// Counted identically on both substrates so the fuzzer can assert
-    /// substrate-invariance.
+    /// block-sparse fused kernel (one count per gap per kernel call).
     pub blocks_skipped: usize,
     /// Peak logical footprint of the back-substitution scratch arena in
     /// bytes (length-based, so identical whether the arena is fresh or

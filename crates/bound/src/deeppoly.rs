@@ -265,12 +265,10 @@ pub(crate) fn compute_bounds_engine(
 /// `stats.backsub_rows_skipped` counts the elided rows.
 ///
 /// Block sparsity: the per-neuron mask is condensed once per step into
-/// maximal unmasked column runs; on the default substrate the fused
-/// kernel walks those runs ([`Matrix::fused_affine_into_runs`]), skipping
-/// whole masked blocks structurally instead of testing every column. The
-/// covered columns are visited in the same ascending order either way, so
-/// both substrates agree bit-for-bit; `stats.blocks_skipped` counts the
-/// elided gaps on both.
+/// maximal unmasked column runs, and the fused kernel walks those runs
+/// ([`Matrix::fused_affine_into_runs`]), skipping whole masked blocks
+/// structurally instead of testing every column; `stats.blocks_skipped`
+/// counts the elided gaps.
 fn back_substitute(
     net: &CanonicalNetwork,
     k: usize,
@@ -305,7 +303,7 @@ fn back_substitute(
         stats.backsub_rows_skipped += 2 * stable;
         // Condense the mask into its maximal unmasked runs (shared by the
         // lower and upper kernel calls); the gap count feeds the
-        // substrate-invariant `blocks_skipped` counter on both paths.
+        // `blocks_skipped` counter.
         scratch.runs.clear();
         let mut run_start = None;
         for (t, &sk) in scratch.skip.iter().enumerate() {
@@ -346,41 +344,21 @@ fn back_substitute(
         );
         let prev = &net.layers()[j];
         // Expression over z_j = W_j a_{j-1} + b_j → over a_{j-1}.
-        if abonn_tensor::reference_kernels() {
-            scratch.lo_a.fused_affine_into_masked(
-                &prev.weight,
-                &prev.bias,
-                &mut scratch.lo_c,
-                &mut scratch.lo_next,
-                &scratch.skip,
-            );
-        } else {
-            scratch.lo_a.fused_affine_into_runs(
-                &prev.weight,
-                &prev.bias,
-                &mut scratch.lo_c,
-                &mut scratch.lo_next,
-                &scratch.runs,
-            );
-        }
+        scratch.lo_a.fused_affine_into_runs(
+            &prev.weight,
+            &prev.bias,
+            &mut scratch.lo_c,
+            &mut scratch.lo_next,
+            &scratch.runs,
+        );
         std::mem::swap(&mut scratch.lo_a, &mut scratch.lo_next);
-        if abonn_tensor::reference_kernels() {
-            scratch.hi_a.fused_affine_into_masked(
-                &prev.weight,
-                &prev.bias,
-                &mut scratch.hi_c,
-                &mut scratch.hi_next,
-                &scratch.skip,
-            );
-        } else {
-            scratch.hi_a.fused_affine_into_runs(
-                &prev.weight,
-                &prev.bias,
-                &mut scratch.hi_c,
-                &mut scratch.hi_next,
-                &scratch.runs,
-            );
-        }
+        scratch.hi_a.fused_affine_into_runs(
+            &prev.weight,
+            &prev.bias,
+            &mut scratch.hi_c,
+            &mut scratch.hi_next,
+            &scratch.runs,
+        );
         std::mem::swap(&mut scratch.hi_a, &mut scratch.hi_next);
         // Length-based footprint after the swaps, when every buffer's
         // logical size is determined by this node's own computation

@@ -61,4 +61,6 @@ pub use deeppoly::DeepPoly;
 pub use ibp::Ibp;
 pub use lp::LpVerifier;
 pub use relax::ReluRelaxation;
-pub use types::{Analysis, AppVer, InputBox, LayerBounds, NeuronId, SplitSet, SplitSign};
+pub use types::{
+    Analysis, AppVer, FromScratch, InputBox, LayerBounds, NeuronId, SplitSet, SplitSign,
+};

@@ -36,11 +36,12 @@
 //!
 //! Warm and cold solves return bit-identical [`abonn_lp::Solution`]s
 //! whenever they terminate in the same basis (canonical extraction; see
-//! `abonn-lp`), so verdicts, witnesses, and reports do not depend on the
-//! `warm_start` switch — CI diffs a `--no-warm-start` rerun byte-for-byte
-//! to enforce this. The in-memory [`BoundComputeStats`] counters
-//! (`lp_pivots`, `lp_warm_hits`, `lp_cold_solves`) are the only observable
-//! difference.
+//! `abonn-lp`), so verdicts, witnesses, and reports do not depend on warm
+//! starting. [`LpVerifier::with_warm_start`]`(false)` is the cold
+//! reference: this module's tests and `crates/bench/tests/lp_warm.rs` (an
+//! MNIST slice) compare it against the warm default. The in-memory
+//! [`BoundComputeStats`] counters (`lp_pivots`, `lp_warm_hits`,
+//! `lp_cold_solves`) are the only observable difference.
 
 use crate::cache::{BoundComputeStats, BoundPrefix, CachedAnalysis, LpPrefix};
 use crate::deeppoly::{compute_bounds_engine, RelaxMode};
@@ -132,7 +133,8 @@ impl LpVerifier {
     }
 
     /// Enables or disables warm starting. Results are bit-identical either
-    /// way; only the in-memory work counters differ.
+    /// way; only the in-memory work counters differ. Production keeps the
+    /// default; `false` is the cold reference for equivalence tests.
     #[must_use]
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;

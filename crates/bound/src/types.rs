@@ -362,6 +362,28 @@ pub trait AppVer: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
+/// Bounds every node from scratch: forwards only
+/// [`analyze`](AppVer::analyze) and [`name`](AppVer::name) to the wrapped
+/// verifier, so the trait's default
+/// [`analyze_cached`](AppVer::analyze_cached) ignores parent prefixes and
+/// reports zero work counters.
+///
+/// This is the reference incremental bounding is tested against: a search
+/// over `FromScratch(v)` must reach the same verdicts, witnesses,
+/// certificates and search counters as one over `v`.
+#[derive(Debug, Clone)]
+pub struct FromScratch<V>(pub V);
+
+impl<V: AppVer> AppVer for FromScratch<V> {
+    fn analyze(&self, net: &CanonicalNetwork, region: &InputBox, splits: &SplitSet) -> Analysis {
+        self.0.analyze(net, region, splits)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

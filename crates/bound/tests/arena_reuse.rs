@@ -12,7 +12,7 @@
 
 use abonn_bound::{Analysis, AppVer, DeepPoly, InputBox, SplitSet, SplitSign};
 use abonn_nn::{AffinePair, CanonicalNetwork};
-use abonn_tensor::{reference_kernels, set_reference_kernels, Matrix};
+use abonn_tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -156,86 +156,5 @@ fn one_wide_panels_reuse_equivalence() {
             fresh_thread_bits(&net, &region, &splits),
             "dims {dims:?}"
         );
-    }
-}
-
-/// Maximal unmasked intervals of `skip` — what back-substitution feeds
-/// the runs kernel.
-fn runs_of(skip: &[bool]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut start = None;
-    for (k, &s) in skip.iter().enumerate() {
-        match (s, start) {
-            (false, None) => start = Some(k),
-            (true, Some(b)) => {
-                runs.push((b, k));
-                start = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(b) = start {
-        runs.push((b, skip.len()));
-    }
-    runs
-}
-
-/// Degenerate kernel shapes — 0-row, 0-col, 0-width, and 1×N panels —
-/// through every hot entry point, on both substrates. The toggle is
-/// process-global, but that is benign even if another test runs
-/// concurrently: the substrates are bit-identical, so a mid-test flip
-/// cannot change any result.
-#[test]
-fn degenerate_shapes_match_across_substrates() {
-    let shapes = [
-        (0usize, 3usize, 4usize),
-        (3, 0, 4),
-        (3, 4, 0),
-        (0, 0, 0),
-        (1, 37, 5),
-        (4, 1, 33),
-        (2, 17, 1),
-        (5, 6, 7),
-    ];
-    for &(m, k, n) in &shapes {
-        let mut rng = SmallRng::seed_from_u64((m * 31 + k * 7 + n) as u64);
-        let a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0..1.0));
-        let w = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0..1.0));
-        let bt = Matrix::from_fn(n, k, |_, _| rng.gen_range(-1.0..1.0));
-        let bias: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let consts0: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let skip: Vec<bool> = (0..k).map(|_| rng.gen_range(0..3) == 0).collect();
-        let runs = runs_of(&skip);
-
-        let run_all = || {
-            let mut out = Matrix::zeros(0, 0);
-            let mut bits: Vec<u64> = Vec::new();
-            let mut grab = |m: &Matrix, c: &[f64]| {
-                bits.extend(m.as_slice().iter().map(|v| v.to_bits()));
-                bits.extend(c.iter().map(|v| v.to_bits()));
-            };
-            a.matmul_into(&w, &mut out);
-            grab(&out, &[]);
-            a.matmul_transposed_into(&bt, &mut out);
-            grab(&out, &[]);
-            let mut c = consts0.clone();
-            a.fused_affine_into(&w, &bias, &mut c, &mut out);
-            grab(&out, &c);
-            let mut c = consts0.clone();
-            a.fused_affine_into_masked(&w, &bias, &mut c, &mut out, &skip);
-            grab(&out, &c);
-            let mut c = consts0.clone();
-            a.fused_affine_into_runs(&w, &bias, &mut c, &mut out, &runs);
-            grab(&out, &c);
-            bits
-        };
-
-        set_reference_kernels(false);
-        let optimized = run_all();
-        set_reference_kernels(true);
-        let reference = run_all();
-        set_reference_kernels(false);
-        assert!(!reference_kernels());
-        assert_eq!(optimized, reference, "shape {m}x{k}x{n}");
     }
 }

@@ -3,21 +3,19 @@
 //! Each case is derived deterministically from `(seed, index)`, so a
 //! campaign is reproducible from its command line and a single failing
 //! case is reproducible from its JSON dump. Every case runs the MCTS
-//! search, the BaB baseline (each with bound cache on/off, LP warm
-//! starting on/off, and on 1 and 4 worker threads), and the CROWN-style
-//! baseline, then cross-checks:
+//! search and the BaB baseline (each with incremental bounding on 1 and 4
+//! worker threads, and bounding every node from scratch through
+//! [`FromScratch`] on 1 thread) and the CROWN-style baseline, then
+//! cross-checks:
 //!
 //! * **Verdict agreement** — two solved runs must agree (`Timeout` is
 //!   compatible with anything).
 //! * **Witness validity** — every `Falsified` witness must falsify the
 //!   property under a concrete forward pass.
 //! * **Stats determinism** — `RunStats` must be identical across thread
-//!   counts (modulo wall time), identical across cache settings modulo
-//!   wall time and the cache work counters, identical across warm-start
-//!   settings modulo wall time and the LP work counters, and identical
-//!   across kernel/LP substrates (optimized vs `--reference-kernels`)
-//!   modulo wall time and the per-pivot cell counter — including the
-//!   certificate bytes.
+//!   counts (modulo wall time) and identical between incremental and
+//!   from-scratch bounding modulo wall time and the cache work counters,
+//!   including the certificate bytes.
 //! * **Certificate audits** — verified runs must produce certificates
 //!   that pass [`crate::audit::audit_certificate`]; timed-out runs must
 //!   produce partial certificates that pass
@@ -27,8 +25,7 @@
 //! radius, drop hidden neurons) before being reported.
 
 use crate::audit::{audit_certificate, audit_partial};
-use abonn_bound::DeepPoly;
-use std::sync::Mutex;
+use abonn_bound::{AppVer, DeepPoly, FromScratch};
 use abonn_core::heuristics::HeuristicKind;
 use abonn_core::{
     AbonnConfig, AbonnVerifier, BabBaseline, Budget, Certificate, RobustnessProblem, RunResult,
@@ -168,13 +165,6 @@ pub struct CampaignOutcome {
     pub failures: Vec<(FuzzCase, FuzzFailure)>,
 }
 
-/// Serialises whole-variant-sweep executions: the reference-substrate
-/// variants flip the process-global kernel/LP switches, and a flip
-/// landing mid-sweep in a concurrent `run_case` would perturb that
-/// sweep's `lp_pivot_cells` comparisons (results are substrate-invariant,
-/// the per-pivot work metric deliberately is not).
-static SUBSTRATE_SWEEP: Mutex<()> = Mutex::new(());
-
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Deterministically derives case `index` of campaign `seed`.
@@ -274,26 +264,14 @@ struct VariantRun {
 
 /// Runs every engine variant on the case's problem.
 fn run_variants(problem: &RobustnessProblem, budget: &Budget) -> Vec<VariantRun> {
-    let _sweep = SUBSTRATE_SWEEP
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let planet = || Arc::new(DeepPoly::planet());
-    let abonn = |cache: bool, warm: bool, threads: usize| {
-        AbonnVerifier::new(
-            AbonnConfig {
-                incremental: cache,
-                warm_start: warm,
-                ..AbonnConfig::default()
-            },
-            planet(),
-        )
-        .with_pool(Arc::new(WorkerPool::new(threads)))
-    };
-    let bab = |cache: bool, warm: bool, threads: usize| {
-        let mut b = BabBaseline::new(HeuristicKind::DeepSplit, planet());
-        b.incremental = cache;
-        b.warm_start = warm;
-        b.with_pool(Arc::new(WorkerPool::new(threads)))
+    // Planet-style DeepPoly, with parent-prefix reuse (`cache`) or bounding
+    // every node from scratch.
+    let planet = |cache: bool| -> Arc<dyn AppVer> {
+        if cache {
+            Arc::new(DeepPoly::planet())
+        } else {
+            Arc::new(FromScratch(DeepPoly::planet()))
+        }
     };
     let mut runs = Vec::new();
     for (name, cache, threads) in [
@@ -301,8 +279,9 @@ fn run_variants(problem: &RobustnessProblem, budget: &Budget) -> Vec<VariantRun>
         ("abonn/nocache/1t", false, 1),
         ("abonn/cache/4t", true, 4),
     ] {
-        let (result, certificate) =
-            abonn(cache, true, threads).verify_with_certificate(problem, budget);
+        let (result, certificate) = AbonnVerifier::new(AbonnConfig::default(), planet(cache))
+            .with_pool(Arc::new(WorkerPool::new(threads)))
+            .verify_with_certificate(problem, budget);
         runs.push(VariantRun {
             name,
             result,
@@ -314,8 +293,9 @@ fn run_variants(problem: &RobustnessProblem, budget: &Budget) -> Vec<VariantRun>
         ("bab/nocache/1t", false, 1),
         ("bab/cache/4t", true, 4),
     ] {
-        let (result, certificate) =
-            bab(cache, true, threads).verify_with_certificate(problem, budget);
+        let (result, certificate) = BabBaseline::new(HeuristicKind::DeepSplit, planet(cache))
+            .with_pool(Arc::new(WorkerPool::new(threads)))
+            .verify_with_certificate(problem, budget);
         runs.push(VariantRun {
             name,
             result,
@@ -329,39 +309,6 @@ fn run_variants(problem: &RobustnessProblem, budget: &Budget) -> Vec<VariantRun>
         result,
         certificate,
     });
-    // Warm-start ablations ride at the end so the cache/thread pair
-    // indices above stay stable.
-    let (result, certificate) = abonn(true, false, 1).verify_with_certificate(problem, budget);
-    runs.push(VariantRun {
-        name: "abonn/nowarm/1t",
-        result,
-        certificate,
-    });
-    let (result, certificate) = bab(true, false, 1).verify_with_certificate(problem, budget);
-    runs.push(VariantRun {
-        name: "bab/nowarm/1t",
-        result,
-        certificate,
-    });
-    // Reference-substrate ablations: naive rolled kernels + the dense
-    // simplex engine must reproduce the cache/1t runs exactly (modulo
-    // the per-pivot cell counter).
-    abonn_tensor::set_reference_kernels(true);
-    abonn_lp::set_reference_solver(true);
-    let (result, certificate) = abonn(true, true, 1).verify_with_certificate(problem, budget);
-    runs.push(VariantRun {
-        name: "abonn/cache/1t/ref",
-        result,
-        certificate,
-    });
-    let (result, certificate) = bab(true, true, 1).verify_with_certificate(problem, budget);
-    runs.push(VariantRun {
-        name: "bab/cache/1t/ref",
-        result,
-        certificate,
-    });
-    abonn_tensor::set_reference_kernels(false);
-    abonn_lp::set_reference_solver(false);
     runs
 }
 
@@ -379,26 +326,6 @@ fn strip_cache_counters(mut s: RunStats) -> RunStats {
     s.backsub_rows_total = 0;
     s.blocks_skipped = 0;
     s.arena_bytes_peak = 0;
-    s
-}
-
-/// Warm starting changes how many pivots each LP solve needs (and which
-/// solves are warmed), but nothing else — strip exactly those counters.
-fn strip_warm_counters(mut s: RunStats) -> RunStats {
-    s.wall = Duration::ZERO;
-    s.lp_pivots = 0;
-    s.lp_warm_hits = 0;
-    s.lp_cold_solves = 0;
-    s.lp_pivot_cells = 0;
-    s
-}
-
-/// The reference substrate (rolled kernels, dense simplex) must
-/// reproduce every counter except the per-pivot work metric — the dense
-/// engine rewrites more cells per basis change by design.
-fn strip_substrate_counters(mut s: RunStats) -> RunStats {
-    s.wall = Duration::ZERO;
-    s.lp_pivot_cells = 0;
     s
 }
 
@@ -506,54 +433,13 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, FuzzFailure> {
                 format!("{} vs {}: bound cache changed the verdict", ra.name, rb.name),
             ));
         }
-    }
-    // Identical across warm-start settings modulo the LP work counters.
-    for (a, b) in [(0usize, 7usize), (3, 8)] {
-        let (ra, rb) = (&runs[a], &runs[b]);
-        if strip_warm_counters(ra.result.stats) != strip_warm_counters(rb.result.stats) {
-            return Err(fail(
-                FailureKind::StatsMismatch,
-                format!(
-                    "{} vs {}: {:?} != {:?}",
-                    ra.name, rb.name, ra.result.stats, rb.result.stats
-                ),
-            ));
-        }
-        if ra.result.verdict != rb.result.verdict {
-            return Err(fail(
-                FailureKind::VerdictDisagreement,
-                format!("{} vs {}: warm starting changed the verdict", ra.name, rb.name),
-            ));
-        }
-    }
-
-    // Identical across substrates modulo per-pivot cells, down to the
-    // certificate bytes.
-    for (a, b) in [(0usize, 9usize), (3, 10)] {
-        let (ra, rb) = (&runs[a], &runs[b]);
-        if strip_substrate_counters(ra.result.stats) != strip_substrate_counters(rb.result.stats) {
-            return Err(fail(
-                FailureKind::StatsMismatch,
-                format!(
-                    "{} vs {}: {:?} != {:?}",
-                    ra.name, rb.name, ra.result.stats, rb.result.stats
-                ),
-            ));
-        }
-        if ra.result.verdict != rb.result.verdict {
-            return Err(fail(
-                FailureKind::VerdictDisagreement,
-                format!("{} vs {}: the substrate changed the verdict", ra.name, rb.name),
-            ));
-        }
         if ra.certificate != rb.certificate {
             return Err(fail(
                 FailureKind::CertificateRejected,
-                format!("{} vs {}: the substrate changed the certificate", ra.name, rb.name),
+                format!("{} vs {}: bound cache changed the certificate", ra.name, rb.name),
             ));
         }
     }
-
     // Certificate audits.
     let mut audits_passed = 0usize;
     for run in &runs {
@@ -784,9 +670,8 @@ mod tests {
         let budget = Budget::with_appver_calls(120);
         let run = |warm: bool| {
             let lp = abonn_bound::LpVerifier::new().with_warm_start(warm);
-            let mut b = BabBaseline::new(HeuristicKind::DeepSplit, Arc::new(lp));
-            b.warm_start = warm;
-            b.with_pool(Arc::new(WorkerPool::new(1)))
+            BabBaseline::new(HeuristicKind::DeepSplit, Arc::new(lp))
+                .with_pool(Arc::new(WorkerPool::new(1)))
                 .verify_with_certificate(&problem, &budget)
         };
         let (warm_run, warm_cert) = run(true);

@@ -12,7 +12,7 @@ use crate::driver::{
 use crate::heuristics::{BranchContext, HeuristicKind};
 use crate::pool::WorkerPool;
 use crate::spec::RobustnessProblem;
-use abonn_bound::{AppVer, BoundPrefix, CachedAnalysis, DeepPoly, NeuronId, SplitSet, SplitSign};
+use abonn_bound::{AppVer, BoundPrefix, DeepPoly, NeuronId, SplitSet, SplitSign};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -72,13 +72,6 @@ pub struct BabBaseline {
     pub heuristic: HeuristicKind,
     /// PGD polish steps for spurious candidates (0 = paper-plain).
     pub refine_steps: usize,
-    /// Thread parent bound prefixes into child nodes (bit-for-bit
-    /// identical results; disabling is for A/B checks and debugging).
-    pub incremental: bool,
-    /// Warm-start the exact-LP leaf solver from previously computed simplex
-    /// bases (bit-for-bit identical results; only in-memory work counters
-    /// differ — see DESIGN.md §5f).
-    pub warm_start: bool,
     appver: Arc<dyn AppVer>,
     pool: Arc<WorkerPool>,
 }
@@ -88,8 +81,6 @@ impl Default for BabBaseline {
         Self {
             heuristic: HeuristicKind::DeepSplit,
             refine_steps: 0,
-            incremental: true,
-            warm_start: true,
             appver: Arc::new(DeepPoly::new()),
             pool: Arc::new(WorkerPool::inline()),
         }
@@ -112,8 +103,6 @@ impl BabBaseline {
         Self {
             heuristic,
             refine_steps: 0,
-            incremental: true,
-            warm_start: true,
             appver,
             pool: Arc::new(WorkerPool::inline()),
         }
@@ -204,20 +193,12 @@ impl BabBaseline {
             let analyses = self.pool.map(
                 batch.iter().collect(),
                 |(splits, parent, _): &(SplitSet, Option<Arc<BoundPrefix>>, usize)| {
-                    if self.incremental {
-                        self.appver.analyze_cached(
-                            problem.margin_net(),
-                            problem.region(),
-                            splits,
-                            parent.as_ref(),
-                        )
-                    } else {
-                        CachedAnalysis::scratch(self.appver.analyze(
-                            problem.margin_net(),
-                            problem.region(),
-                            splits,
-                        ))
-                    }
+                    self.appver.analyze_cached(
+                        problem.margin_net(),
+                        problem.region(),
+                        splits,
+                        parent.as_ref(),
+                    )
                 },
             );
             for ((splits, _, proto), cached) in batch.iter().zip(analyses) {
@@ -284,9 +265,7 @@ impl BabBaseline {
                     }
                     None => {
                         // Fully split: resolve exactly with the LP.
-                        if let Some(w) =
-                            resolve_exhausted_leaf(problem, splits, &mut clock, self.warm_start)
-                        {
+                        if let Some(w) = resolve_exhausted_leaf(problem, splits, &mut clock) {
                             return (
                                 finish(
                                     Verdict::Falsified(w),

@@ -235,7 +235,7 @@ impl CrownStyle {
                 splits: &entry.splits,
             };
             let Some(neuron) = heuristic.select(&ctx) else {
-                if let Some(w) = resolve_exhausted_leaf(problem, &entry.splits, &mut clock, true) {
+                if let Some(w) = resolve_exhausted_leaf(problem, &entry.splits, &mut clock) {
                     return (
                         finish(
                             Verdict::Falsified(w),

@@ -291,9 +291,8 @@ pub(crate) fn resolve_exhausted_leaf(
     problem: &RobustnessProblem,
     splits: &SplitSet,
     clock: &mut Clock,
-    warm_start: bool,
 ) -> Option<Vec<f64>> {
-    let lp = LpVerifier::new().with_warm_start(warm_start);
+    let lp = LpVerifier::new();
     clock.appver_calls += 1;
     let cached = lp.analyze_cached(problem.margin_net(), problem.region(), splits, None);
     clock.bound_stats.absorb(&cached.stats);

@@ -40,14 +40,6 @@ pub struct AbonnConfig {
     pub refine_steps: usize,
     /// Branching heuristic `H`.
     pub heuristic: HeuristicKind,
-    /// Thread parent bound prefixes into child expansions so the verifier
-    /// only recomputes layers below the split (results are bit-for-bit
-    /// identical either way; disabling is for A/B checks and debugging).
-    pub incremental: bool,
-    /// Warm-start the exact-LP leaf solver from previously computed simplex
-    /// bases (verdicts and reports are bit-for-bit identical either way;
-    /// only in-memory work counters differ — see DESIGN.md §5f).
-    pub warm_start: bool,
 }
 
 impl Default for AbonnConfig {
@@ -57,8 +49,6 @@ impl Default for AbonnConfig {
             c: 0.2,
             refine_steps: 0,
             heuristic: HeuristicKind::DeepSplit,
-            incremental: true,
-            warm_start: true,
         }
     }
 }
@@ -167,26 +157,20 @@ struct Search<'p> {
 /// Evaluates one fresh child sub-problem (one `AppVer` call). Pure in the
 /// inputs — no clock or tree access — so the two children of an expansion
 /// can be evaluated concurrently without touching shared search state.
-/// With `incremental`, the parent's bound prefix lets the verifier skip
-/// layers below the new split; the analysis is bit-for-bit the same.
+/// The parent's bound prefix lets the verifier skip layers below the new
+/// split; the analysis is bit-for-bit what bounding from scratch returns.
 fn evaluate_child(
     appver: &dyn AppVer,
     problem: &RobustnessProblem,
     refine_steps: usize,
     splits: &SplitSet,
     parent: Option<&Arc<BoundPrefix>>,
-    incremental: bool,
 ) -> ChildOutcome {
-    let cached = if incremental {
-        appver.analyze_cached(problem.margin_net(), problem.region(), splits, parent)
-    } else {
-        CachedAnalysis::scratch(appver.analyze(problem.margin_net(), problem.region(), splits))
-    };
     let CachedAnalysis {
         analysis,
         prefix,
         stats,
-    } = cached;
+    } = appver.analyze_cached(problem.margin_net(), problem.region(), splits, parent);
     let eval = if analysis.verified() {
         ChildEval::Closed
     } else if let Some(w) = check_candidate(problem, &analysis, refine_steps) {
@@ -254,12 +238,7 @@ impl<'p> Search<'p> {
         };
         let Some(neuron) = self.heuristic.select(&ctx) else {
             // Every unstable ReLU on this path is split: resolve exactly.
-            if let Some(w) = resolve_exhausted_leaf(
-                self.problem,
-                &node_splits,
-                &mut self.clock,
-                self.config.warm_start,
-            ) {
+            if let Some(w) = resolve_exhausted_leaf(self.problem, &node_splits, &mut self.clock) {
                 return Some(w);
             }
             self.tree.close(cur);
@@ -276,16 +255,11 @@ impl<'p> Search<'p> {
         self.clock.appver_calls += 2;
         let pos_splits = node_splits.with(neuron, SplitSign::Pos);
         let neg_splits = node_splits.with(neuron, SplitSign::Neg);
-        let (appver, problem, refine, incremental) = (
-            &*self.appver,
-            self.problem,
-            self.config.refine_steps,
-            self.config.incremental,
-        );
+        let (appver, problem, refine) = (&*self.appver, self.problem, self.config.refine_steps);
         let parent = parent_prefix.as_ref();
         let (pos_out, neg_out) = self.pool.join2(
-            || evaluate_child(appver, problem, refine, &pos_splits, parent, incremental),
-            || evaluate_child(appver, problem, refine, &neg_splits, parent, incremental),
+            || evaluate_child(appver, problem, refine, &pos_splits, parent),
+            || evaluate_child(appver, problem, refine, &neg_splits, parent),
         );
         drop(parent_prefix);
         // Work counters are merged here on the search thread in fixed
@@ -360,16 +334,12 @@ impl AbonnVerifier {
 
         // Initialisation (Lines 1–9): analyze the root problem.
         clock.appver_calls += 1;
-        let root_cached = if self.config.incremental {
-            self.appver
-                .analyze_cached(problem.margin_net(), problem.region(), &SplitSet::new(), None)
-        } else {
-            CachedAnalysis::scratch(self.appver.analyze(
-                problem.margin_net(),
-                problem.region(),
-                &SplitSet::new(),
-            ))
-        };
+        let root_cached = self.appver.analyze_cached(
+            problem.margin_net(),
+            problem.region(),
+            &SplitSet::new(),
+            None,
+        );
         clock.bound_stats.absorb(&root_cached.stats);
         let root_analysis = root_cached.analysis;
         let root_prefix = root_cached.prefix;

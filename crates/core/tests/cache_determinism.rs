@@ -5,7 +5,8 @@
 //!
 //! 1. Cache on vs off changes nothing observable except the new
 //!    bound-work counters: verdict, AppVer calls, node counts, and tree
-//!    shape are identical.
+//!    shape are identical. "Off" is the same engine over
+//!    [`FromScratch`], which bounds every node from scratch.
 //! 2. With the cache on, the counters themselves are thread-count
 //!    invariant — they are accumulated in consumption order on the
 //!    search thread, never on pool lanes.
@@ -13,8 +14,11 @@
 //!    incremental run reuses parent layers and performs strictly fewer
 //!    back-substitution layer-steps than its from-scratch twin would.
 
+use abonn_bound::{AppVer, DeepPoly, FromScratch};
+use abonn_core::heuristics::HeuristicKind;
 use abonn_core::{
-    AbonnVerifier, BabBaseline, Budget, RobustnessProblem, RunStats, Verdict, Verifier, WorkerPool,
+    AbonnConfig, AbonnVerifier, BabBaseline, Budget, RobustnessProblem, RunStats, Verdict,
+    Verifier, WorkerPool,
 };
 use abonn_nn::{Layer, Network, Shape};
 use abonn_tensor::Matrix;
@@ -37,14 +41,23 @@ fn small_net(w1: &[f64], b1: &[f64], w2: &[f64], b2: &[f64]) -> Network {
     .expect("well-shaped network")
 }
 
+/// The engines' default DeepPoly, incremental or bounding from scratch.
+fn appver(incremental: bool) -> Arc<dyn AppVer> {
+    if incremental {
+        Arc::new(DeepPoly::new())
+    } else {
+        Arc::new(FromScratch(DeepPoly::new()))
+    }
+}
+
 fn abonn_run(
     problem: &RobustnessProblem,
     budget: &Budget,
     threads: usize,
     incremental: bool,
 ) -> (Verdict, RunStats) {
-    let mut verifier = AbonnVerifier::default().with_pool(Arc::new(WorkerPool::new(threads)));
-    verifier.config.incremental = incremental;
+    let verifier = AbonnVerifier::new(AbonnConfig::default(), appver(incremental))
+        .with_pool(Arc::new(WorkerPool::new(threads)));
     let result = verifier.verify(problem, budget);
     (result.verdict, result.stats)
 }
@@ -55,8 +68,8 @@ fn bab_run(
     threads: usize,
     incremental: bool,
 ) -> (Verdict, RunStats) {
-    let mut verifier = BabBaseline::default().with_pool(Arc::new(WorkerPool::new(threads)));
-    verifier.incremental = incremental;
+    let verifier = BabBaseline::new(HeuristicKind::DeepSplit, appver(incremental))
+        .with_pool(Arc::new(WorkerPool::new(threads)));
     let result = verifier.verify(problem, budget);
     (result.verdict, result.stats)
 }

@@ -1,12 +1,13 @@
-//! Dense-tableau vs revised-simplex pivot cost in the wide regime: many
-//! box-bounded variables, few rows (`total ≫ m`), where the dense engine
-//! rewrites a full `m × total` tableau per pivot and the revised engine
-//! only touches the `m × m` basis inverse, so the per-pivot separation
-//! grows with `total / m`. (The bound crate's triangle LPs sit at
-//! `m ≈ 2 · total`; there the separation is the ~40% pivot-cell cut that
-//! `abonn-bound`'s counters report, not this bench's asymptotic gap.)
-//! Per-pivot cell counts — exact and machine-independent, unlike the
-//! timings — are printed once outside the timed loops. Run with
+//! Pivot cost in the wide regime — many box-bounded variables, few rows
+//! (`total ≫ m`) — of the revised simplex behind `solve` against the
+//! dense-tableau reference `solve_dense`. The dense engine rewrites a full
+//! `m × total` tableau per pivot and the revised engine only touches the
+//! `m × m` basis inverse, so the per-pivot separation grows with
+//! `total / m`. (The bound crate's triangle LPs sit at `m ≈ 2 · total`;
+//! there the separation is the ~40% pivot-cell cut that `abonn-bound`'s
+//! counters report, not this bench's asymptotic gap.) Per-pivot cell
+//! counts — exact and machine-independent, unlike the timings — are
+//! printed once outside the timed loops. Run with
 //! `cargo bench -p abonn-lp --bench revised`; under `cargo test` each
 //! routine runs once as a smoke check.
 
@@ -51,7 +52,7 @@ fn bench_pivot_engines(c: &mut Criterion) {
     let mut revised_cells = 0usize;
     for p in &problems {
         let d = p.solve_dense().expect("bench problems are well-formed");
-        let r = p.solve_revised().expect("bench problems are well-formed");
+        let r = p.solve().expect("bench problems are well-formed");
         assert_eq!(d.status, r.status, "engines must agree on the fixture");
         dense_pivots += d.pivots;
         dense_cells += d.pivot_cells;
@@ -82,7 +83,7 @@ fn bench_pivot_engines(c: &mut Criterion) {
         bench.iter(|| {
             let mut acc = 0.0;
             for p in &problems {
-                acc += black_box(p).solve_revised().unwrap().objective;
+                acc += black_box(p).solve().unwrap().objective;
             }
             black_box(acc)
         })

@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! A dense, bounded-variable, two-phase simplex LP solver.
+//! A bounded-variable, two-phase simplex LP solver.
 //!
 //! The ABONN paper's evaluation uses GUROBI as the underlying solver for
 //! LP-relaxation-based bounding. This crate is the from-scratch substitute:
@@ -7,6 +7,11 @@
 //! bounds `l ≤ x ≤ u` (including infinite bounds), `≤` / `≥` / `=` rows,
 //! and minimisation or maximisation objectives. Bland's rule is used as an
 //! anti-cycling fallback, so the solver terminates on degenerate problems.
+//!
+//! [`Problem::solve`] and [`Problem::solve_warm`] run a revised simplex
+//! over a product-form basis inverse. The dense tableau it replaced is
+//! kept behind [`Problem::solve_dense`] and [`Problem::solve_warm_dense`]
+//! as the reference for equivalence tests and benchmarks.
 //!
 //! # Examples
 //!
@@ -29,5 +34,4 @@
 mod revised;
 mod simplex;
 
-pub use revised::{reference_solver, set_reference_solver};
 pub use simplex::{Problem, Relation, Sense, Solution, SolveError, Status, WarmStart};

@@ -19,35 +19,22 @@
 //! uniquely-optimal LP therefore return bit-identical solutions even
 //! though their intermediate arithmetic differs; only the call counters
 //! (`pivots`, `pivot_cells`) may diverge, and those never reach persisted
-//! reports. The [`set_reference_solver`] escape hatch routes
-//! `Problem::solve`/`solve_warm` back to the dense engine so the byte-diff
-//! gates in `ci.sh` can prove exactly that.
+//! reports. [`Problem::solve`] and [`Problem::solve_warm`] run this
+//! engine; the dense tableau stays reachable only through
+//! [`Problem::solve_dense`]/[`Problem::solve_warm_dense`], the reference
+//! the equivalence tests (`tests/revised_equivalence.rs`) and the pivot
+//! benches compare against.
 //!
 //! [`Solution::pivot_cells`]: crate::Solution::pivot_cells
+//! [`Problem::solve`]: crate::Problem::solve
+//! [`Problem::solve_warm`]: crate::Problem::solve_warm
+//! [`Problem::solve_dense`]: crate::Problem::solve_dense
+//! [`Problem::solve_warm_dense`]: crate::Problem::solve_warm_dense
 
 use crate::simplex::{
     better_leaving, slack_bounds, Problem, RatioOutcome, Rest, Sense, SolveError, Status, VarState,
     WarmStart, FEAS_TOL, PIVOT_TOL,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide engine selector: `false` (default) runs the revised
-/// simplex, `true` the dense reference tableau.
-static REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Routes [`Problem::solve`] and [`Problem::solve_warm`] to the dense
-/// reference tableau (`true`) or the revised simplex (`false`, the
-/// default). Process-wide; flipped by the `--reference-kernels` CLI flag
-/// and by equivalence harnesses.
-pub fn set_reference_solver(on: bool) {
-    REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Current state of the reference-solver switch.
-#[must_use]
-pub fn reference_solver() -> bool {
-    REFERENCE.load(Ordering::SeqCst)
-}
 
 /// Revised-simplex working state: sparse original columns plus an explicit
 /// basis inverse, mirroring every scalar decision of the dense `Tableau`.
@@ -822,14 +809,6 @@ impl Revised {
 mod tests {
     use crate::{Problem, Relation, Sense, Status};
 
-    /// Restores the default engine even when an assertion unwinds.
-    struct SolverGuard;
-    impl Drop for SolverGuard {
-        fn drop(&mut self) {
-            super::set_reference_solver(false);
-        }
-    }
-
     fn classic() -> Problem {
         let mut p = Problem::new(2, Sense::Maximize);
         p.set_objective(&[3.0, 5.0]);
@@ -842,14 +821,10 @@ mod tests {
     }
 
     #[test]
-    fn reference_switch_selects_the_dense_engine() {
-        let _guard = SolverGuard;
+    fn solve_agrees_with_the_dense_engine() {
         let p = classic();
         let revised = p.solve().unwrap();
-        super::set_reference_solver(true);
-        assert!(super::reference_solver());
-        let dense = p.solve().unwrap();
-        super::set_reference_solver(false);
+        let dense = p.solve_dense().unwrap();
         assert_eq!(revised.status, Status::Optimal);
         assert_eq!(dense.status, Status::Optimal);
         // Unique optimum: canonical extraction makes the engines agree to
@@ -877,7 +852,7 @@ mod tests {
         p.add_row(&row, Relation::Ge, 10.0);
         p.add_row(&c, Relation::Le, 50.0);
         let dense = p.solve_dense().unwrap();
-        let revised = p.solve_revised().unwrap();
+        let revised = p.solve().unwrap();
         assert_eq!(dense.status, Status::Optimal);
         assert_eq!(revised.status, Status::Optimal);
         assert!(dense.pivots > 0, "fixture must pivot to be meaningful");
@@ -892,9 +867,9 @@ mod tests {
     #[test]
     fn warm_revised_matches_cold_revised_bit_for_bit() {
         let p = classic();
-        let cold = p.solve_revised().unwrap();
+        let cold = p.solve().unwrap();
         let warm = p
-            .solve_warm_revised(cold.warm.as_ref().unwrap())
+            .solve_warm(cold.warm.as_ref().unwrap())
             .unwrap();
         assert!(warm.warmed);
         assert_eq!(warm.pivots, 0, "re-optimising the optimal basis is free");
@@ -911,10 +886,10 @@ mod tests {
         p.set_bounds(0, 0.0, 3.0);
         p.set_bounds(1, 0.0, 3.0);
         p.add_row(&[1.0, 1.0], Relation::Le, 4.0);
-        let ws = p.solve_revised().unwrap().warm.unwrap();
+        let ws = p.solve().unwrap().warm.unwrap();
         p.set_bounds(1, 0.0, 1.5);
-        let cold = p.solve_revised().unwrap();
-        let warm = p.solve_warm_revised(&ws).unwrap();
+        let cold = p.solve().unwrap();
+        let warm = p.solve_warm(&ws).unwrap();
         assert!(warm.warmed);
         assert_eq!(warm.status, cold.status);
         assert!((warm.objective - cold.objective).abs() < 1e-9);

@@ -224,18 +224,8 @@ impl Problem {
         self.rhs.push(rhs);
     }
 
-    /// Solves the problem.
-    ///
-    /// Runs the revised-simplex engine ([`solve_revised`]) unless the
-    /// process-wide reference switch
-    /// ([`set_reference_solver`](crate::set_reference_solver)) selects the
-    /// dense tableau ([`solve_dense`]). Both engines share the same pivot
-    /// rules and the same canonical vertex extraction, so they return
-    /// bit-identical solutions whenever they stop at the same optimal
-    /// vertex (always the case for a unique optimum).
-    ///
-    /// [`solve_revised`]: Problem::solve_revised
-    /// [`solve_dense`]: Problem::solve_dense
+    /// Solves the problem with the revised-simplex engine (sparse
+    /// columns, product-form basis inverse; see `revised.rs`).
     ///
     /// # Errors
     ///
@@ -243,16 +233,25 @@ impl Problem {
     /// upper` or a non-finite coefficient appears, and
     /// [`SolveError::IterationLimit`] if the pivot budget is exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        if crate::revised::reference_solver() {
-            self.solve_dense()
-        } else {
-            self.solve_revised()
-        }
+        self.validate()?;
+        let mut r = crate::revised::Revised::build(self);
+        let status = r.run()?;
+        Ok(self.extract_parts(
+            status,
+            false,
+            r.terminal_x(),
+            || r.warm_snapshot(),
+            r.pivots(),
+            r.pivot_cells(),
+        ))
     }
 
-    /// Solves with the dense-tableau engine regardless of the process-wide
-    /// reference switch. Direct entry point for equivalence tests and
-    /// benchmarks.
+    /// Solves with the dense-tableau engine: the reference that the
+    /// revised engine behind [`solve`](Problem::solve) is tested and
+    /// benchmarked against. Both engines share the same pivot rules and
+    /// the same canonical vertex extraction, so they return bit-identical
+    /// solutions whenever they stop at the same optimal vertex (always
+    /// the case for a unique optimum); only the work counters differ.
     ///
     /// # Errors
     ///
@@ -268,27 +267,6 @@ impl Problem {
             || t.warm_snapshot(),
             t.pivots,
             t.pivot_cells,
-        ))
-    }
-
-    /// Solves with the revised-simplex engine regardless of the
-    /// process-wide reference switch. Direct entry point for equivalence
-    /// tests and benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Problem::solve).
-    pub fn solve_revised(&self) -> Result<Solution, SolveError> {
-        self.validate()?;
-        let mut r = crate::revised::Revised::build(self);
-        let status = r.run()?;
-        Ok(self.extract_parts(
-            status,
-            false,
-            r.terminal_x(),
-            || r.warm_snapshot(),
-            r.pivots(),
-            r.pivot_cells(),
         ))
     }
 
@@ -316,15 +294,31 @@ impl Problem {
     ///
     /// Same contract as [`solve`](Problem::solve).
     pub fn solve_warm(&self, warm: &WarmStart) -> Result<Solution, SolveError> {
-        if crate::revised::reference_solver() {
-            self.solve_warm_dense(warm)
-        } else {
-            self.solve_warm_revised(warm)
+        self.validate()?;
+        if let Some(mut r) = crate::revised::Revised::build_warm(self, warm) {
+            match r.run() {
+                Ok(status) => {
+                    return Ok(self.extract_parts(
+                        status,
+                        true,
+                        r.terminal_x(),
+                        || r.warm_snapshot(),
+                        r.pivots(),
+                        r.pivot_cells(),
+                    ))
+                }
+                // A stall from a pathological warm basis is recoverable:
+                // retry from scratch below.
+                Err(SolveError::IterationLimit) => {}
+                Err(e) => return Err(e),
+            }
         }
+        self.solve()
     }
 
-    /// Warm-started solve with the dense-tableau engine regardless of the
-    /// process-wide reference switch.
+    /// Warm-started solve with the dense-tableau engine: the reference for
+    /// [`solve_warm`](Problem::solve_warm), as
+    /// [`solve_dense`](Problem::solve_dense) is for `solve`.
     ///
     /// # Errors
     ///
@@ -358,42 +352,6 @@ impl Problem {
             || t.warm_snapshot(),
             t.pivots,
             t.pivot_cells,
-        ))
-    }
-
-    /// Warm-started solve with the revised-simplex engine regardless of
-    /// the process-wide reference switch.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Problem::solve).
-    pub fn solve_warm_revised(&self, warm: &WarmStart) -> Result<Solution, SolveError> {
-        self.validate()?;
-        if let Some(mut r) = crate::revised::Revised::build_warm(self, warm) {
-            match r.run() {
-                Ok(status) => {
-                    return Ok(self.extract_parts(
-                        status,
-                        true,
-                        r.terminal_x(),
-                        || r.warm_snapshot(),
-                        r.pivots(),
-                        r.pivot_cells(),
-                    ))
-                }
-                Err(SolveError::IterationLimit) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut r = crate::revised::Revised::build(self);
-        let status = r.run()?;
-        Ok(self.extract_parts(
-            status,
-            false,
-            r.terminal_x(),
-            || r.warm_snapshot(),
-            r.pivots(),
-            r.pivot_cells(),
         ))
     }
 

@@ -1,10 +1,9 @@
 //! Kernel benchmarks for the dense matmul family.
 //!
-//! Compares the classic allocating `matmul` against the transposed-RHS
-//! blocked kernel (`matmul_transposed`) and the fused affine-substitute
-//! (`fused_affine_into`) that `back_substitute` runs per layer-step. Run
-//! with `cargo bench -p abonn-tensor` for timings; under `cargo test`
-//! each routine executes once as a smoke check.
+//! Compares the allocating `matmul` against `matmul_into`, which reuses
+//! its output buffer, plus `matvec`/`matvec_into`. Run with
+//! `cargo bench -p abonn-tensor` for timings; under `cargo test` each
+//! routine executes once as a smoke check.
 //!
 //! Besides timings the bench prints the per-call multiply counts so the
 //! kernels can be compared on a machine-independent axis.
@@ -25,32 +24,18 @@ fn bench_matmul_variants(c: &mut Criterion) {
     for n in SIZES {
         let a = test_matrix(n, n, 0);
         let b = test_matrix(n, n, 5);
-        let b_t = b.transpose();
-        // All three kernels perform the same n^3 multiply-adds; the
-        // difference is traversal order and allocation discipline.
+        // Both kernels perform the same n^3 multiply-adds; the difference
+        // is allocation discipline.
         println!("matmul {n}x{n}: {} multiply-adds per call", n * n * n);
 
         c.bench_function(format!("tensor/matmul_{n}"), |bench| {
             bench.iter(|| black_box(a.matmul(black_box(&b))))
-        });
-        c.bench_function(format!("tensor/matmul_transposed_{n}"), |bench| {
-            bench.iter(|| black_box(a.matmul_transposed(black_box(&b_t))))
         });
 
         let mut out = Matrix::default();
         c.bench_function(format!("tensor/matmul_into_{n}"), |bench| {
             bench.iter(|| {
                 a.matmul_into(black_box(&b), &mut out);
-                black_box(out.get(0, 0))
-            })
-        });
-
-        let bias = vec![0.125; n];
-        let mut consts = vec![0.0; n];
-        c.bench_function(format!("tensor/fused_affine_into_{n}"), |bench| {
-            bench.iter(|| {
-                consts.iter_mut().for_each(|v| *v = 0.0);
-                a.fused_affine_into(black_box(&b), &bias, &mut consts, &mut out);
                 black_box(out.get(0, 0))
             })
         });

@@ -1,55 +1,34 @@
-//! Optimized hot-loop kernels and the substrate escape hatch.
+//! Optimized hot-loop kernels behind the public [`Matrix`](crate::Matrix)
+//! entry points, plus the typed [`ShapeError`] the checked (`try_*`)
+//! entry points return.
 //!
-//! This module holds the performance-tuned inner loops behind the public
-//! [`Matrix`](crate::Matrix) entry points, the typed [`ShapeError`] the
-//! checked (`try_*`) entry points return, and the process-global
-//! reference-kernel switch toggled by `--reference-kernels`.
-//!
-//! Every optimized kernel is **bit-for-bit identical** to its reference
-//! counterpart in `matrix.rs` on the finite data this workspace
-//! produces: per output element the multiply–add sequence runs over `k`
-//! in globally ascending order, so register/row/column tiling only
-//! reorders *which element* is updated next, never the summation order
-//! feeding a single element. The one deliberate divergence from the
-//! reference loops is the `v == 0.0` skip: inside a register tile the
-//! branch mispredicts and costs more than the multiplies it saves, so
-//! the tile kernels add the `±0.0` terms a zero coefficient contributes
-//! instead of branching around them. That is the identity on finite
-//! operands — `±0.0 * w` is `±0.0` for finite `w`, and an accumulator
-//! chain seeded at `+0.0` can never hold `-0.0` (IEEE-754 round-to-
-//! nearest returns `+0.0` for exact cancellation), so `acc + ±0.0`
-//! reproduces `acc` exactly. Only non-finite operands (`0.0 * inf` is
-//! NaN) could observe the difference, and no caller produces them. The
-//! single-row remainder paths and the reference kernels keep the
-//! literal skip. The proptests in `matrix.rs` pin bit-equality.
+//! Every kernel is **bit-for-bit identical** to the rolled `ikj` loops
+//! it replaced (kept as test oracles in `matrix.rs`) on the finite data
+//! this workspace produces: per output element the multiply–add sequence
+//! runs over `k` in globally ascending order, so register/row/column
+//! tiling only reorders *which element* is updated next, never the
+//! summation order feeding a single element. The one deliberate
+//! divergence from the rolled loops is the `v == 0.0` skip: inside a
+//! register tile the branch mispredicts and costs more than the
+//! multiplies it saves, so the tile kernels add the `±0.0` terms a zero
+//! coefficient contributes instead of branching around them. That is the
+//! identity on finite operands — `±0.0 * w` is `±0.0` for finite `w`,
+//! and an accumulator chain seeded at `+0.0` can never hold `-0.0`
+//! (IEEE-754 round-to-nearest returns `+0.0` for exact cancellation), so
+//! `acc + ±0.0` reproduces `acc` exactly. Only non-finite operands
+//! (`0.0 * inf` is NaN) could observe the difference, and no caller
+//! produces them. The single-row remainder paths keep the literal skip.
+//! The proptests in `matrix.rs` pin bit-equality against the rolled
+//! oracles on shapes that reach full register tiles.
 //!
 //! The module is in the `panic-path` lint scope: no indexing, no
 //! `unwrap`/`expect`, no panicking macros. Bounds are expressed through
 //! `split_at`/`chunks_exact`/iterator shapes, which also removes the
-//! bounds checks the reference loops pay per step. Callers (the `Matrix`
+//! bounds checks the rolled loops pay per step. Callers (the `Matrix`
 //! entry points) validate all shapes first; kernels document their
 //! contracts with `debug_assert!`.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-global switch selecting the reference (pre-optimization)
-/// kernels. Default `false` = optimized substrate.
-static REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Selects the reference kernels (`true`) or the optimized substrate
-/// (`false`, the default) for every subsequent `Matrix` hot-path call in
-/// this process. Wired to the `--reference-kernels` CLI flag; reports
-/// must be byte-identical either way.
-pub fn set_reference_kernels(on: bool) {
-    REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Returns `true` when the reference kernels are selected.
-#[must_use]
-pub fn reference_kernels() -> bool {
-    REFERENCE.load(Ordering::SeqCst)
-}
 
 /// A typed argument-shape mismatch from a checked kernel entry point.
 ///
@@ -91,25 +70,8 @@ pub(crate) fn check_matmul(
     Ok(())
 }
 
-/// Checks `lhs (lr×lc) * rhs_t (rr×rc)^T` conformability.
-pub(crate) fn check_matmul_transposed(
-    op: &str,
-    lr: usize,
-    lc: usize,
-    rr: usize,
-    rc: usize,
-) -> Result<(), ShapeError> {
-    if lc != rc {
-        return Err(ShapeError::new(format!(
-            "Matrix::{op}: {lr}x{lc} * ({rr}x{rc})^T is not defined"
-        )));
-    }
-    Ok(())
-}
-
-/// Checks the fused affine shapes shared by the whole `fused_affine_into*`
-/// family: `self (lr×lc) * weight (wr×wc)`, `bias` of length `lc`,
-/// `consts` of length `lr`.
+/// Checks the fused affine shapes: `self (lr×lc) * weight (wr×wc)`,
+/// `bias` of length `lc`, `consts` of length `lr`.
 pub(crate) fn check_fused_affine(
     op: &str,
     lr: usize,
@@ -132,16 +94,6 @@ pub(crate) fn check_fused_affine(
     if consts_len != lr {
         return Err(ShapeError::new(format!(
             "Matrix::{op}: consts length {consts_len} does not match {lr} rows"
-        )));
-    }
-    Ok(())
-}
-
-/// Checks the skip mask of the masked fused kernel.
-pub(crate) fn check_skip_len(op: &str, skip_len: usize, lc: usize) -> Result<(), ShapeError> {
-    if skip_len != lc {
-        return Err(ShapeError::new(format!(
-            "Matrix::{op}: skip length {skip_len} does not match {lc} cols"
         )));
     }
     Ok(())
@@ -172,7 +124,7 @@ const COL_TILE: usize = 16;
 /// fixed-size operand makes the loop a straight-line unrolled block of
 /// vector multiply–adds.
 ///
-/// Unlike the reference loops there is no `v == 0.0` branch here: inside
+/// Unlike the rolled loops there is no `v == 0.0` branch here: inside
 /// a register tile the branch costs far more than the 16 multiply–adds
 /// it would save (it mispredicts on mixed data), and on finite operands
 /// it cannot change bits — a zero `v` contributes `±0.0` terms, and an
@@ -316,216 +268,14 @@ pub(crate) fn matmul_blocked(a: &[f64], acols: usize, b: &[f64], bcols: usize, o
     }
 }
 
-/// Tiled `out = a * bt^T` (`bt` holds the right operand transposed,
-/// `n = bt.rows`). Four `bt` rows are paired with each `a` row so four
-/// independent dot chains run interleaved — each chain is still a single
-/// left-to-right dot, the order the reference produces, written exactly
-/// once — and the 4-row `bt` panel is reused across every `a` row.
-///
-/// The accumulators are seeded with `-0.0`, not `+0.0`: the reference
-/// path is `vecops::dot`, whose `Iterator::sum` folds from the `-0.0`
-/// additive identity, so an empty dot — and a dot whose every product
-/// is `-0.0` — is `-0.0` there. Seeding `-0.0` reproduces that chain
-/// bit-for-bit for every input (`-0.0 + x` equals `x` exactly for any
-/// `x`, including both zeros).
-pub(crate) fn matmul_transposed_blocked(
-    a: &[f64],
-    acols: usize,
-    bt: &[f64],
-    n: usize,
-    out: &mut [f64],
-) {
-    if n == 0 {
-        return;
-    }
-    if acols == 0 {
-        // An empty `Iterator::sum` is `-0.0` (the fold identity), not
-        // the `+0.0` that `resize_zeroed` wrote.
-        for o in out.iter_mut() {
-            *o = -0.0;
-        }
-        return;
-    }
-    let mut bq = bt.chunks_exact(ROW_TILE * acols);
-    let mut jb = 0;
-    for bblock in &mut bq {
-        let (b0, rest) = bblock.split_at(acols);
-        let (b1, rest) = rest.split_at(acols);
-        let (b2, b3) = rest.split_at(acols);
-        for (arow, orow) in a.chunks_exact(acols).zip(out.chunks_exact_mut(n)) {
-            let mut s0 = -0.0;
-            let mut s1 = -0.0;
-            let mut s2 = -0.0;
-            let mut s3 = -0.0;
-            let cols = b0.iter().zip(b1).zip(b2).zip(b3);
-            for ((((&y0, &y1), &y2), &y3), &x) in cols.zip(arow) {
-                s0 += x * y0;
-                s1 += x * y1;
-                s2 += x * y2;
-                s3 += x * y3;
-            }
-            let (_, tail) = orow.split_at_mut(jb);
-            let (ot, _) = tail.split_at_mut(ROW_TILE);
-            for (o, s) in ot.iter_mut().zip([s0, s1, s2, s3]) {
-                *o = s;
-            }
-        }
-        jb += ROW_TILE;
-    }
-    let rem = bq.remainder();
-    if !rem.is_empty() {
-        for (arow, orow) in a.chunks_exact(acols).zip(out.chunks_exact_mut(n)) {
-            let (_, otail) = orow.split_at_mut(jb);
-            for (o, brow) in otail.iter_mut().zip(rem.chunks_exact(acols)) {
-                let mut s = -0.0;
-                for (&x, &y) in arow.iter().zip(brow) {
-                    s += x * y;
-                }
-                *o = s;
-            }
-        }
-    }
-}
-
-/// Flat fused affine step: `out += a * w` while `consts[i] += dot(a.row(i),
-/// bias)` (`a`: `?×acols`, `w`: `acols×wcols`, `out` pre-zeroed
-/// `?×wcols`). One running accumulator per row, `k` ascending — the
-/// reference semantics, minus its per-`k` row re-slicing (the tile
-/// kernels replace the reference zero-skip with `±0.0` adds; see the
-/// module docs).
-pub(crate) fn fused_affine_flat(
-    a: &[f64],
-    acols: usize,
-    w: &[f64],
-    wcols: usize,
-    bias: &[f64],
-    consts: &mut [f64],
-    out: &mut [f64],
-) {
-    if acols == 0 {
-        // The reference still executes `*cslot += c` with `c == 0.0`,
-        // which normalizes a negative-zero slot; match it.
-        for cslot in consts.iter_mut() {
-            *cslot += 0.0;
-        }
-        return;
-    }
-    if wcols == 0 {
-        for (arow, cslot) in a.chunks_exact(acols).zip(consts.iter_mut()) {
-            let mut c = 0.0;
-            for (&av, &bv) in arow.iter().zip(bias) {
-                c += av * bv;
-            }
-            *cslot += c;
-        }
-        return;
-    }
-    let mut aq = a.chunks_exact(ROW_TILE * acols);
-    let mut cq = consts.chunks_exact_mut(ROW_TILE);
-    let mut oq = out.chunks_exact_mut(ROW_TILE * wcols);
-    for ((ablock, cblock), oblock) in (&mut aq).zip(&mut cq).zip(&mut oq) {
-        let (a0, rest) = ablock.split_at(acols);
-        let (a1, rest) = rest.split_at(acols);
-        let (a2, a3) = rest.split_at(acols);
-        // Bias half: four independent left-to-right dots sharing each
-        // bias load. Each chain starts at +0.0 and is added into its
-        // slot exactly once — the reference semantics.
-        let mut c0 = 0.0;
-        let mut c1 = 0.0;
-        let mut c2 = 0.0;
-        let mut c3 = 0.0;
-        let rows = a0.iter().zip(a1).zip(a2).zip(a3);
-        for ((((&v0, &v1), &v2), &v3), &bv) in rows.zip(bias) {
-            c0 += v0 * bv;
-            c1 += v1 * bv;
-            c2 += v2 * bv;
-            c3 += v3 * bv;
-        }
-        for (slot, c) in cblock.iter_mut().zip([c0, c1, c2, c3]) {
-            *slot += c;
-        }
-        let (o0, rest) = oblock.split_at_mut(wcols);
-        let (o1, rest) = rest.split_at_mut(wcols);
-        let (o2, o3) = rest.split_at_mut(wcols);
-        product_rows4(a0, a1, a2, a3, w, wcols, o0, o1, o2, o3);
-    }
-    let arows = aq.remainder().chunks_exact(acols);
-    let orows = oq.into_remainder().chunks_exact_mut(wcols);
-    for ((arow, cslot), orow) in arows.zip(cq.into_remainder()).zip(orows) {
-        let mut c = 0.0;
-        for ((&av, &bv), wrow) in arow.iter().zip(bias).zip(w.chunks_exact(wcols)) {
-            c += av * bv;
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &wv) in orow.iter_mut().zip(wrow) {
-                *o += av * wv;
-            }
-        }
-        *cslot += c;
-    }
-}
-
-/// Masked flat fused affine step: columns flagged in `skip` contribute to
-/// neither half, exactly like the reference masked kernel.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_affine_flat_masked(
-    a: &[f64],
-    acols: usize,
-    w: &[f64],
-    wcols: usize,
-    bias: &[f64],
-    consts: &mut [f64],
-    out: &mut [f64],
-    skip: &[bool],
-) {
-    if acols == 0 {
-        for cslot in consts.iter_mut() {
-            *cslot += 0.0;
-        }
-        return;
-    }
-    if wcols == 0 {
-        for (arow, cslot) in a.chunks_exact(acols).zip(consts.iter_mut()) {
-            let mut c = 0.0;
-            for ((&av, &bv), &sk) in arow.iter().zip(bias).zip(skip) {
-                if sk {
-                    continue;
-                }
-                c += av * bv;
-            }
-            *cslot += c;
-        }
-        return;
-    }
-    let rows = a.chunks_exact(acols).zip(consts.iter_mut());
-    for ((arow, cslot), orow) in rows.zip(out.chunks_exact_mut(wcols)) {
-        let mut c = 0.0;
-        let cols = arow.iter().zip(bias).zip(skip);
-        for (((&av, &bv), &sk), wrow) in cols.zip(w.chunks_exact(wcols)) {
-            if sk {
-                continue;
-            }
-            c += av * bv;
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &wv) in orow.iter_mut().zip(wrow) {
-                *o += av * wv;
-            }
-        }
-        *cslot += c;
-    }
-}
-
 /// Block-sparse fused affine step: only the columns covered by `runs`
 /// (ascending, disjoint, half-open) participate; everything between runs
 /// is skipped structurally instead of via a per-`k` mask test.
 ///
 /// With `runs` equal to the maximal unmasked intervals of a `skip` mask,
-/// the covered columns are visited in the same ascending order the masked
-/// kernel visits them, so results are bit-for-bit identical to
-/// [`fused_affine_flat_masked`].
+/// the covered columns are visited in the same ascending order the rolled
+/// masked loop visits them, so results are bit-for-bit identical to that
+/// loop (the oracle in `matrix.rs`'s tests).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fused_affine_runs(
     a: &[f64],
@@ -633,8 +383,8 @@ pub(crate) fn fused_affine_runs(
 /// Register-tiled run-restricted product for four left rows: the
 /// `COL_TILE`-wide accumulator tiles persist across every run, so each
 /// output element's additions cover exactly the run columns in ascending
-/// `k` order — bit-identical on finite data to the masked kernel whose
-/// unmasked intervals the runs encode (see the module docs for the
+/// `k` order — bit-identical on finite data to the rolled masked loop
+/// whose unmasked intervals the runs encode (see the module docs for the
 /// zero-coefficient fine print).
 #[allow(clippy::too_many_arguments)]
 fn runs_rows4(

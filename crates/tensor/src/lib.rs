@@ -20,7 +20,7 @@ pub mod kernels;
 mod matrix;
 pub mod vecops;
 
-pub use kernels::{reference_kernels, set_reference_kernels, ShapeError};
+pub use kernels::ShapeError;
 pub use matrix::Matrix;
 
 /// Absolute tolerance used by the approximate comparisons in this workspace.

@@ -244,9 +244,9 @@ impl Matrix {
         self.data
     }
 
-    /// Matrix–matrix product `self * rhs` using the cache-friendly `ikj`
-    /// loop order (cache-blocked over `k` on the default substrate, with
-    /// the summation order per output element unchanged).
+    /// Matrix–matrix product `self * rhs`: register-tiled over rows and
+    /// output columns, with each output element summed over `k` in
+    /// ascending order (the `ikj` loop's order; see the `kernels` module).
     ///
     /// # Panics
     ///
@@ -298,276 +298,32 @@ impl Matrix {
         Ok(())
     }
 
-    /// Shared unchecked matmul body: the reference `ikj` loop or the
-    /// blocked kernel, selected by the substrate switch.
+    /// Shared unchecked matmul body.
     fn matmul_body(&self, rhs: &Matrix, out: &mut Matrix) {
         out.resize_zeroed(self.rows, rhs.cols);
-        if kernels::reference_kernels() {
-            for i in 0..self.rows {
-                for k in 0..self.cols {
-                    let a = self.data[i * self.cols + k];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                    let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    for (o, &r) in orow.iter_mut().zip(rrow) {
-                        *o += a * r;
-                    }
-                }
-            }
-        } else {
-            kernels::matmul_blocked(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
-        }
+        kernels::matmul_blocked(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
-    /// Matrix product `self * rhs_t^T` where `rhs_t` holds the right-hand
-    /// operand already transposed (row `j` of `rhs_t` is column `j` of the
-    /// logical right operand). Both operands are then walked row-major, so
-    /// the inner kernel is a contiguous dot product; columns of the output
-    /// are processed in blocks to keep the active `rhs_t` panel in cache.
+    /// Fused affine back-substitution step over a block-sparse column
+    /// set: computes `self * weight` into `out` while accumulating
+    /// `self * bias` into `consts`, in one pass over `self`, where only
+    /// the columns of `self` covered by `runs` participate. This is the
+    /// inner step of DeepPoly back-substitution (`A ← A·W`, `c ← c + A·b`)
+    /// without the intermediate products.
     ///
-    /// Each output entry is a single left-to-right dot over `k`, the same
-    /// summation order `matmul` produces for that entry, so
-    /// `a.matmul_transposed(&b.transpose())` is bit-for-bit `a.matmul(&b)`.
+    /// `runs` are ascending, disjoint, half-open `(start, end)` column
+    /// intervals; columns outside every run are dropped entirely — their
+    /// entry of `self`, row of `weight` and entry of `bias` are treated as
+    /// absent, so callers must guarantee those coefficients are
+    /// semantically zero (back-substitution uses this for neurons whose
+    /// ReLU relaxation is identically zero). Whole masked blocks are
+    /// skipped structurally instead of per column.
     ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs_t.cols()`.
-    #[must_use]
-    pub fn matmul_transposed(&self, rhs_t: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transposed_into(rhs_t, &mut out);
-        out
-    }
-
-    /// Like [`matmul_transposed`](Self::matmul_transposed) but writes into
-    /// `out`, reusing its allocation. `out` must not alias the operands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs_t.cols()`.
-    pub fn matmul_transposed_into(&self, rhs_t: &Matrix, out: &mut Matrix) {
-        if let Err(e) = self.try_matmul_transposed_into(rhs_t, out) {
-            panic!("{e}");
-        }
-    }
-
-    /// Checked [`matmul_transposed_into`](Self::matmul_transposed_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `self.cols() != rhs_t.cols()`.
-    pub fn try_matmul_transposed_into(
-        &self,
-        rhs_t: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        kernels::check_matmul_transposed(
-            "matmul_transposed_into",
-            self.rows,
-            self.cols,
-            rhs_t.rows,
-            rhs_t.cols,
-        )?;
-        const BLOCK: usize = 32;
-        out.resize_zeroed(self.rows, rhs_t.rows);
-        let n = rhs_t.rows;
-        if !kernels::reference_kernels() {
-            kernels::matmul_transposed_blocked(&self.data, self.cols, &rhs_t.data, n, &mut out.data);
-            return Ok(());
-        }
-        let mut jb = 0;
-        while jb < n {
-            let je = (jb + BLOCK).min(n);
-            for i in 0..self.rows {
-                let arow = self.row(i);
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                for (j, o) in orow.iter_mut().enumerate().take(je).skip(jb) {
-                    *o = crate::vecops::dot(arow, rhs_t.row(j));
-                }
-            }
-            jb = je;
-        }
-        Ok(())
-    }
-
-    /// Fused affine back-substitution step: computes `self * weight` into
-    /// `out` while accumulating `self * bias` into `consts`, in one pass
-    /// over `self`. This is the inner step of DeepPoly back-substitution
-    /// (`A ← A·W`, `c ← c + A·b`) without the intermediate products.
-    ///
-    /// Bit-for-bit contract: `out` matches `self.matmul(weight)` (same
-    /// per-element `k`-ascending summation order; see the `kernels`
-    /// module docs for the zero-coefficient fine print), and each
-    /// `consts[i]` receives exactly `dot(self.row(i), bias)` added once,
-    /// matching a plain left-to-right dot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch between `self`, `weight`, `bias`, and
-    /// `consts`.
-    pub fn fused_affine_into(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-    ) {
-        if let Err(e) = self.try_fused_affine_into(weight, bias, consts, out) {
-            panic!("{e}");
-        }
-    }
-
-    /// Checked [`fused_affine_into`](Self::fused_affine_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on any shape mismatch between `self`,
-    /// `weight`, `bias`, and `consts`.
-    pub fn try_fused_affine_into(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        kernels::check_fused_affine(
-            "fused_affine_into",
-            self.rows,
-            self.cols,
-            weight.rows,
-            weight.cols,
-            bias.len(),
-            consts.len(),
-        )?;
-        out.resize_zeroed(self.rows, weight.cols);
-        if !kernels::reference_kernels() {
-            kernels::fused_affine_flat(
-                &self.data,
-                self.cols,
-                &weight.data,
-                weight.cols,
-                bias,
-                consts,
-                &mut out.data,
-            );
-            return Ok(());
-        }
-        for (i, cslot) in consts.iter_mut().enumerate() {
-            let mut c = 0.0;
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (k, (&a, &b)) in arow.iter().zip(bias).enumerate() {
-                c += a * b;
-                if a == 0.0 {
-                    continue;
-                }
-                let wrow = &weight.data[k * weight.cols..(k + 1) * weight.cols];
-                let orow = &mut out.data[i * weight.cols..(i + 1) * weight.cols];
-                for (o, &w) in orow.iter_mut().zip(wrow) {
-                    *o += a * w;
-                }
-            }
-            *cslot += c;
-        }
-        Ok(())
-    }
-
-    /// Masked variant of [`fused_affine_into`](Self::fused_affine_into):
-    /// columns of `self` flagged in `skip` are dropped entirely — they
-    /// contribute to neither the matmul nor the bias accumulation, as if
-    /// `self`'s entry, `weight`'s row, and `bias`'s entry were all absent.
-    ///
-    /// Callers must guarantee the skipped coefficients are semantically
-    /// zero (back-substitution uses this for neurons whose ReLU relaxation
-    /// is identically zero). Relative to the unmasked kernel with actual
-    /// `±0.0` coefficients the only representable difference is the sign
-    /// of a zero constant term, since the unmasked path still adds
-    /// `±0.0 * bias[k]` into the accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch, including `skip.len() != self.cols()`.
-    pub fn fused_affine_into_masked(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-        skip: &[bool],
-    ) {
-        if let Err(e) = self.try_fused_affine_into_masked(weight, bias, consts, out, skip) {
-            panic!("{e}");
-        }
-    }
-
-    /// Checked [`fused_affine_into_masked`](Self::fused_affine_into_masked).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] on any shape mismatch, including
-    /// `skip.len() != self.cols()`.
-    pub fn try_fused_affine_into_masked(
-        &self,
-        weight: &Matrix,
-        bias: &[f64],
-        consts: &mut [f64],
-        out: &mut Matrix,
-        skip: &[bool],
-    ) -> Result<(), ShapeError> {
-        kernels::check_fused_affine(
-            "fused_affine_into_masked",
-            self.rows,
-            self.cols,
-            weight.rows,
-            weight.cols,
-            bias.len(),
-            consts.len(),
-        )?;
-        kernels::check_skip_len("fused_affine_into_masked", skip.len(), self.cols)?;
-        out.resize_zeroed(self.rows, weight.cols);
-        if !kernels::reference_kernels() {
-            kernels::fused_affine_flat_masked(
-                &self.data,
-                self.cols,
-                &weight.data,
-                weight.cols,
-                bias,
-                consts,
-                &mut out.data,
-                skip,
-            );
-            return Ok(());
-        }
-        for (i, cslot) in consts.iter_mut().enumerate() {
-            let mut c = 0.0;
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (k, (&a, &b)) in arow.iter().zip(bias).enumerate() {
-                if skip[k] {
-                    continue;
-                }
-                c += a * b;
-                if a == 0.0 {
-                    continue;
-                }
-                let wrow = &weight.data[k * weight.cols..(k + 1) * weight.cols];
-                let orow = &mut out.data[i * weight.cols..(i + 1) * weight.cols];
-                for (o, &w) in orow.iter_mut().zip(wrow) {
-                    *o += a * w;
-                }
-            }
-            *cslot += c;
-        }
-        Ok(())
-    }
-
-    /// Block-sparse variant of
-    /// [`fused_affine_into_masked`](Self::fused_affine_into_masked): the
-    /// participating columns are given as ascending, disjoint, half-open
-    /// `(start, end)` runs instead of a per-column mask, so whole masked
-    /// column blocks are skipped structurally. With `runs` equal to the
-    /// maximal unmasked intervals of a skip mask the result is bit-for-bit
-    /// identical to the masked kernel.
+    /// Bit-for-bit contract: `out` and `consts` match the rolled masked
+    /// loop (per-element `k`-ascending summation over the covered
+    /// columns; see the `kernels` module docs for the zero-coefficient
+    /// fine print), and each `consts[i]` receives its dot over the covered
+    /// columns added once.
     ///
     /// # Panics
     ///
@@ -935,14 +691,135 @@ mod tests {
         Matrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3 + salt) % 13) as f64 - 6.0)
     }
 
+    /// The rolled masked fused-affine loop the block-sparse kernel
+    /// replaced, written against the public API like
+    /// [`matmul_reference`]: columns flagged in `skip` contribute to
+    /// neither the product nor the bias dot, and each row's dot is added
+    /// into its `consts` slot once.
+    fn fused_affine_reference(
+        a: &Matrix,
+        w: &Matrix,
+        bias: &[f64],
+        consts: &mut [f64],
+        skip: &[bool],
+    ) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), w.cols());
+        for (i, cslot) in consts.iter_mut().enumerate() {
+            let mut c = 0.0;
+            for k in 0..a.cols() {
+                if skip[k] {
+                    continue;
+                }
+                let av = a.row(i)[k];
+                c += av * bias[k];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..w.cols() {
+                    out.row_mut(i)[j] += av * w.row(k)[j];
+                }
+            }
+            *cslot += c;
+        }
+        out
+    }
+
+    /// The skip mask a run list encodes: columns outside every run.
+    fn skip_outside(runs: &[(usize, usize)], cols: usize) -> Vec<bool> {
+        (0..cols)
+            .map(|t| !runs.iter().any(|&(s, e)| (s..e).contains(&t)))
+            .collect()
+    }
+
+    /// SplitMix64: a generator that shares no code with the kernels.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `len` entries uniform in `[-4, 4)`, a quarter of them exact `0.0`
+    /// or `-0.0` so the zero-skip branches and signed zeros are exercised.
+    fn entries(seed: u64, len: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                let r = splitmix(&mut state);
+                match r % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (r >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Ascending, disjoint runs over `0..cols`: usually a chain of runs 0–6
+    /// wide (zero-width included) separated by gaps of 0–2 columns, and
+    /// sometimes no run or one run covering every column.
+    fn random_runs(seed: u64, cols: usize) -> Vec<(usize, usize)> {
+        let mut state = seed;
+        match splitmix(&mut state) % 8 {
+            0 => return Vec::new(),
+            1 => return vec![(0, cols)],
+            _ => {}
+        }
+        let mut runs = Vec::new();
+        let mut t = 0;
+        for _ in 0..2 + splitmix(&mut state) % 10 {
+            t += (splitmix(&mut state) % 3) as usize;
+            if t > cols {
+                break;
+            }
+            let end = (t + (splitmix(&mut state) % 7) as usize).min(cols);
+            runs.push((t, end));
+            t = end;
+        }
+        runs
+    }
+
+    /// `matmul`/`matmul_into` against [`matmul_reference`] on one seeded
+    /// `m×k * k×n` input, bit for bit.
+    fn assert_matmul_matches_oracle(m: usize, k: usize, n: usize, seed: u64) {
+        let a = Matrix::from_vec(m, k, entries(seed, m * k));
+        let b = Matrix::from_vec(k, n, entries(seed.wrapping_add(1), k * n));
+        let want = matmul_reference(&a, &b);
+        assert_bits_eq(&a.matmul(&b), &want);
+        let mut out = Matrix::from_fn(2, 9, |_, _| 42.0);
+        a.matmul_into(&b, &mut out);
+        assert_bits_eq(&out, &want);
+    }
+
+    /// `fused_affine_into_runs` against [`fused_affine_reference`] on one
+    /// seeded `m×k * k×n` input with random runs, bit for bit in both the
+    /// product and the constants.
+    fn assert_runs_match_oracle(m: usize, k: usize, n: usize, seed: u64) {
+        let a = Matrix::from_vec(m, k, entries(seed, m * k));
+        let w = Matrix::from_vec(k, n, entries(seed.wrapping_add(1), k * n));
+        let bias = entries(seed.wrapping_add(2), k);
+        let consts = entries(seed.wrapping_add(3), m);
+        let runs = random_runs(seed.wrapping_add(4), k);
+        let mut want_c = consts.clone();
+        let want = fused_affine_reference(&a, &w, &bias, &mut want_c, &skip_outside(&runs, k));
+        let mut got_c = consts;
+        let mut got = Matrix::from_fn(2, 9, |_, _| 42.0);
+        a.fused_affine_into_runs(&w, &bias, &mut got_c, &mut got, &runs);
+        assert_bits_eq(&got, &want);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got_c), bits(&want_c), "consts, {m}x{k}x{n} runs {runs:?}");
+    }
+
     #[test]
     fn blocked_matmul_is_bit_identical_to_reference_across_block_boundaries() {
-        // Shapes straddle the KBLOCK=64 boundary (1 block, exactly 1
-        // block, several blocks) plus degenerate 0-extent cases.
+        // Shapes straddle the 4-row and 16-column register tiles (full
+        // tiles, column tails, remainder rows) plus degenerate 0-extent
+        // cases.
         for &(m, k, n) in &[
             (5, 200, 7),
-            (3, 64, 4),
-            (1, 65, 3),
+            (8, 64, 16),
+            (9, 65, 33),
             (2, 1, 1),
             (0, 3, 4),
             (3, 0, 4),
@@ -957,71 +834,27 @@ mod tests {
         }
     }
 
-    /// Restores the optimized substrate even if the test body panics.
-    struct SubstrateGuard;
-    impl Drop for SubstrateGuard {
-        fn drop(&mut self) {
-            crate::kernels::set_reference_kernels(false);
-        }
-    }
-
+    /// Degenerate kernel shapes — 0-row, 0-col, 0-width, and 1×N panels
+    /// narrower than any register tile — against both rolled oracles.
     #[test]
-    fn reference_kernel_switch_reproduces_optimized_results() {
-        // Both substrate paths are bit-identical by construction, so
-        // concurrently running tests are unaffected by this toggle; this
-        // test pins the equivalence for every dispatched entry point.
-        let _guard = SubstrateGuard;
-        let a = seeded(9, 130, 2);
-        let w = seeded(130, 11, 3);
-        let bias: Vec<f64> = (0..130).map(|k| ((k * 5 + 1) % 9) as f64 - 4.0).collect();
-        let skip: Vec<bool> = (0..130).map(|k| k % 3 == 0 || (17..40).contains(&k)).collect();
-        let run_all = |reference: bool| {
-            crate::kernels::set_reference_kernels(reference);
-            let mm = a.matmul(&w);
-            let mut mt = Matrix::default();
-            a.matmul_transposed_into(&w.transpose(), &mut mt);
-            let mut fused_c = vec![0.25; 9];
-            let mut fused = Matrix::default();
-            a.fused_affine_into(&w, &bias, &mut fused_c, &mut fused);
-            let mut masked_c = vec![-0.5; 9];
-            let mut masked = Matrix::default();
-            a.fused_affine_into_masked(&w, &bias, &mut masked_c, &mut masked, &skip);
-            crate::kernels::set_reference_kernels(false);
-            (mm, mt, fused_c, fused, masked_c, masked)
-        };
-        let opt = run_all(false);
-        let refk = run_all(true);
-        assert_bits_eq(&opt.0, &refk.0);
-        assert_bits_eq(&opt.1, &refk.1);
-        assert_bits_eq(&opt.3, &refk.3);
-        assert_bits_eq(&opt.5, &refk.5);
-        for (u, v) in opt.2.iter().zip(&refk.2) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-        for (u, v) in opt.4.iter().zip(&refk.4) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-    }
-
-    /// Maximal unmasked intervals of a skip mask — the structural
-    /// equivalent the block-sparse kernel consumes.
-    fn runs_of(skip: &[bool]) -> Vec<(usize, usize)> {
-        let mut runs = Vec::new();
-        let mut start = None;
-        for (k, &sk) in skip.iter().enumerate() {
-            match (sk, start) {
-                (false, None) => start = Some(k),
-                (true, Some(s)) => {
-                    runs.push((s, k));
-                    start = None;
-                }
-                _ => {}
+    fn kernels_match_rolled_oracles_on_degenerate_shapes() {
+        let shapes = [
+            (0usize, 3usize, 4usize),
+            (3, 0, 4),
+            (3, 4, 0),
+            (0, 0, 0),
+            (1, 37, 5),
+            (4, 1, 33),
+            (2, 17, 1),
+            (5, 6, 7),
+        ];
+        for &(m, k, n) in &shapes {
+            for seed in 0..8u64 {
+                let seed = seed * 1_000 + (m * 31 + k * 7 + n) as u64;
+                assert_matmul_matches_oracle(m, k, n, seed);
+                assert_runs_match_oracle(m, k, n, seed);
             }
         }
-        if let Some(s) = start {
-            runs.push((s, skip.len()));
-        }
-        runs
     }
 
     #[test]
@@ -1048,8 +881,7 @@ mod tests {
         let mut cn = vec![0.5; 3];
         a.fused_affine_into_runs(&wn, &bias, &mut cn, &mut out, &[(0, 4)]);
         let mut cm = vec![0.5; 3];
-        let mut outm = Matrix::default();
-        a.fused_affine_into_masked(&wn, &bias, &mut cm, &mut outm, &[false; 4]);
+        let _ = fused_affine_reference(&a, &wn, &bias, &mut cm, &[false; 4]);
         for (u, v) in cn.iter().zip(&cm) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
@@ -1063,6 +895,32 @@ mod tests {
         let mut c = vec![0.0; 2];
         let mut out = Matrix::default();
         a.fused_affine_into_runs(&w, &[0.0; 3], &mut c, &mut out, &[(1, 4)]);
+    }
+
+    proptest! {
+        /// Two full 4-row tiles plus 1–3 remainder rows, and at least one
+        /// full 16-column tile plus (except at n = 32) a column tail.
+        #[test]
+        fn matmul_matches_rolled_oracle_on_register_tiles(
+            m in 9usize..=11,
+            k in 1usize..=40,
+            n in 17usize..=47,
+            seed in 0u64..u64::MAX,
+        ) {
+            assert_matmul_matches_oracle(m, k, n, seed);
+        }
+
+        /// Same tile coverage for the block-sparse kernel, with gapped,
+        /// empty and zero-width runs.
+        #[test]
+        fn fused_affine_runs_matches_rolled_oracle_on_register_tiles(
+            m in 9usize..=11,
+            k in 1usize..=40,
+            n in 17usize..=47,
+            seed in 0u64..u64::MAX,
+        ) {
+            assert_runs_match_oracle(m, k, n, seed);
+        }
     }
 
     proptest! {
@@ -1126,19 +984,7 @@ mod tests {
         }
 
         #[test]
-        fn matmul_transposed_is_bit_identical_to_matmul(
-            a in small_matrix(3, 4),
-            b in small_matrix(4, 5),
-        ) {
-            let out = a.matmul_transposed(&b.transpose());
-            let expect = a.matmul(&b);
-            for (u, v) in out.as_slice().iter().zip(expect.as_slice()) {
-                prop_assert_eq!(u.to_bits(), v.to_bits());
-            }
-        }
-
-        #[test]
-        fn fused_affine_matches_matmul_plus_dot(
+        fn fused_affine_full_run_matches_matmul_plus_dot(
             a in small_matrix(3, 4),
             w in small_matrix(4, 5),
             bias in proptest::collection::vec(-5.0..5.0_f64, 4),
@@ -1146,7 +992,7 @@ mod tests {
         ) {
             let mut fused_c = consts.clone();
             let mut out = Matrix::zeros(0, 0);
-            a.fused_affine_into(&w, &bias, &mut fused_c, &mut out);
+            a.fused_affine_into_runs(&w, &bias, &mut fused_c, &mut out, &[(0, 4)]);
             let expect = a.matmul(&w);
             for (u, v) in out.as_slice().iter().zip(expect.as_slice()) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
@@ -1154,69 +1000,6 @@ mod tests {
             for (i, c0) in consts.iter().enumerate() {
                 let want = c0 + crate::vecops::dot(a.row(i), &bias);
                 prop_assert_eq!(fused_c[i].to_bits(), want.to_bits());
-            }
-        }
-
-        #[test]
-        fn fused_affine_masked_matches_zeroed_column_reference(
-            a in small_matrix(3, 4),
-            w in small_matrix(4, 5),
-            bias in proptest::collection::vec(-5.0..5.0_f64, 4),
-            consts in proptest::collection::vec(-5.0..5.0_f64, 3),
-            skip_bits in proptest::collection::vec(0u8..2, 4),
-        ) {
-            let skip: Vec<bool> = skip_bits.iter().map(|&b| b == 1).collect();
-            let mut masked_c = consts.clone();
-            let mut out = Matrix::zeros(0, 0);
-            a.fused_affine_into_masked(&w, &bias, &mut masked_c, &mut out, &skip);
-            // Reference: zero the skipped columns (coefficients and bias)
-            // up front, then run the plain kernel. A positive-zero
-            // coefficient times a zero bias adds +0.0, which never changes
-            // an IEEE-754 running sum, so the two must agree bit-for-bit.
-            let a_ref = Matrix::from_fn(
-                a.rows(),
-                a.cols(),
-                |i, j| if skip[j] { 0.0 } else { a.row(i)[j] },
-            );
-            let bias_ref: Vec<f64> = bias
-                .iter()
-                .enumerate()
-                .map(|(j, &b)| if skip[j] { 0.0 } else { b })
-                .collect();
-            let mut ref_c = consts.clone();
-            let mut ref_out = Matrix::zeros(0, 0);
-            a_ref.fused_affine_into(&w, &bias_ref, &mut ref_c, &mut ref_out);
-            for (u, v) in out.as_slice().iter().zip(ref_out.as_slice()) {
-                prop_assert_eq!(u.to_bits(), v.to_bits());
-            }
-            for (u, v) in masked_c.iter().zip(&ref_c) {
-                prop_assert_eq!(u.to_bits(), v.to_bits());
-            }
-        }
-
-        #[test]
-        fn fused_affine_runs_matches_masked_kernel(
-            a in small_matrix(3, 12),
-            w in small_matrix(12, 5),
-            bias in proptest::collection::vec(-5.0..5.0_f64, 12),
-            consts in proptest::collection::vec(-5.0..5.0_f64, 3),
-            skip_bits in proptest::collection::vec(0u8..2, 12),
-        ) {
-            let skip: Vec<bool> = skip_bits.iter().map(|&b| b == 1).collect();
-            let runs = runs_of(&skip);
-            let mut masked_c = consts.clone();
-            let mut masked_out = Matrix::default();
-            a.fused_affine_into_masked(&w, &bias, &mut masked_c, &mut masked_out, &skip);
-            let mut runs_c = consts;
-            let mut runs_out = Matrix::from_fn(2, 2, |_, _| 42.0);
-            a.fused_affine_into_runs(&w, &bias, &mut runs_c, &mut runs_out, &runs);
-            prop_assert_eq!(runs_out.rows(), masked_out.rows());
-            prop_assert_eq!(runs_out.cols(), masked_out.cols());
-            for (u, v) in runs_out.as_slice().iter().zip(masked_out.as_slice()) {
-                prop_assert_eq!(u.to_bits(), v.to_bits());
-            }
-            for (u, v) in runs_c.iter().zip(&masked_c) {
-                prop_assert_eq!(u.to_bits(), v.to_bits());
             }
         }
 

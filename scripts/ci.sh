@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: release build =="
 cargo build --release
 
-echo "== tier 1: tests =="
-cargo test -q
+echo "== tier 1: tests (every workspace crate, oracle suites included) =="
+cargo test -q --workspace
 
 echo "== lints: abonn-lint determinism & soundness gate (baseline-aware) =="
 # Hard gate: exits non-zero on any finding not grandfathered by the
@@ -43,67 +43,30 @@ cargo run --release -q -p abonn-bench --bin table2 -- \
     --scale smoke --seed 2025 --threads 1 --fresh --out-dir "$out1" >/dev/null
 diff "$out2/rq1-smoke-2025.json" "$out1/rq1-smoke-2025.json"
 
-echo "== cache equivalence: --no-bound-cache must reproduce every report byte =="
-outnc=$(mktemp -d)
-cargo run --release -q -p abonn-bench --bin table2 -- \
-    --scale smoke --seed 2025 --threads 2 --fresh --no-bound-cache \
-    --out-dir "$outnc" >/dev/null
-for report in "$out2"/rq1-smoke-2025.* "$out2"/table2.csv; do
-    diff "$report" "$outnc/$(basename "$report")"
-done
-
-echo "== warm-start equivalence: --no-warm-start must reproduce every report byte =="
-outnw=$(mktemp -d)
-cargo run --release -q -p abonn-bench --bin table2 -- \
-    --scale smoke --seed 2025 --threads 2 --fresh --no-warm-start \
-    --out-dir "$outnw" >/dev/null
-for report in "$out2"/rq1-smoke-2025.* "$out2"/table2.csv; do
-    diff "$report" "$outnw/$(basename "$report")"
-done
-
-echo "== substrate equivalence: --reference-kernels must reproduce every report byte =="
-outrk=$(mktemp -d)
-cargo run --release -q -p abonn-bench --bin table2 -- \
-    --scale smoke --seed 2025 --threads 2 --fresh --reference-kernels \
-    --out-dir "$outrk" >/dev/null
-for report in "$out2"/rq1-smoke-2025.* "$out2"/table2.csv; do
-    diff "$report" "$outrk/$(basename "$report")"
-done
-
-echo "== benches: warm-start LP micro-benchmarks (trajectory in perf/BENCH_lp.jsonl) =="
-rm -f target/experiments/BENCH_lp.json
+echo "== benches: micro-benchmarks, roster pinned by scripts/bench-roster.golden =="
+# Fresh timings go to target/experiments/BENCH_*.json only; the committed
+# perf/BENCH_*.jsonl trajectories are history, never appended to here.
+# The golden pins the bench-name roster, so adding, dropping or renaming
+# a bench is a deliberate, reviewed act.
+rm -f target/experiments/BENCH_lp.json target/experiments/BENCH_tensor.json \
+    target/experiments/BENCH_backsub.json
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_lp.json" \
     cargo bench -q -p abonn-lp --bench simplex_warm
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_lp.json" \
     cargo bench -q -p abonn-lp --bench revised
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_lp.json" \
     cargo bench -q -p abonn-bound --bench triangle_lp
-test -s target/experiments/BENCH_lp.json
-# The committed trajectory pins the bench roster: a dropped or renamed
-# bench fails the diff and must update perf/BENCH_lp.jsonl deliberately.
-# Fresh timings are then appended so the file accumulates a perf history
-# across CI runs (commit the growth when it is worth keeping).
-diff <(sed -n 's/.*"bench":"\([^"]*\)".*/\1/p' perf/BENCH_lp.jsonl | sort -u) \
-     <(sed -n 's/.*"bench":"\([^"]*\)".*/\1/p' target/experiments/BENCH_lp.json | sort -u)
-cat target/experiments/BENCH_lp.json >> perf/BENCH_lp.jsonl
-
-echo "== benches: tensor kernel micro-benchmarks (trajectory in perf/BENCH_tensor.jsonl) =="
-rm -f target/experiments/BENCH_tensor.json
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_tensor.json" \
     cargo bench -q -p abonn-tensor --bench blocked
-test -s target/experiments/BENCH_tensor.json
-diff <(sed -n 's/.*"bench":"\([^"]*\)".*/\1/p' perf/BENCH_tensor.jsonl | sort -u) \
-     <(sed -n 's/.*"bench":"\([^"]*\)".*/\1/p' target/experiments/BENCH_tensor.json | sort -u)
-cat target/experiments/BENCH_tensor.json >> perf/BENCH_tensor.jsonl
-
-echo "== benches: block-sparse backsub micro-benchmarks (trajectory in perf/BENCH_backsub.jsonl) =="
-rm -f target/experiments/BENCH_backsub.json
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_backsub.json" \
     cargo bench -q -p abonn-bound --bench backsub_sparse
-test -s target/experiments/BENCH_backsub.json
-diff <(sed -n 's/.*"bench":"\([^"]*\)".*/\1/p' perf/BENCH_backsub.jsonl | sort -u) \
-     <(sed -n 's/.*"bench":"\([^"]*\)".*/\1/p' target/experiments/BENCH_backsub.json | sort -u)
-cat target/experiments/BENCH_backsub.json >> perf/BENCH_backsub.jsonl
+for trajectory in lp tensor backsub; do
+    test -s "target/experiments/BENCH_$trajectory.json"
+done
+cat target/experiments/BENCH_lp.json target/experiments/BENCH_tensor.json \
+    target/experiments/BENCH_backsub.json \
+    | sed -n 's/.*"bench":"\([^"]*\)".*/\1/p' | LC_ALL=C sort -u \
+    | diff scripts/bench-roster.golden -
 
 echo "== soundness: fixed-seed differential fuzz smoke =="
 outfz=$(mktemp -d)
@@ -165,5 +128,5 @@ echo "== soundness: certificate audit over the MNIST tier-1 suite =="
 cargo run --release -q -p abonn-bench --bin check -- \
     --scale smoke --seed 2025 --out-dir "$out2" --models mnist 2>/dev/null
 
-rm -rf "$out1" "$out2" "$outnc" "$outnw" "$outrk" "$outfz"
+rm -rf "$out1" "$out2" "$outfz"
 echo "ci: ok"

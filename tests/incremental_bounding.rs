@@ -3,12 +3,18 @@
 //! output — verdicts, search trajectories, certificates — while cutting
 //! the counted back-substitution work on split chains.
 
-use abonn_bound::{AppVer, BoundComputeStats, DeepPoly, InputBox, SplitSet, SplitSign};
-use abonn_core::{AbonnVerifier, BabBaseline, Budget, RobustnessProblem, Verdict, Verifier};
+use abonn_bound::{
+    AppVer, BoundComputeStats, DeepPoly, FromScratch, InputBox, SplitSet, SplitSign,
+};
+use abonn_core::heuristics::HeuristicKind;
+use abonn_core::{
+    AbonnConfig, AbonnVerifier, BabBaseline, Budget, RobustnessProblem, Verdict, Verifier,
+};
 use abonn_nn::{AffinePair, CanonicalNetwork, Layer, Network, Shape};
 use abonn_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn random_canonical(seed: u64, dims: &[usize]) -> CanonicalNetwork {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -22,7 +28,9 @@ fn random_canonical(seed: u64, dims: &[usize]) -> CanonicalNetwork {
 }
 
 /// Verdict and trajectory match exactly with the cache on and off, for
-/// both search strategies, across a spread of robustness instances.
+/// both search strategies, across a spread of robustness instances. "Off"
+/// runs the same engines over [`FromScratch`], which bounds every node
+/// from scratch.
 #[test]
 fn verdicts_and_trajectories_match_cache_on_and_off() {
     let net = Network::new(
@@ -49,10 +57,11 @@ fn verdicts_and_trajectories_match_cache_on_and_off() {
     ] {
         let problem = RobustnessProblem::new(&net, x0.clone(), 0, eps).unwrap();
 
-        let mut abonn_on = AbonnVerifier::default();
-        abonn_on.config.incremental = true;
-        let mut abonn_off = AbonnVerifier::default();
-        abonn_off.config.incremental = false;
+        let abonn_on = AbonnVerifier::default();
+        let abonn_off = AbonnVerifier::new(
+            AbonnConfig::default(),
+            Arc::new(FromScratch(DeepPoly::new())),
+        );
         let a_on = abonn_on.verify(&problem, &budget);
         let a_off = abonn_off.verify(&problem, &budget);
         assert_eq!(a_on.verdict, a_off.verdict, "ABONN verdict at {x0:?}");
@@ -62,10 +71,11 @@ fn verdicts_and_trajectories_match_cache_on_and_off() {
         );
         assert_eq!(a_on.stats.tree_size, a_off.stats.tree_size);
 
-        let mut bab_on = BabBaseline::default();
-        bab_on.incremental = true;
-        let mut bab_off = BabBaseline::default();
-        bab_off.incremental = false;
+        let bab_on = BabBaseline::default();
+        let bab_off = BabBaseline::new(
+            HeuristicKind::DeepSplit,
+            Arc::new(FromScratch(DeepPoly::new())),
+        );
         let b_on = bab_on.verify(&problem, &budget);
         let b_off = bab_off.verify(&problem, &budget);
         assert_eq!(b_on.verdict, b_off.verdict, "BaB verdict at {x0:?}");
