@@ -15,9 +15,9 @@
 //!
 //! `--models` keeps only models whose paper name contains the given
 //! substring (case-insensitive). The audit replays each leaf with LPs
-//! over every input variable, so the 3072-input CIFAR models cost minutes
-//! per certificate; CI audits `--models mnist` and the conv models are
-//! opt-in.
+//! over every input variable, so the 192-input CIFAR models cost one to
+//! two minutes per certificate; CI audits `--models mnist` and the conv
+//! models are opt-in.
 
 use abonn_bench::scenario::{prepare_model_cached, PreparedModel};
 use abonn_bench::Args;

@@ -1,5 +1,5 @@
-//! Trained-model oracles for the bounding optimisations on an MNIST
-//! suite slice, asserted on call-based counters only, never wall time.
+//! Trained-model oracles for the bounding optimisations on suite slices,
+//! asserted on call-based counters only, never wall time.
 //!
 //! * Warm-started LPs: the BaB baseline with the exact triangle-LP
 //!   relaxation as its `AppVer` runs once with warm starting and once
@@ -11,8 +11,9 @@
 //! * Incremental bounding: ABONN and the BaB baseline on the Planet-style
 //!   DeepPoly of the experiments run once with parent-prefix reuse and
 //!   once over [`FromScratch`], which bounds every node from scratch, on
-//!   the same slice plus an MNIST_L4 one at the smoke-scale budget.
-//!   Verdicts (witnesses included) and every search counter must match.
+//!   the same slice plus MNIST_L4 and conv-lowered CIFAR_BASE ones at the
+//!   smoke-scale budget. Verdicts (witnesses included) and every search
+//!   counter must match.
 
 use abonn_bench::scenario::{prepare_model, PreparedModel, Scale};
 use abonn_bound::{AppVer, DeepPoly, FromScratch, LpVerifier};
@@ -134,13 +135,16 @@ fn bab(appver: Arc<dyn AppVer>) -> Box<dyn Verifier> {
 }
 
 #[test]
-fn incremental_bounding_matches_scratch_on_mnist() {
+fn incremental_bounding_matches_scratch_on_trained_models() {
     let budget = Scale::Smoke.budget();
 
-    // MNIST_L4's deeper stack gives prefix reuse more layers to skip.
+    // MNIST_L4's deeper stack gives prefix reuse more layers to skip;
+    // CIFAR_BASE's conv-lowered stages are the widest a child inherits.
     let deeper = prepare_model(ModelKind::MnistL4, 2, 2025);
+    let conv = prepare_model(ModelKind::CifarBase, 2, 2025);
     let (mut layers_reused, mut calls) = (0usize, 0usize);
-    for problem in problems(mnist_slice()).into_iter().chain(problems(&deeper)) {
+    let slices = [mnist_slice(), &deeper, &conv];
+    for problem in slices.into_iter().flat_map(problems) {
         for (name, build) in [("ABONN", abonn as Build), ("BaB", bab)] {
             let cached = build(Arc::new(DeepPoly::planet())).verify(&problem, &budget);
             let scratch =
@@ -162,7 +166,7 @@ fn incremental_bounding_matches_scratch_on_mnist() {
             calls += cached.stats.appver_calls;
         }
     }
-    eprintln!("mnist slices: {layers_reused} parent layers reused over {calls} AppVer calls");
+    eprintln!("model slices: {layers_reused} parent layers reused over {calls} AppVer calls");
     assert!(
         layers_reused > 0,
         "no parent layers were reused on the slice"

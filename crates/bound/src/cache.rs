@@ -4,14 +4,22 @@
 //! split at some layer `L`. Pre-activation bounds and ReLU relaxations of
 //! layers strictly below `L` are a pure function of the network, the input
 //! region, and the splits on layers `< L` — all shared with the parent —
-//! so they can be served verbatim from the parent's [`BoundPrefix`] and
-//! only layers `L..K` need re-running. The recomputed suffix executes the
-//! exact same code path (same kernels, same per-element summation order)
-//! as a from-scratch pass, so cached and uncached results are bit-for-bit
+//! so they are served from the parent's [`BoundPrefix`]. So is layer `L`'s
+//! back-substitution: its concretised bounds pass only through the
+//! relaxations below `L`. The child redoes only layer `L`'s IBP
+//! intersection, split clamp and relaxation under its own splits, then
+//! back-substitutes layers `L+1..K`. Every recomputed step runs the exact
+//! code path of a from-scratch pass (same kernels, same per-element
+//! summation order), so cached and uncached results are bit-for-bit
 //! identical.
+//!
+//! The prefix stores no relaxations. Without an α override (the only case
+//! in which prefixes are built or served) a relaxation is a pure function
+//! of its post-clamp bounds and the relaxation mode, so the child rebuilds
+//! the shared ones from the prefix's `bounds` with the helper the loop
+//! uses.
 
 use crate::deeppoly::RelaxMode;
-use crate::relax::ReluRelaxation;
 use crate::types::{Analysis, LayerBounds, SplitSet};
 use abonn_lp::{Problem, WarmStart};
 use abonn_tensor::Matrix;
@@ -30,10 +38,13 @@ pub struct BoundPrefix {
     pub(crate) intersect_ibp: bool,
     /// Post-clamp interval-propagation bounds per stage.
     pub(crate) ibp: Vec<LayerBounds>,
-    /// Post-clamp back-substituted bounds per stage.
+    /// Post-clamp back-substituted bounds per stage; the shared stages'
+    /// ReLU relaxations are rebuilt from these.
     pub(crate) bounds: Vec<LayerBounds>,
-    /// ReLU relaxations per hidden stage.
-    pub(crate) relax: Vec<Vec<ReluRelaxation>>,
+    /// Concretised back-substitution bounds per hidden stage, before the
+    /// IBP intersection and split clamp. A child whose splits first
+    /// diverge at stage `L` takes stage `L`'s entry as is.
+    pub(crate) backsub: Vec<LayerBounds>,
     /// Linear lower-bound coefficients of the output stage over the input.
     pub(crate) output_lower_coeffs: Matrix,
     /// LP solver state for warm-starting child triangle LPs; `None` when
@@ -74,9 +85,12 @@ impl BoundPrefix {
 /// across thread counts and machines (see DESIGN.md §5b/§5c).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundComputeStats {
-    /// Layers whose bounds/relaxations were served from a parent prefix.
+    /// Layers whose back-substitution was served from a parent prefix:
+    /// every layer below the first diverging split layer `L`, plus `L`
+    /// itself (only its intersection, clamp and relaxation are redone).
     pub layers_reused: usize,
-    /// Layers recomputed from the first diverging split layer downward.
+    /// Layers back-substituted in this call: from the root, every layer;
+    /// from a parent prefix, layers `L+1..K`.
     pub layers_recomputed: usize,
     /// Total back-substitution layer-steps executed (recomputing stage `k`
     /// costs `k` steps); the paper-level cost model for bounding work.

@@ -94,12 +94,14 @@ pub(crate) struct EngineOutput {
 /// The incremental bounding engine behind every DeepPoly-style pass.
 ///
 /// When `parent` holds a [`BoundPrefix`] produced under the same
-/// relaxation configuration, layers strictly below the first diverging
-/// split layer are served from the cache and only the suffix is re-run —
-/// with the *exact* from-scratch loop body, so results are bit-for-bit
-/// identical to `parent = None`. `alphas` overrides disable reuse (the
-/// cached relaxations were built without them). Work performed/avoided is
-/// accumulated into `stats`.
+/// relaxation configuration, stages strictly below the first diverging
+/// split layer `L` are served from the cache, and so is stage `L`'s
+/// back-substitution (it passes only through relaxations below `L`).
+/// Stage `L`'s IBP intersection, split clamp and relaxation, and every
+/// later stage, re-run the *exact* from-scratch loop body, so results are
+/// bit-for-bit identical to `parent = None`. `alphas` overrides disable
+/// reuse (the cached stages were relaxed without them). Work
+/// performed/avoided is accumulated into `stats`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_bounds_engine(
     net: &CanonicalNetwork,
@@ -152,9 +154,21 @@ pub(crate) fn compute_bounds_engine(
 
     let mut bounds: Vec<LayerBounds> = Vec::with_capacity(num_layers);
     let mut relaxations: Vec<Vec<ReluRelaxation>> = Vec::with_capacity(num_layers - 1);
+    let mut backsub: Vec<LayerBounds> = Vec::with_capacity(num_layers - 1);
+    // The split stage's own back-substitution, when the parent has it
+    // (hidden stages only: the output stage is always recomputed).
+    let mut inherited = None;
     if let Some(p) = parent {
         bounds.extend_from_slice(&p.bounds[..start]);
-        relaxations.extend_from_slice(&p.relax[..start]);
+        relaxations.extend(p.bounds[..start].iter().map(|b| {
+            b.lower
+                .iter()
+                .zip(&b.upper)
+                .map(|(&l, &u)| relax_neuron(l, u, None, mode))
+                .collect()
+        }));
+        backsub.extend_from_slice(&p.backsub[..start]);
+        inherited = p.backsub.get(start);
         stats.layers_reused += start;
     }
 
@@ -166,15 +180,24 @@ pub(crate) fn compute_bounds_engine(
     let mut out_low: Option<Matrix> = None;
 
     for k in start..num_layers {
-        stats.layers_recomputed += 1;
-        stats.backsub_steps += k;
-        back_substitute(net, k, &relaxations, scratch, stats);
         let n = net.layers()[k].out_dim();
-        let mut lo = vec![0.0; n];
-        let mut hi = vec![0.0; n];
-        for s in 0..n {
-            lo[s] = concretize_min(scratch.lo_a.row(s), region) + scratch.lo_c[s];
-            hi[s] = concretize_max(scratch.hi_a.row(s), region) + scratch.hi_c[s];
+        let (mut lo, mut hi) = if let Some(b) = inherited.take() {
+            stats.layers_reused += 1;
+            (b.lower.clone(), b.upper.clone())
+        } else {
+            stats.layers_recomputed += 1;
+            stats.backsub_steps += k;
+            back_substitute(net, k, &relaxations, scratch, stats);
+            let mut lo = vec![0.0; n];
+            let mut hi = vec![0.0; n];
+            for s in 0..n {
+                lo[s] = concretize_min(scratch.lo_a.row(s), region) + scratch.lo_c[s];
+                hi[s] = concretize_max(scratch.hi_a.row(s), region) + scratch.hi_c[s];
+            }
+            (lo, hi)
+        };
+        if k + 1 < num_layers {
+            backsub.push(LayerBounds::new(lo.clone(), hi.clone()));
         }
         // Intersect with IBP so DeepPoly never reports looser bounds
         // (skipped in the deliberately-loose Planet mode).
@@ -205,12 +228,7 @@ pub(crate) fn compute_bounds_engine(
                 }
                 lo[s] = l;
                 hi[s] = u.max(l);
-                let alpha = match (alphas, mode) {
-                    (Some(a), _) => a[k][s].clamp(0.0, 1.0),
-                    (None, RelaxMode::Adaptive) => ReluRelaxation::deeppoly_alpha(lo[s], hi[s]),
-                    (None, RelaxMode::Zero) => 0.0,
-                };
-                relax.push(ReluRelaxation::with_alpha(lo[s], hi[s], alpha));
+                relax.push(relax_neuron(lo[s], hi[s], alphas.map(|a| a[k][s]), mode));
             }
             relaxations.push(relax);
         } else {
@@ -227,7 +245,7 @@ pub(crate) fn compute_bounds_engine(
             intersect_ibp,
             ibp: ibp_bounds,
             bounds: bounds.clone(),
-            relax: relaxations,
+            backsub,
             output_lower_coeffs: output_lower_coeffs.clone(),
             lp: None,
         }))
@@ -241,6 +259,19 @@ pub(crate) fn compute_bounds_engine(
         },
         prefix,
     })
+}
+
+/// The ReLU relaxation over post-clamp bounds `[l, u]`: lower slope
+/// `alpha` when overridden, else the mode's slope policy. Without an
+/// override it is a pure function of the bounds and the mode, which is
+/// what lets a [`BoundPrefix`] keep bounds instead of relaxations.
+fn relax_neuron(l: f64, u: f64, alpha: Option<f64>, mode: RelaxMode) -> ReluRelaxation {
+    let alpha = match (alpha, mode) {
+        (Some(a), _) => a.clamp(0.0, 1.0),
+        (None, RelaxMode::Adaptive) => ReluRelaxation::deeppoly_alpha(l, u),
+        (None, RelaxMode::Zero) => 0.0,
+    };
+    ReluRelaxation::with_alpha(l, u, alpha)
 }
 
 /// Back-substitutes stage `k`'s pre-activation expressions down to the

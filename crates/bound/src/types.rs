@@ -205,9 +205,11 @@ impl SplitSet {
     ///
     /// This is the incremental-bounding invalidation point: bounds and
     /// relaxations of layers strictly below the first divergence are
-    /// unaffected by the difference and can be reused. Both maps are
-    /// ordered by `(layer, index)`, so a single merge-join suffices and
-    /// the first mismatch found already has the minimal layer.
+    /// unaffected by the difference and can be reused, and so is the
+    /// divergence layer's back-substitution, which passes only through
+    /// those relaxations. Both maps are ordered by `(layer, index)`, so a
+    /// single merge-join suffices and the first mismatch found already has
+    /// the minimal layer.
     #[must_use]
     pub fn first_divergence(&self, other: &SplitSet) -> Option<usize> {
         let mut a = self.splits.iter();

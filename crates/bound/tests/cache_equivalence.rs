@@ -1,15 +1,17 @@
 //! Cached (parent-prefix) bound propagation must be bit-for-bit
 //! identical to from-scratch analysis.
 //!
-//! `DeepPoly::analyze_cached` reuses the parent's per-layer bounds and
-//! ReLU relaxations up to the first layer whose split set diverges, then
-//! re-runs the exact from-scratch loop below it. These tests pin the
+//! `DeepPoly::analyze_cached` reuses the parent's per-layer bounds below
+//! the first layer `L` whose split set diverges, and the concretised
+//! back-substitution of layer `L` itself. It redoes only layer `L`'s IBP
+//! intersection, split clamp and relaxation, then back-substitutes the
+//! layers above with the exact from-scratch loop. These tests pin the
 //! contract with `f64::to_bits` equality — no tolerance — across random
 //! networks, random split chains, both relaxation modes, and mismatched
-//! (sibling / stale) parent prefixes. A final test asserts the headline
-//! saving: a depth-3 chain of deep splits cuts counted back-substitution
-//! layer-steps by at least 30% versus recomputing every node from
-//! scratch.
+//! (sibling / stale) parent prefixes, and pin the reuse counters of every
+//! chain step. A final test asserts the headline saving: a depth-3 chain
+//! of deep splits cuts counted back-substitution layer-steps by at least
+//! 30% versus recomputing every node from scratch.
 
 use abonn_bound::{Analysis, AppVer, BoundComputeStats, DeepPoly, InputBox, SplitSet, SplitSign};
 use abonn_nn::{AffinePair, CanonicalNetwork};
@@ -65,8 +67,28 @@ fn assert_bits_eq(scratch: &Analysis, cached: &Analysis, what: &str) {
     }
 }
 
+/// The reuse contract for a feasible child whose splits first diverge
+/// from its parent's at hidden layer `l` of a `k`-stage net: stages
+/// `0..=l` are served from the prefix (the split stage's
+/// back-substitution included), and only stages `l+1..k` are
+/// back-substituted.
+fn assert_child_counters(stats: &BoundComputeStats, l: usize, k: usize, what: &str) {
+    assert_eq!(stats.layers_reused, l + 1, "{what}: layers_reused");
+    assert_eq!(
+        stats.layers_recomputed,
+        k - l - 1,
+        "{what}: layers_recomputed"
+    );
+    assert_eq!(
+        stats.backsub_steps,
+        (l + 1..k).sum::<usize>(),
+        "{what}: backsub_steps"
+    );
+}
+
 /// Walks a split chain, threading each node's prefix into its child, and
-/// checks every cached analysis bit-for-bit against a scratch one.
+/// checks every cached analysis bit-for-bit against a scratch one and
+/// every feasible step's reuse counters against [`assert_child_counters`].
 fn check_chain(dp: &DeepPoly, net: &CanonicalNetwork, dim: usize, choices: &[(usize, u8)]) {
     let region = unit_box(dim);
     let mut splits = SplitSet::new();
@@ -89,7 +111,11 @@ fn check_chain(dp: &DeepPoly, net: &CanonicalNetwork, dim: usize, choices: &[(us
         splits = splits.with(neuron, sign);
         let cached = dp.analyze_cached(net, &region, &splits, parent.as_ref());
         let scratch = dp.analyze(net, &region, &splits);
-        assert_bits_eq(&scratch, &cached.analysis, &format!("chain step {step}"));
+        let what = format!("chain step {step}");
+        assert_bits_eq(&scratch, &cached.analysis, &what);
+        if !cached.analysis.infeasible {
+            assert_child_counters(&cached.stats, neuron.layer, net.num_layers(), &what);
+        }
         parent = cached.prefix;
         analysis = cached.analysis;
         if analysis.infeasible {
@@ -205,8 +231,9 @@ fn deep_split_chain_cuts_backsub_steps_by_thirty_percent() {
         "deep splits must reuse parent layers"
     );
     // 8 stages: scratch costs 28 steps per call; a layer-6 split
-    // recomputes only stages 6..8 for 13 steps. Over root + 3 children
-    // that is 67 vs 112 counted steps — a 40% drop.
+    // inherits stage 6's back-substitution and recomputes only stage 7
+    // for 7 steps. Over root + 3 children that is 49 vs 112 counted
+    // steps — a 56% drop.
     assert!(
         cached.backsub_steps * 10 <= scratch.backsub_steps * 7,
         "expected >= 30% fewer layer-steps, got {} cached vs {} scratch",

@@ -145,8 +145,8 @@ impl BabBaseline {
         let mut clock = Clock::new(*budget);
         let heuristic = self.heuristic.build(problem.margin_net());
         // Each queued sub-problem carries its parent's bound prefix so the
-        // verifier only recomputes layers below the new split, plus its
-        // index into the proof-tree bookkeeping.
+        // verifier only back-substitutes the layers after the new split,
+        // plus its index into the proof-tree bookkeeping.
         let mut queue: VecDeque<(SplitSet, Option<Arc<BoundPrefix>>, usize)> =
             VecDeque::from([(SplitSet::new(), None, 0)]);
         let mut protos = vec![ProtoNode::pending()];

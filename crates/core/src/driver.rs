@@ -126,9 +126,12 @@ pub struct RunStats {
     pub tree_size: usize,
     /// Deepest split sequence reached.
     pub max_depth: usize,
-    /// Bound-propagation layers served from a parent's cached prefix.
+    /// Bound-propagation layers served from a parent's cached prefix:
+    /// the layers below each child's split layer, plus the split layer
+    /// itself, whose back-substitution is inherited.
     pub cache_layers_reused: usize,
-    /// Bound-propagation layers recomputed (from the split layer down).
+    /// Bound-propagation layers back-substituted: those after each
+    /// child's split layer, or every layer when there is no parent prefix.
     pub cache_layers_recomputed: usize,
     /// Back-substitution layer-steps executed (stage `k` costs `k` steps).
     pub backsub_steps: usize,

@@ -157,8 +157,9 @@ struct Search<'p> {
 /// Evaluates one fresh child sub-problem (one `AppVer` call). Pure in the
 /// inputs — no clock or tree access — so the two children of an expansion
 /// can be evaluated concurrently without touching shared search state.
-/// The parent's bound prefix lets the verifier skip layers below the new
-/// split; the analysis is bit-for-bit what bounding from scratch returns.
+/// The parent's bound prefix lets the verifier skip the back-substitution
+/// of the new split's layer and every layer before it; the analysis is
+/// bit-for-bit what bounding from scratch returns.
 fn evaluate_child(
     appver: &dyn AppVer,
     problem: &RobustnessProblem,

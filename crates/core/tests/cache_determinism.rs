@@ -150,8 +150,9 @@ fn branching_instance_reuses_parent_layers() {
     // x0 - relu(x1) - 0.2 relu(g1) - 0.2 relu(g2), robust over the box
     // but unprovable at the root), deepened with two identity+ReLU
     // stages in front. The margin network then has 4 affine stages and
-    // the gate neurons sit at layer 2, so splitting them reuses two
-    // cached parent layers per child evaluation.
+    // the gate neurons sit at layer 2, so a child evaluation serves three
+    // stages from its parent's prefix (the split stage's
+    // back-substitution included) and recomputes only the output stage.
     let id2 = || Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
     let net = Network::new(
         Shape::Flat(2),

@@ -11,6 +11,11 @@ cargo build --release
 echo "== tier 1: tests (every workspace crate, oracle suites included) =="
 cargo test -q --workspace
 
+echo "== benchmark: perfbench's own checks against the current crates =="
+# Timing-wrapper transparency (it forwards analyze_cached), seeded
+# workload generators, and metric tables that match BENCHMARK.json.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== lints: abonn-lint determinism & soundness gate (baseline-aware) =="
 # Hard gate: exits non-zero on any finding not grandfathered by the
 # committed lint-baseline.json. The JSON and SARIF reports are kept as
@@ -122,8 +127,8 @@ test -s "$outsv/store.json"
 grep -Eq '"appver_calls_total": *0' "$outsv/warm-stats.json"
 rm -rf "$outsv"
 
-# The LP replay over the 3072-input conv models costs minutes per
-# certificate, so CI audits the MNIST models; drop --models for the rest.
+# The LP replay over the 192-input conv models costs one to two minutes
+# per certificate, so CI audits the MNIST models; drop --models for the rest.
 echo "== soundness: certificate audit over the MNIST tier-1 suite =="
 cargo run --release -q -p abonn-bench --bin check -- \
     --scale smoke --seed 2025 --out-dir "$out2" --models mnist 2>/dev/null
