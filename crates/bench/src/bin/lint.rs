@@ -1,57 +1,33 @@
 //! Workspace determinism & soundness lint front-end (see `abonn-lint`).
 //!
 //! ```text
-//! cargo run -p abonn-bench --bin lint              # human report, exit 1 on findings
-//! cargo run -p abonn-bench --bin lint -- --json    # machine-readable findings report
-//! cargo run -p abonn-bench --bin lint -- --sarif   # SARIF 2.1.0 report
-//! cargo run -p abonn-bench --bin lint -- --write-baseline
-//! cargo run -p abonn-bench --bin lint -- --root DIR --list-rules
+//! cargo run -p abonn-bench --bin lint                # report, exit 1 on findings
+//! cargo run -p abonn-bench --bin lint -- --root DIR  # scan another checkout
+//! cargo run -p abonn-bench --bin lint -- --list-rules
 //! ```
 //!
 //! The binary is the CI gate: it exits non-zero iff the scan produced at
-//! least one active finding that is neither suppressed inline nor
-//! grandfathered by the committed baseline. The baseline defaults to
-//! `<root>/lint-baseline.json` when that file exists; `--baseline PATH`
-//! points elsewhere, `--no-baseline` ignores it (every finding gates),
-//! and `--write-baseline` regenerates the canonical file from the
-//! current findings (for adopting the lint on a tree with pre-existing,
-//! audited debt — new code should fix, not re-baseline).
+//! least one finding not suppressed by an inline `lint: allow` marker.
+//! The invariants clippy can express live in `clippy.toml` and
+//! `[workspace.lints]` instead (see `DESIGN.md` §5e).
 
-use abonn_lint::baseline::{self, Baseline};
-use abonn_lint::{apply_baseline, find_workspace_root, lint_workspace, report, rules::default_rules};
+use abonn_lint::{find_workspace_root, lint_workspace, rules::default_rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: lint [--json | --sarif] [--root DIR] [--list-rules] \
-                     [--baseline PATH | --no-baseline] [--write-baseline]";
-
-#[derive(PartialEq)]
-enum Output {
-    Human,
-    Json,
-    Sarif,
-}
+const USAGE: &str = "usage: lint [--root DIR] [--list-rules]";
 
 fn main() -> ExitCode {
-    let mut output = Output::Human;
     let mut list_rules = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--json" => output = Output::Json,
-            "--sarif" => output = Output::Sarif,
             "--list-rules" => list_rules = true,
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
-            "--root" | "--baseline" => match args.next() {
-                Some(value) if flag == "--root" => root = Some(PathBuf::from(value)),
-                Some(value) => baseline_path = Some(PathBuf::from(value)),
+            "--root" => match args.next() {
+                Some(value) => root = Some(PathBuf::from(value)),
                 None => {
-                    eprintln!("{flag} needs a value\n{USAGE}");
+                    eprintln!("--root needs a value\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -94,56 +70,16 @@ fn main() -> ExitCode {
         }
     });
 
-    let mut lint_report = match lint_workspace(&root) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: failed to scan {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
+    print!("{report}");
 
-    let default_baseline = root.join("lint-baseline.json");
-    let baseline_file = baseline_path.unwrap_or(default_baseline);
-
-    if write_baseline {
-        let base = Baseline::from_findings(&lint_report.findings);
-        if let Err(e) = std::fs::write(&baseline_file, baseline::render(&base)) {
-            eprintln!("lint: cannot write {}: {e}", baseline_file.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "baseline written to {} ({} entries)",
-            baseline_file.display(),
-            base.entries.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if !no_baseline && baseline_file.is_file() {
-        let text = match std::fs::read_to_string(&baseline_file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("lint: cannot read {}: {e}", baseline_file.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let base = match baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("lint: {}: {e}", baseline_file.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        apply_baseline(&mut lint_report, &base);
-    }
-
-    match output {
-        Output::Json => println!("{}", report::json(&lint_report)),
-        Output::Sarif => println!("{}", report::sarif(&lint_report)),
-        Output::Human => print!("{}", report::human(&lint_report)),
-    }
-
-    if lint_report.is_clean() {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

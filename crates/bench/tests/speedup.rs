@@ -10,6 +10,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test measures wall-clock speed-up, and reads the core count only to skip \
+              on machines that cannot show one"
+)]
 fn four_threads_beat_one_by_1_5x_on_smoke_suite() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if cores < 4 {

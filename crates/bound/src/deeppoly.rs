@@ -102,7 +102,11 @@ pub(crate) struct EngineOutput {
 /// bit-for-bit identical to `parent = None`. `alphas` overrides disable
 /// reuse (the cached stages were relaxed without them). Work
 /// performed/avoided is accumulated into `stats`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one engine behind every public bounding entry point; each argument is a \
+              setting one of those entry points fixes"
+)]
 pub(crate) fn compute_bounds_engine(
     net: &CanonicalNetwork,
     region: &InputBox,

@@ -229,7 +229,11 @@ impl Clock {
             // (`InstanceRecord::wall_secs` is `#[serde(skip)]`). With no
             // wall limit set, verdicts, counters, and report bytes are
             // provably independent of this read.
-            // lint: allow(wall-clock-in-engine, only gates opt-in wall budgets and the unpersisted RunStats::wall; call-only suite budgets never read it)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "only gates opt-in wall budgets and the unpersisted RunStats::wall; \
+                          call-only suite budgets never read it"
+            )]
             start: Instant::now(),
             budget,
             appver_calls: 0,

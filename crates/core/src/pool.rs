@@ -1,3 +1,9 @@
+#![expect(
+    unsafe_code,
+    reason = "the workspace's only unsafe: the lifetime-erasing transmutes in `map` and \
+              `join2`, each under a SAFETY comment proving every job settles before \
+              the borrows it captures end"
+)]
 //! A std-only work-stealing thread pool shared by the parallel search
 //! engines and the benchmark harness.
 //!
@@ -374,8 +380,12 @@ impl Drop for WorkerPool {
 /// identical for every lane count, so the value cannot leak into
 /// results.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sizes pools only; verdicts/stats/reports are proven lane-count-invariant by \
+              the determinism test suite"
+)]
 pub fn default_threads() -> usize {
-    // lint: allow(nondeterministic-api, sizes pools only; verdicts/stats/reports are proven lane-count-invariant by the determinism test suite)
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 

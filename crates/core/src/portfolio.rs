@@ -120,7 +120,11 @@ impl Verifier for Portfolio {
         // runs there) and fills `RunStats::wall`, which is in-memory only
         // and excluded from persisted reports. Stage order, call
         // accounting, and verdicts are pure functions of the call budget.
-        // lint: allow(wall-clock-in-engine, slices opt-in wall budgets and fills the unpersisted RunStats::wall; call-only budgets make verdicts time-independent)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "slices opt-in wall budgets and fills the unpersisted RunStats::wall; \
+                      call-only budgets make verdicts time-independent"
+        )]
         let start = Instant::now();
         let mut remaining_calls = budget.max_appver_calls;
         let mut total = RunStats::default();

@@ -1,10 +1,10 @@
 //! A line-oriented Rust lexer that separates *code* from *comments* and
 //! blanks out string/char-literal contents.
 //!
-//! The rule engine must not fire on `"HashMap"` inside a string literal
-//! or on `Instant::now` mentioned in a doc comment, and it must find
-//! `// SAFETY:` and `// lint: allow(...)` markers even when they share a
-//! line with code. This module does exactly that split and nothing more:
+//! The rule engine must not fire on `"Ordering::Relaxed"` inside a
+//! string literal or on an API mentioned in a doc comment, and it must
+//! find `// lint: allow(...)` markers even when they share a line with
+//! code. This module does exactly that split and nothing more:
 //! it is not a parser, and it only needs to classify bytes, so the whole
 //! grammar it understands is
 //!

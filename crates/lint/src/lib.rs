@@ -5,21 +5,26 @@
 //! The reproduction's north-star invariant is that verdicts, stats, and
 //! every persisted report byte are a pure function of `(scale, seed)` —
 //! independent of wall clock, thread count, cache mode, and machine.
-//! PRs 1–3 enforce that *dynamically* (report diffs in `scripts/ci.sh`,
-//! the differential fuzzer); this crate enforces it *statically*, at the
-//! source level, so a regression is caught the moment it is written
-//! rather than the first time it happens to change a byte.
+//! `scripts/ci.sh` checks that *dynamically* (report diffs, the
+//! differential fuzzer); the workspace's clippy configuration
+//! (`clippy.toml`, `[workspace.lints]`, the wire-path `#![deny(..)]`
+//! lists) and this crate check it *statically*, at the source level, so
+//! a regression is caught the moment it is written rather than the first
+//! time it happens to change a byte. This crate holds only the four
+//! invariants clippy cannot express (see [`rules::default_rules`]).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`lexer`] — a comment-, string- and char-literal-aware scanner, so
-//!   rules only ever fire on code (never on `"HashMap"` in a string or
-//!   `Instant::now` in a doc comment) while marker comments
-//!   (`// SAFETY:`, `// lint: allow(...)`) are still found.
-//! * [`rules`] — the rule set (see [`rules::default_rules`]), each
-//!   scoped to the paths where its invariant applies and carrying an
-//!   audited file allowlist where one exists.
-//! * [`report`] — deterministic human-readable and JSON renderings.
+//!   rules only ever fire on code (never on `"Ordering::Relaxed"` in a
+//!   string or in a doc comment) while `// lint: allow(...)` markers are
+//!   still found.
+//! * [`syntax`] — a brace-matched block tree and binding table over the
+//!   lexed tokens.
+//! * [`rules`] — the rule set, each rule scoped to the paths where its
+//!   invariant applies.
+//! * [`passes`] — the two rules that need scopes and one hop of data
+//!   flow: `lock-discipline` and `float-reduction-order`.
 //!
 //! # Suppressions
 //!
@@ -39,20 +44,18 @@
 //!
 //! [`lint_workspace`] scans `crates/`, `src/`, `tests/`, and `examples/`
 //! under the workspace root. `compat/` is deliberately excluded: the
-//! shims there vendor external crates' APIs (e.g. the `criterion`
-//! stand-in must read the wall clock — benchmarking is its job), so the
-//! repo's own invariants do not apply to them.
+//! shims there vendor external crates' APIs, so the repo's own
+//! invariants do not apply to them (they stay out of
+//! `[workspace.lints]` for the same reason).
 
-pub mod baseline;
 pub mod lexer;
 pub mod passes;
-pub mod report;
 pub mod rules;
 pub mod syntax;
 
-use baseline::{Baseline, BaselineEntry};
 use lexer::classify;
 use rules::{default_rules, Finding, Rule, Severity, SourceFile, SUPPRESSION_SYNTAX};
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// A `lint: allow(...)` marker that matched (and silenced) a finding.
@@ -85,48 +88,44 @@ pub struct LintReport {
     pub findings: Vec<Finding>,
     /// Matched suppressions, sorted by `(path, line, rule)`.
     pub suppressed: Vec<Suppression>,
-    /// Findings grandfathered by the baseline (see [`apply_baseline`]),
-    /// sorted by `(path, line, rule)`.
-    pub baselined: Vec<Finding>,
-    /// Baseline entries whose fingerprint matched nothing: the finding
-    /// was fixed, so the entry should be pruned. Reported, non-failing.
-    pub stale_baseline: Vec<BaselineEntry>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl LintReport {
-    /// `true` when the tree is clean (no active non-baselined findings).
+    /// `true` when the tree is clean (no active findings).
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
 }
 
-/// Moves baselined findings out of `report.findings` into
-/// `report.baselined`, and records baseline entries that no longer
-/// match anything as stale. The gate afterwards is simply
-/// [`LintReport::is_clean`].
-pub fn apply_baseline(report: &mut LintReport, baseline: &Baseline) {
-    let findings = std::mem::take(&mut report.findings);
-    for f in findings {
-        if baseline.contains(&f.fingerprint) {
-            report.baselined.push(f);
-        } else {
-            report.findings.push(f);
+/// The terminal report: one `path:line: severity [rule] message` per
+/// finding, then a summary line.
+impl fmt::Display for LintReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for x in &self.findings {
+            writeln!(
+                f,
+                "{}:{}: {} [{}] {}",
+                x.path,
+                x.line,
+                x.severity.as_str(),
+                x.rule,
+                x.message
+            )?;
         }
+        if !self.findings.is_empty() {
+            writeln!(f)?;
+        }
+        writeln!(
+            f,
+            "abonn-lint: {} finding(s), {} suppression(s) in {} file(s)",
+            self.findings.len(),
+            self.suppressed.len(),
+            self.files_scanned
+        )
     }
-    report.stale_baseline = baseline
-        .entries
-        .iter()
-        .filter(|e| {
-            !report
-                .baselined
-                .iter()
-                .any(|f| f.fingerprint == e.fingerprint)
-        })
-        .cloned()
-        .collect();
 }
 
 /// A parsed `lint: allow(<rule>, <reason>)` marker.
@@ -190,7 +189,6 @@ fn collect_markers(
                     line: idx + 1,
                     message: "unterminated `lint: allow(` marker".to_string(),
                     severity: Severity::Error,
-                    fingerprint: String::new(),
                 });
                 continue;
             };
@@ -205,7 +203,6 @@ fn collect_markers(
                          `lint: allow(rule-name, why this site is sound)`"
                     ),
                     severity: Severity::Error,
-                    fingerprint: String::new(),
                 });
                 continue;
             };
@@ -217,7 +214,6 @@ fn collect_markers(
                     line: idx + 1,
                     message: format!("`lint: allow({rule}, )` has an empty reason"),
                     severity: Severity::Error,
-                    fingerprint: String::new(),
                 });
                 continue;
             }
@@ -235,7 +231,6 @@ fn collect_markers(
                     line: idx + 1,
                     message: format!("`lint: allow({rule}, ...)` guards no code line"),
                     severity: Severity::Error,
-                    fingerprint: String::new(),
                 });
                 continue;
             };
@@ -280,7 +275,6 @@ pub fn lint_text(path: &str, text: &str, rules: &[Rule]) -> FileOutcome {
                     known.join(", ")
                 ),
                 severity: Severity::Error,
-                fingerprint: String::new(),
             });
         }
     }
@@ -299,31 +293,10 @@ pub fn lint_text(path: &str, text: &str, rules: &[Rule]) -> FileOutcome {
             None => findings.push(f),
         }
     }
-    assign_fingerprints(&mut findings, &lines);
+    findings.sort_by(|a, b| (a.line, &a.rule, &a.message).cmp(&(b.line, &b.rule, &b.message)));
     FileOutcome {
         findings,
         suppressed,
-    }
-}
-
-/// Fills in each active finding's content fingerprint: a hash of
-/// `(rule, path, trimmed code line, ordinal)`, where the ordinal counts
-/// earlier same-file findings with the same `(rule, content)` key so
-/// repeated identical lines stay distinguishable. Line numbers are not
-/// hashed — baselines survive unrelated edits above a finding.
-fn assign_fingerprints(findings: &mut [Finding], lines: &[lexer::SourceLine]) {
-    findings.sort_by(|a, b| (a.line, &a.rule, &a.message).cmp(&(b.line, &b.rule, &b.message)));
-    let mut seen: Vec<(String, String)> = Vec::new();
-    for f in findings.iter_mut() {
-        let content = lines
-            .get(f.line - 1)
-            .map(|l| l.code.trim())
-            .unwrap_or_default()
-            .to_string();
-        let key = (f.rule.clone(), content);
-        let ordinal = seen.iter().filter(|k| **k == key).count();
-        f.fingerprint = baseline::fingerprint(&f.rule, &f.path, &key.1, ordinal);
-        seen.push(key);
     }
 }
 
@@ -443,8 +416,8 @@ mod tests {
 
     #[test]
     fn trailing_marker_guards_its_own_line() {
-        let src = "use std::time::Instant;\n\
-                   let t = Instant::now(); // lint: allow(wall-clock-in-engine, test fixture)\n";
+        let src = "use std::sync::atomic::Ordering;\n\
+                   n.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed-atomics, test fixture)\n";
         let out = lint_source("crates/core/src/x.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.suppressed.len(), 1);
@@ -453,9 +426,9 @@ mod tests {
 
     #[test]
     fn standalone_marker_guards_next_code_line() {
-        let src = "// lint: allow(wall-clock-in-engine, test fixture)\n\
+        let src = "// lint: allow(relaxed-atomics, test fixture)\n\
                    // another comment between marker and code\n\
-                   let t = Instant::now();\n";
+                   n.fetch_add(1, Ordering::Relaxed);\n";
         let out = lint_source("crates/core/src/x.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.suppressed.len(), 1);
@@ -463,10 +436,11 @@ mod tests {
 
     #[test]
     fn marker_for_wrong_rule_does_not_suppress() {
-        let src = "let t = Instant::now(); // lint: allow(relaxed-atomics, wrong rule)\n";
+        let src =
+            "n.fetch_add(1, Ordering::Relaxed); // lint: allow(lock-discipline, wrong rule)\n";
         let out = lint_source("crates/core/src/x.rs", src);
         assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, "wall-clock-in-engine");
+        assert_eq!(out.findings[0].rule, "relaxed-atomics");
     }
 
     #[test]

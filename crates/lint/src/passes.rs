@@ -1,27 +1,16 @@
-//! The syntax-aware passes: `panic-path`, `lock-discipline`, and
+//! The syntax-aware passes: `lock-discipline` and
 //! `float-reduction-order`.
 //!
 //! Unlike the token rules in [`crate::rules`], these walk the
 //! [`crate::syntax::FileIndex`] — the brace-matched block tree, the
 //! binding table, and statement/chain extents — so they can reason about
 //! scopes ("is this guard still live here?"), test-ness ("is this
-//! `unwrap` in `#[cfg(test)]` code?"), and data flow one hop deep
+//! reduction in `#[cfg(test)]` code?"), and data flow one hop deep
 //! ("what sequence heads this `.sum()` chain, and is its order locally
 //! provable?").
 //!
 //! # Pass semantics
 //!
-//! * **panic-path** (error): wire-facing code must never panic — a
-//!   panicking daemon thread drops every queued response on that
-//!   connection. In scope files, non-test code may not call
-//!   `.unwrap()`/`.expect()` (or the `_err` variants), invoke a
-//!   panicking macro (`panic!`, `unreachable!`, `todo!`,
-//!   `unimplemented!`, `assert!`/`assert_eq!`/`assert_ne!`), or index
-//!   with `[...]` (slice/array indexing panics on out-of-range; use
-//!   `.get()` and return a structured error). Fixed-arity slice
-//!   patterns over wire data are flagged at warning severity.
-//!   `debug_assert!` is deliberately exempt: it compiles out of release
-//!   daemons.
 //! * **lock-discipline** (error): a `Mutex`/`RwLock` guard binding whose
 //!   live scope spans a blocking call — socket or file I/O, condvar or
 //!   channel waits, a worker-pool fan-out — serialises every other
@@ -45,20 +34,6 @@
 use crate::rules::{Finding, Severity, SourceFile};
 use crate::syntax::{is_keyword, Binding, FileIndex, Token, TokenKind};
 
-/// Files whose code runs on the daemon's wire paths — request decode,
-/// scheduling, response encode, persistence, and the VNN-LIB property
-/// parser fed with client-controlled bytes — plus the tensor hot-kernel
-/// module, where a panicking branch would also defeat the
-/// bounds-check-free loop shapes the kernels rely on.
-pub const PANIC_PATH_SCOPE: &[&str] = &[
-    "crates/serve/src/protocol.rs",
-    "crates/serve/src/server.rs",
-    "crates/serve/src/scheduler.rs",
-    "crates/serve/src/persist.rs",
-    "crates/vnnlib/src/",
-    "crates/tensor/src/kernels.rs",
-];
-
 /// Crates whose float arithmetic decides verdicts, bounds, or persisted
 /// stats: reductions there must have a totally ordered source.
 pub const FLOAT_ORDER_SCOPE: &[&str] = &[
@@ -73,24 +48,9 @@ pub const FLOAT_ORDER_SCOPE: &[&str] = &[
     "crates/vnnlib/src/",
 ];
 
-/// Method names (receiver calls, `.name(`) that panic on `None`/`Err`.
-const PANICKY_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
-
-/// Macros that unconditionally (or assertion-conditionally) panic.
-const PANICKY_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-];
-
 /// Method calls that block the calling thread on I/O or synchronisation.
-/// Includes this workspace's own wrappers (`write_snapshot`,
-/// `load_snapshot`) so the invariant survives refactors that hide the
-/// `std` call one level down.
+/// Includes this workspace's own `write_snapshot` wrapper so the
+/// invariant survives refactors that hide the `std` call one level down.
 const BLOCKING_METHODS: &[&str] = &[
     "read_until",
     "read_line",
@@ -108,16 +68,18 @@ const BLOCKING_METHODS: &[&str] = &[
     "recv",
     "recv_timeout",
     "write_snapshot",
-    "load_snapshot",
 ];
 
-/// Free functions (workspace I/O wrappers and thread blocking) that
-/// block regardless of receiver syntax.
+/// Free and associated functions (workspace I/O wrappers and thread
+/// blocking) that block whether called bare or by path, e.g.
+/// `persist::write_snapshot_text(..)` or `ResultStore::load_snapshot(..)`.
 const BLOCKING_CALLS: &[&str] = &[
     "save_store",
     "write_stats",
     "read_wave",
     "write_responses",
+    "write_snapshot_text",
+    "load_snapshot",
     "sleep",
     "park",
 ];
@@ -179,82 +141,6 @@ fn is_called(idx: &FileIndex, i: usize) -> bool {
         Some(t) if t.is_punct('(') => true,
         Some(t) if t.is_punct(':') => tok(idx, i + 2).is_some_and(|t| t.is_punct(':')),
         _ => false,
-    }
-}
-
-/// The panic-path pass.
-pub fn check_panic_path(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
-    let idx = file.syntax;
-    let mut push = |line: usize, severity: Severity, message: String| {
-        out.push(Finding {
-            rule: "panic-path".to_string(),
-            path: file.path.to_string(),
-            line,
-            message,
-            severity,
-            fingerprint: String::new(),
-        });
-    };
-    for (i, t) in idx.tokens.iter().enumerate() {
-        if idx.in_test(i) {
-            continue;
-        }
-        match t.kind {
-            TokenKind::Ident => {
-                let name = t.text.as_str();
-                if PANICKY_METHODS.contains(&name) && is_method_pos(idx, i) && is_called(idx, i) {
-                    push(
-                        t.line,
-                        Severity::Error,
-                        format!(
-                            "`.{name}()` can panic on the wire path; match the \
-                             Option/Result and return a structured error response"
-                        ),
-                    );
-                } else if PANICKY_MACROS.contains(&name)
-                    && tok(idx, i + 1).is_some_and(|n| n.is_punct('!'))
-                {
-                    push(
-                        t.line,
-                        Severity::Error,
-                        format!(
-                            "`{name}!` panics on the wire path; daemons must return \
-                             structured errors, not unwind"
-                        ),
-                    );
-                }
-            }
-            TokenKind::Punct('[') => {
-                let indexing = i > 0
-                    && match &idx.tokens[i - 1].kind {
-                        TokenKind::Ident => !is_keyword(&idx.tokens[i - 1].text),
-                        TokenKind::Punct(')') | TokenKind::Punct(']') => true,
-                        _ => false,
-                    };
-                if indexing {
-                    push(
-                        t.line,
-                        Severity::Error,
-                        "direct `[...]` indexing panics when out of range; use \
-                         `.get(..)` and return a structured error"
-                            .to_string(),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-    for b in &idx.bindings {
-        if b.slice_pattern && !b.refutable && !idx.blocks[b.scope].is_test {
-            push(
-                b.line,
-                Severity::Warning,
-                "fixed-arity slice pattern destructures wire-path data; prefer \
-                 `.get(..)`/iterators (refutable `let ... else` forms are \
-                 exempt: a mismatch diverts instead of panicking)"
-                    .to_string(),
-            );
-        }
     }
 }
 
@@ -389,7 +275,6 @@ pub fn check_lock_discipline(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
                             b.line
                         ),
                         severity: Severity::Error,
-                        fingerprint: String::new(),
                     });
                 }
             }
@@ -526,7 +411,6 @@ pub fn check_float_reduction_order(file: &SourceFile<'_>, out: &mut Vec<Finding>
                      bytes diverge; reduce over a totally ordered sequence"
                 ),
                 severity: Severity::Error,
-                fingerprint: String::new(),
             });
             continue;
         }
@@ -542,7 +426,6 @@ pub fn check_float_reduction_order(file: &SourceFile<'_>, out: &mut Vec<Finding>
                      iteration order"
                 ),
                 severity: Severity::Warning,
-                fingerprint: String::new(),
             });
         }
     }
@@ -608,23 +491,6 @@ mod tests {
         let mut out = Vec::new();
         pass(&file, &mut out);
         out
-    }
-
-    #[test]
-    fn panic_path_flags_unwrap_and_indexing() {
-        let src = "fn route(xs: &[u8]) -> u8 { let v = parse().unwrap(); xs[0] + v }\n";
-        let f = run("crates/serve/src/server.rs", src, check_panic_path);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f[0].message.contains("unwrap"));
-        assert!(f[1].message.contains("indexing"));
-    }
-
-    #[test]
-    fn panic_path_skips_test_code_and_unwrap_or() {
-        let src = "#[cfg(test)]\nmod tests {\n  fn t() { parse().unwrap(); xs[0]; }\n}\n\
-                   fn live() { let v = parse().unwrap_or(0); }\n";
-        let f = run("crates/serve/src/server.rs", src, check_panic_path);
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

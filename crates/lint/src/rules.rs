@@ -1,12 +1,12 @@
-//! The rule set: each rule encodes one workspace invariant from
-//! `DESIGN.md` §5e, scoped to the paths where the invariant applies.
+//! The rule set: the four workspace invariants clippy cannot express
+//! (`DESIGN.md` §5e), each scoped to the paths where it applies.
 
 use crate::lexer::{is_ident, SourceLine};
 use crate::passes;
 use crate::syntax::FileIndex;
 
-/// How bad a finding is. Both severities fail the CI gate when not
-/// baselined; the tier feeds reports and the SARIF `level`.
+/// How bad a finding is. Both severities fail the CI gate; the tier
+/// only feeds the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Should-fix: the invariant violation is not locally provable but
@@ -17,7 +17,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lowercase name, as used in reports, SARIF, and baselines.
+    /// Lowercase name, as used in reports and `--list-rules`.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -40,9 +40,6 @@ pub struct Finding {
     pub message: String,
     /// Severity tier.
     pub severity: Severity,
-    /// Stable content fingerprint (filled in by the engine after
-    /// suppression filtering; empty inside rule checks).
-    pub fingerprint: String,
 }
 
 /// A classified source file handed to rule checks.
@@ -64,8 +61,6 @@ pub struct Rule {
     /// Path prefixes (or exact `.rs` paths) the rule applies to; empty
     /// means the whole scanned tree.
     pub scopes: &'static [&'static str],
-    /// Exact paths fully exempt from the rule (audited allowlist).
-    pub allow_files: &'static [&'static str],
     /// The severity the rule reports at (the float pass downgrades
     /// locally-unprovable sites to [`Severity::Warning`] per finding).
     pub severity: Severity,
@@ -76,9 +71,6 @@ impl Rule {
     /// Does the rule apply to `path`?
     #[must_use]
     pub fn in_scope(&self, path: &str) -> bool {
-        if self.allow_files.contains(&path) {
-            return false;
-        }
         self.scopes.is_empty()
             || self
                 .scopes
@@ -92,70 +84,14 @@ impl Rule {
     }
 }
 
-/// The directories whose code decides verdicts, bounds, or certificates:
-/// anything here must be a pure function of (problem, scale, seed).
-const ENGINE_SRC: &[&str] = &[
-    "crates/core/src/",
-    "crates/bound/src/",
-    "crates/check/src/",
-    "crates/lp/src/",
-    "crates/nn/src/",
-    "crates/tensor/src/",
-    "crates/serve/src/",
-];
-
-/// Paths that build or persist reports, certificates, or stats: their
-/// iteration order leaks into emitted bytes, so it must be total.
-const ORDERED_OUTPUT_PATHS: &[&str] = &[
-    "crates/bench/src/",
-    "crates/core/src/certificate.rs",
-    "crates/core/src/driver.rs",
-    "crates/check/src/",
-    "crates/serve/src/",
-];
-
-/// Files audited to contain the workspace's only `unsafe` blocks.
-const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/src/pool.rs"];
-
-/// How many lines above an `unsafe` token a `// SAFETY:` comment may
-/// open (generous enough for a thorough multi-line argument).
-const SAFETY_WINDOW: usize = 16;
-
 /// The full rule set, in the order findings are reported.
 #[must_use]
 pub fn default_rules() -> Vec<Rule> {
     vec![
         Rule {
-            name: "wall-clock-in-engine",
-            summary: "Instant::now/SystemTime forbidden in verdict-path crates: \
-                      verdicts and stats must be a pure function of (scale, seed)",
-            scopes: ENGINE_SRC,
-            allow_files: &[],
-            severity: Severity::Error,
-            check: check_wall_clock,
-        },
-        Rule {
-            name: "unordered-iteration",
-            summary: "HashMap/HashSet forbidden in report/certificate/stats paths: \
-                      randomized iteration order leaks into persisted bytes",
-            scopes: ORDERED_OUTPUT_PATHS,
-            allow_files: &[],
-            severity: Severity::Error,
-            check: check_unordered_iteration,
-        },
-        Rule {
-            name: "unsafe-outside-allowlist",
-            summary: "unsafe only in allowlisted files, and always under a // SAFETY: comment",
-            scopes: &[],
-            allow_files: &[],
-            severity: Severity::Error,
-            check: check_unsafe,
-        },
-        Rule {
             name: "relaxed-atomics",
             summary: "Ordering::Relaxed only on justified monotonic counters",
             scopes: &["crates/"],
-            allow_files: &[],
             severity: Severity::Error,
             check: check_relaxed_atomics,
         },
@@ -163,33 +99,14 @@ pub fn default_rules() -> Vec<Rule> {
             name: "persisted-wall-field",
             summary: "time-like fields of serde-derived structs must be #[serde(skip)]",
             scopes: &[],
-            allow_files: &[],
             severity: Severity::Error,
             check: check_persisted_wall_field,
-        },
-        Rule {
-            name: "nondeterministic-api",
-            summary: "OS-entropy RNGs and machine-topology APIs forbidden in verdict paths",
-            scopes: ENGINE_SRC,
-            allow_files: &[],
-            severity: Severity::Error,
-            check: check_nondeterministic_api,
-        },
-        Rule {
-            name: "panic-path",
-            summary: "no unwrap/expect/panicking macros/direct indexing in wire-facing \
-                      code: daemons return structured errors, they do not unwind",
-            scopes: passes::PANIC_PATH_SCOPE,
-            allow_files: &[],
-            severity: Severity::Error,
-            check: passes::check_panic_path,
         },
         Rule {
             name: "lock-discipline",
             summary: "a Mutex/RwLock guard must not be live across blocking I/O, \
                       waits, or pool fan-out: render under the lock, then block",
             scopes: &["crates/"],
-            allow_files: &[],
             severity: Severity::Error,
             check: passes::check_lock_discipline,
         },
@@ -198,7 +115,6 @@ pub fn default_rules() -> Vec<Rule> {
             summary: "f32/f64 sum/product/fold need a totally ordered source: \
                       float addition is not associative, bytes must not drift",
             scopes: passes::FLOAT_ORDER_SCOPE,
-            allow_files: &[],
             severity: Severity::Error,
             check: passes::check_float_reduction_order,
         },
@@ -211,7 +127,7 @@ pub const SUPPRESSION_SYNTAX: &str = "suppression-syntax";
 
 /// Finds `needle` in `code` at identifier boundaries (the chars adjacent
 /// to the match must not be identifier chars). `needle` may itself span
-/// `::`, e.g. `Instant::now`.
+/// `::`, e.g. `Ordering::Relaxed`.
 #[must_use]
 pub fn has_token(code: &str, needle: &str) -> bool {
     let chars: Vec<char> = code.chars().collect();
@@ -233,115 +149,21 @@ pub fn has_token(code: &str, needle: &str) -> bool {
     false
 }
 
-fn token_rule(
-    file: &SourceFile<'_>,
-    out: &mut Vec<Finding>,
-    rule: &'static str,
-    needles: &[&str],
-    why: &str,
-) {
+fn check_relaxed_atomics(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
     for (idx, line) in file.lines.iter().enumerate() {
-        for needle in needles {
-            if has_token(&line.code, needle) {
-                out.push(Finding {
-                    rule: rule.to_string(),
-                    path: file.path.to_string(),
-                    line: idx + 1,
-                    message: format!("`{needle}` {why}"),
-                    severity: Severity::Error,
-                    fingerprint: String::new(),
-                });
-            }
-        }
-    }
-}
-
-fn check_wall_clock(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
-    token_rule(
-        file,
-        out,
-        "wall-clock-in-engine",
-        &["Instant::now", "SystemTime"],
-        "reads the wall clock inside an engine crate; verdicts, stats, and \
-         certificates must be a pure function of (scale, seed)",
-    );
-}
-
-fn check_unordered_iteration(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
-    token_rule(
-        file,
-        out,
-        "unordered-iteration",
-        &["HashMap", "HashSet"],
-        "iterates in randomized per-process order; use BTreeMap/BTreeSet (or a \
-         sorted drain) so report/certificate/stats bytes are reproducible",
-    );
-}
-
-fn check_unsafe(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
-    let allowlisted = UNSAFE_ALLOWLIST.contains(&file.path);
-    for (idx, line) in file.lines.iter().enumerate() {
-        if !has_token(&line.code, "unsafe") {
-            continue;
-        }
-        if !allowlisted {
+        if has_token(&line.code, "Ordering::Relaxed") {
             out.push(Finding {
-                rule: "unsafe-outside-allowlist".to_string(),
+                rule: "relaxed-atomics".to_string(),
                 path: file.path.to_string(),
                 line: idx + 1,
-                message: "`unsafe` outside the audited allowlist (crates/core/src/pool.rs); \
-                          move the code there or extend the allowlist with an audit"
+                message: "`Ordering::Relaxed` permits unsynchronised reordering; only monotonic \
+                          counters whose value never gates a verdict may use it, under a \
+                          justifying `lint: allow`"
                     .to_string(),
                 severity: Severity::Error,
-                fingerprint: String::new(),
-            });
-            continue;
-        }
-        let safety_nearby = file.lines[idx.saturating_sub(SAFETY_WINDOW)..=idx]
-            .iter()
-            .any(|l| l.comment.contains("SAFETY:"));
-        if !safety_nearby {
-            out.push(Finding {
-                rule: "unsafe-outside-allowlist".to_string(),
-                path: file.path.to_string(),
-                line: idx + 1,
-                message: format!(
-                    "`unsafe` without a `// SAFETY:` comment in the preceding \
-                     {SAFETY_WINDOW} lines stating the invariant that makes it sound"
-                ),
-                severity: Severity::Error,
-                fingerprint: String::new(),
             });
         }
     }
-}
-
-fn check_relaxed_atomics(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
-    token_rule(
-        file,
-        out,
-        "relaxed-atomics",
-        &["Ordering::Relaxed"],
-        "permits unsynchronised reordering; only monotonic counters whose value \
-         never gates a verdict may use it, under a justifying `lint: allow`",
-    );
-}
-
-fn check_nondeterministic_api(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
-    token_rule(
-        file,
-        out,
-        "nondeterministic-api",
-        &[
-            "available_parallelism",
-            "thread_rng",
-            "from_entropy",
-            "from_os_rng",
-            "OsRng",
-        ],
-        "injects machine state (OS entropy or CPU topology) into a verdict path; \
-         seed every RNG from the run seed and take lane counts as parameters",
-    );
 }
 
 /// Field names that smell like wall-clock measurements.
@@ -433,7 +255,6 @@ fn check_persisted_wall_field(file: &SourceFile<'_>, out: &mut Vec<Finding>) {
                              `#[serde(skip)]` so artefacts stay machine- and load-independent"
                         ),
                         severity: Severity::Error,
-                        fingerprint: String::new(),
                     });
                 }
             }

@@ -3,7 +3,7 @@
 //! scope extents.
 //!
 //! This is deliberately *not* a Rust parser (no `syn`, no grammar): the
-//! three syntax-aware passes in [`crate::passes`] only need to answer
+//! two syntax-aware passes in [`crate::passes`] only need to answer
 //! questions a token stream plus balanced braces can answer —
 //!
 //! * "is this token inside `#[cfg(test)]` code?" (item tree with
@@ -128,11 +128,6 @@ pub struct Binding {
     pub init: (usize, usize),
     /// Block index the binding is live in (to the block's `close`).
     pub scope: usize,
-    /// Whether the binding came from a slice pattern (`let [a, b] = ..`).
-    pub slice_pattern: bool,
-    /// Whether the pattern is refutable in context (`if let`/`while let`
-    /// conditions, `let ... else`): a mismatch diverts, never panics.
-    pub refutable: bool,
 }
 
 /// The syntax index of one file.
@@ -511,18 +506,12 @@ fn parse_let(tokens: &[Token], at: usize, condition: bool) -> (Option<Binding>, 
     let mut ty: Option<(usize, usize)> = None;
     let mut ty_start: Option<usize> = None;
     let mut names: Vec<String> = Vec::new();
-    let mut slice_pattern = false;
     let mut eq_at: Option<usize> = None;
     // Pattern (and optional type) up to the assignment `=`.
     while j < tokens.len() {
         let t = &tokens[j];
         match t.kind {
-            TokenKind::Punct('(') | TokenKind::Punct('[') => {
-                if depth == 0 && t.is_punct('[') && ty_start.is_none() {
-                    slice_pattern = true;
-                }
-                depth += 1;
-            }
+            TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
             TokenKind::Punct(')') | TokenKind::Punct(']') => depth = depth.saturating_sub(1),
             TokenKind::Punct(':') if depth == 0 && ty_start.is_none() => {
                 // `::` is a path, not an annotation.
@@ -562,7 +551,6 @@ fn parse_let(tokens: &[Token], at: usize, condition: bool) -> (Option<Binding>, 
     // Initializer: to `;`/`else` (statement let) or `{` (condition let).
     let init_start = eq_at.map_or(j, |e| e + 1);
     let mut k = init_start;
-    let mut let_else = false;
     depth = 0;
     while k < tokens.len() {
         let t = &tokens[k];
@@ -571,10 +559,7 @@ fn parse_let(tokens: &[Token], at: usize, condition: bool) -> (Option<Binding>, 
             TokenKind::Punct(')') | TokenKind::Punct(']') => depth = depth.saturating_sub(1),
             TokenKind::Punct(';') if depth == 0 => break,
             TokenKind::Punct('{') if depth == 0 && condition => break,
-            TokenKind::Ident if depth == 0 && t.text == "else" => {
-                let_else = true;
-                break;
-            }
+            TokenKind::Ident if depth == 0 && t.text == "else" => break,
             // A statement-let's initializer may contain `{` (struct
             // literals, match expressions): those open nested blocks the
             // main loop must still see, so stop the init scan there too —
@@ -594,8 +579,6 @@ fn parse_let(tokens: &[Token], at: usize, condition: bool) -> (Option<Binding>, 
             ty,
             init: (init_start, k),
             scope: 0, // caller fills
-            slice_pattern,
-            refutable: condition || let_else,
         }),
         at + 1,
     )
@@ -679,8 +662,6 @@ fn param_binding(tokens: &[Token], start: usize, end: usize) -> Option<Binding> 
         ty: Some((colon + 1, end)),
         init: (end, end),
         scope: 0,
-        slice_pattern: false,
-        refutable: false,
     })
 }
 
@@ -1010,13 +991,6 @@ mod tests {
         let sum_at = g.tokens.iter().rposition(|t| t.is_ident("sum")).unwrap();
         let (h, _) = g.chain_head(sum_at - 1);
         assert!(g.tokens[h].is_ident("net"), "head: {:?}", g.tokens[h]);
-    }
-
-    #[test]
-    fn slice_patterns_are_marked() {
-        let f = idx("fn f(v: &[u8]) { let [a, b] = split(v); use_(a, b); }");
-        let b = f.bindings.iter().find(|b| b.names.contains(&"a".into())).unwrap();
-        assert!(b.slice_pattern);
     }
 
     #[test]

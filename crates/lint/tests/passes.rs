@@ -1,8 +1,8 @@
-//! Fixtures for the syntax-aware passes (`panic-path`,
-//! `lock-discipline`, `float-reduction-order`): each has a violating
-//! snippet with an exact finding list, a clean variant, and a
-//! suppressed variant, plus a guard-across-blocking regression
-//! distilled from the serve scheduler's wave loop.
+//! Fixtures for the syntax-aware passes (`lock-discipline`,
+//! `float-reduction-order`): each has a violating snippet with an exact
+//! finding list, a clean variant, and a suppressed variant, plus a
+//! guard-across-blocking regression distilled from the serve scheduler's
+//! wave loop.
 
 use abonn_lint::lint_source;
 use abonn_lint::rules::Severity;
@@ -34,92 +34,6 @@ fn expect_suppressed(path: &str, src: &str, rule: &str) {
     assert_eq!(out.suppressed[0].rule, rule);
 }
 
-// ---------------------------------------------------------- panic-path
-
-#[test]
-fn panic_path_violating() {
-    expect_rules(
-        "crates/serve/src/protocol.rs",
-        "fn decode(line: &str) -> String {\n\
-         \x20   let v = parse(line).unwrap();\n\
-         \x20   let w = v.field.expect(\"present\");\n\
-         \x20   panic!(\"boom\");\n\
-         }\n",
-        &["panic-path", "panic-path", "panic-path"],
-    );
-}
-
-#[test]
-fn panic_path_flags_indexing_and_slice_patterns() {
-    let out = lint_source(
-        "crates/vnnlib/src/parser.rs",
-        "fn pick(xs: &[f64], i: usize) -> f64 {\n\
-         \x20   let [a, b] = split(xs);\n\
-         \x20   xs[i] + a + b\n\
-         }\n",
-    );
-    let got: Vec<(&str, Severity)> = out
-        .findings
-        .iter()
-        .map(|f| (f.rule.as_str(), f.severity))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            ("panic-path", Severity::Warning), // slice pattern
-            ("panic-path", Severity::Error),   // xs[i]
-        ],
-        "{:#?}",
-        out.findings
-    );
-}
-
-#[test]
-fn panic_path_clean() {
-    // `.get()`, structured errors, refutable let-else patterns, and
-    // debug_assert! are all fine; so is an unwrap in test code.
-    expect_clean(
-        "crates/serve/src/protocol.rs",
-        "fn decode(line: &str) -> Result<f64, String> {\n\
-         \x20   let [a, b] = parts(line) else {\n\
-         \x20       return Err(\"arity\".to_string());\n\
-         \x20   };\n\
-         \x20   debug_assert!(a <= b);\n\
-         \x20   xs.get(i).copied().ok_or_else(|| \"range\".to_string())\n\
-         }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-         \x20   #[test]\n\
-         \x20   fn roundtrip() {\n\
-         \x20       let v = decode(\"x\").unwrap();\n\
-         \x20       assert_eq!(v, 0.0);\n\
-         \x20   }\n\
-         }\n",
-    );
-}
-
-#[test]
-fn panic_path_out_of_scope() {
-    // Engine crates may panic on internal invariants; only wire-facing
-    // files are in scope.
-    expect_clean(
-        "crates/bound/src/interval.rs",
-        "fn f(xs: &[f64]) -> f64 { xs[0] }\n",
-    );
-}
-
-#[test]
-fn panic_path_suppressed() {
-    expect_suppressed(
-        "crates/serve/src/server.rs",
-        "fn render(v: &Value) -> String {\n\
-         \x20   // lint: allow(panic-path, Value trees serialise infallibly)\n\
-         \x20   to_string(v).expect(\"serialises\")\n\
-         }\n",
-        "panic-path",
-    );
-}
-
 // ------------------------------------------------------ lock-discipline
 
 /// The regression distilled from the serve scheduler: PR 7's bug held
@@ -148,6 +62,22 @@ fn lock_discipline_flags_pool_fanout_and_file_io() {
          \x20   let guard = state.lock().unwrap();\n\
          \x20   let out = pool.map(jobs, run);\n\
          \x20   fs::write(path, guard.render(out)).unwrap();\n\
+         }\n",
+        &["lock-discipline", "lock-discipline"],
+    );
+}
+
+#[test]
+fn lock_discipline_flags_snapshot_io_called_by_path() {
+    // The daemon's snapshot file I/O, in the path-call forms
+    // `bin/serve.rs` writes it in.
+    expect_rules(
+        "crates/bench/src/bin/serve.rs",
+        "fn persist(server: &Mutex<Server>, path: &Path, cap: Option<usize>) {\n\
+         \x20   let guard = server.lock().unwrap();\n\
+         \x20   persist::write_snapshot_text(&guard.render(), path).unwrap();\n\
+         \x20   let (store, _) = ResultStore::load_snapshot(path, cap).unwrap();\n\
+         \x20   guard.adopt(store);\n\
          }\n",
         &["lock-discipline", "lock-discipline"],
     );

@@ -1,7 +1,9 @@
-//! Per-rule fixtures: every shipped rule has a violating snippet that
-//! produces an exact finding count, a clean variant that passes, and a
-//! suppressed variant (`// lint: allow(<rule>, <reason>)`) that passes
-//! with the suppression recorded.
+//! Fixtures for the token rules (`relaxed-atomics`,
+//! `persisted-wall-field`) and the marker syntax: each rule has a
+//! violating snippet that produces an exact finding count, a clean
+//! variant that passes, and a suppressed variant
+//! (`// lint: allow(<rule>, <reason>)`) that passes with the suppression
+//! recorded.
 
 use abonn_lint::lint_source;
 
@@ -38,116 +40,7 @@ fn expect_suppressed(path: &str, src: &str, rule: &str) {
     assert!(!out.suppressed[0].reason.is_empty());
 }
 
-// ---------------------------------------------------------------- rule 1
-
-#[test]
-fn wall_clock_violating() {
-    expect_findings(
-        "crates/bound/src/x.rs",
-        "let t = Instant::now();\nlet s = SystemTime::now();\n",
-        &["wall-clock-in-engine", "wall-clock-in-engine"],
-    );
-}
-
-#[test]
-fn wall_clock_clean_and_out_of_scope() {
-    // Duration math is fine; only clock *reads* are flagged.
-    expect_clean("crates/bound/src/x.rs", "let d = Duration::from_secs(1);\n");
-    // Examples and the umbrella crate are outside the engine scope.
-    expect_clean("examples/demo.rs", "let t = Instant::now();\n");
-}
-
-#[test]
-fn wall_clock_in_comment_or_string_is_ignored() {
-    expect_clean(
-        "crates/bound/src/x.rs",
-        "// Instant::now would be wrong here\nlet s = \"Instant::now\";\n",
-    );
-}
-
-#[test]
-fn wall_clock_suppressed() {
-    expect_suppressed(
-        "crates/bound/src/x.rs",
-        "// lint: allow(wall-clock-in-engine, fixture: proven not to reach any persisted byte)\n\
-         let t = Instant::now();\n",
-        "wall-clock-in-engine",
-    );
-}
-
-// ---------------------------------------------------------------- rule 2
-
-#[test]
-fn unordered_iteration_violating() {
-    // One finding per line per collection type (the line is the unit of
-    // repair, so repeated mentions on a line collapse to one finding).
-    expect_findings(
-        "crates/bench/src/report.rs",
-        "use std::collections::HashMap;\nlet s: HashSet<u32> = HashSet::new();\n",
-        &["unordered-iteration", "unordered-iteration"],
-    );
-}
-
-#[test]
-fn unordered_iteration_clean_and_out_of_scope() {
-    expect_clean(
-        "crates/bench/src/report.rs",
-        "use std::collections::BTreeMap;\nlet m: BTreeMap<u32, u32> = BTreeMap::new();\n",
-    );
-    // HashMap is fine off the report/certificate/stats paths.
-    expect_clean("crates/nn/src/train.rs", "use std::collections::HashMap;\n");
-}
-
-#[test]
-fn unordered_iteration_suppressed() {
-    expect_suppressed(
-        "crates/check/src/x.rs",
-        "let m = HashMap::new(); // lint: allow(unordered-iteration, fixture: drained through a sorted Vec before emission)\n",
-        "unordered-iteration",
-    );
-}
-
-// ---------------------------------------------------------------- rule 3
-
-#[test]
-fn unsafe_outside_allowlist_violating() {
-    expect_findings(
-        "crates/nn/src/x.rs",
-        "let v = unsafe { danger() };\n",
-        &["unsafe-outside-allowlist"],
-    );
-}
-
-#[test]
-fn unsafe_in_allowlisted_file_needs_safety_comment() {
-    expect_findings(
-        "crates/core/src/pool.rs",
-        "let v = unsafe { transmute(x) };\n",
-        &["unsafe-outside-allowlist"],
-    );
-    expect_clean(
-        "crates/core/src/pool.rs",
-        "// SAFETY: the value is settled before the borrow can dangle.\n\
-         let v = unsafe { transmute(x) };\n",
-    );
-}
-
-#[test]
-fn forbid_unsafe_code_attribute_is_not_a_finding() {
-    expect_clean("crates/nn/src/lib.rs", "#![forbid(unsafe_code)]\n");
-}
-
-#[test]
-fn unsafe_suppressed() {
-    expect_suppressed(
-        "crates/nn/src/x.rs",
-        "// lint: allow(unsafe-outside-allowlist, fixture: audited one-off)\n\
-         let v = unsafe { danger() };\n",
-        "unsafe-outside-allowlist",
-    );
-}
-
-// ---------------------------------------------------------------- rule 4
+// ------------------------------------------------------- relaxed-atomics
 
 #[test]
 fn relaxed_atomics_violating() {
@@ -175,7 +68,7 @@ fn relaxed_atomics_suppressed() {
     );
 }
 
-// ---------------------------------------------------------------- rule 5
+// -------------------------------------------------- persisted-wall-field
 
 #[test]
 fn persisted_wall_field_violating() {
@@ -236,47 +129,6 @@ fn persisted_wall_field_suppressed() {
     );
 }
 
-// ---------------------------------------------------------------- rule 6
-
-#[test]
-fn nondeterministic_api_violating() {
-    expect_findings(
-        "crates/core/src/x.rs",
-        "let n = std::thread::available_parallelism();\nlet rng = thread_rng();\n",
-        &["nondeterministic-api", "nondeterministic-api"],
-    );
-}
-
-#[test]
-fn nondeterministic_api_clean_and_out_of_scope() {
-    expect_clean(
-        "crates/core/src/x.rs",
-        "let rng = SmallRng::seed_from_u64(seed);\n",
-    );
-    // The bench harness may size pools from the machine; scope is the
-    // engine crates whose outputs must be machine-independent.
-    expect_clean(
-        "crates/bench/tests/x.rs",
-        "let n = std::thread::available_parallelism();\n",
-    );
-    // `with_available_parallelism` is its own identifier, not a call of
-    // the std API: boundary-aware matching must not fire.
-    expect_clean(
-        "crates/core/src/x.rs",
-        "let p = WorkerPool::with_available_parallelism2();\n",
-    );
-}
-
-#[test]
-fn nondeterministic_api_suppressed() {
-    expect_suppressed(
-        "crates/core/src/x.rs",
-        "// lint: allow(nondeterministic-api, fixture: sizes a pool; outputs proven lane-invariant)\n\
-         let n = std::thread::available_parallelism();\n",
-        "nondeterministic-api",
-    );
-}
-
 // ------------------------------------------------------- suppression meta
 
 #[test]
@@ -299,10 +151,10 @@ fn suppression_reason_may_contain_parentheses() {
 
 #[test]
 fn one_marker_does_not_blanket_a_whole_file() {
-    let src = "// lint: allow(wall-clock-in-engine, fixture: first read only)\n\
-               let a = Instant::now();\n\
-               let b = Instant::now();\n";
-    let out = lint_source("crates/bound/src/x.rs", src);
+    let src = "// lint: allow(relaxed-atomics, fixture: first counter only)\n\
+               a.fetch_add(1, Ordering::Relaxed);\n\
+               b.fetch_add(1, Ordering::Relaxed);\n";
+    let out = lint_source("crates/core/src/x.rs", src);
     assert_eq!(out.findings.len(), 1, "{:#?}", out.findings);
     assert_eq!(out.findings[0].line, 3);
     assert_eq!(out.suppressed.len(), 1);

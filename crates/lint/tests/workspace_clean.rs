@@ -1,10 +1,9 @@
-//! The gate the CI script relies on: a full scan of this workspace's
-//! sources, with the committed `lint-baseline.json` applied, must come
-//! back clean — every intentional deviation visible either as an
-//! audited inline suppression or as a baselined finding with a written
-//! note.
+//! The gates the CI script relies on: a full scan of this workspace's
+//! sources must come back clean — every intentional deviation visible as
+//! an audited inline suppression — and the clippy configuration that
+//! carries the rest of the determinism rules must stay wired in.
 
-use abonn_lint::{apply_baseline, baseline, lint_workspace, report};
+use abonn_lint::lint_workspace;
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -15,46 +14,42 @@ fn workspace_root() -> &'static Path {
         .expect("lint crate lives two levels below the workspace root")
 }
 
-fn committed_baseline() -> baseline::Baseline {
-    let path = workspace_root().join("lint-baseline.json");
-    let text = std::fs::read_to_string(&path).expect("read committed lint-baseline.json");
-    baseline::parse(&text).expect("committed baseline parses and is canonical")
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(workspace_root().join(rel))
+        .unwrap_or_else(|e| panic!("read {rel}: {e}"))
 }
 
-#[test]
-fn workspace_scan_is_clean_after_baseline() {
-    let mut rep = lint_workspace(workspace_root()).expect("scan workspace");
-    apply_baseline(&mut rep, &committed_baseline());
-    assert!(
-        rep.is_clean(),
-        "workspace lint found non-baselined violations:\n{}",
-        report::human(&rep)
-    );
-    assert!(
-        rep.stale_baseline.is_empty(),
-        "baseline entries no longer match any finding; prune them:\n{}",
-        report::human(&rep)
-    );
-}
+/// The panic lints every wire-facing module denies: daemons return
+/// structured errors, they do not unwind. Each file in
+/// [`WIRE_PATH_FILES`] must open with exactly this block.
+const WIRE_PATH_DENY: &str = "#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic_in_result_fn
+)]
+";
+
+/// Request decode, scheduling, response encode, persistence, the
+/// VNN-LIB crate fed with client bytes, and the tensor hot kernels.
+const WIRE_PATH_FILES: &[&str] = &[
+    "crates/serve/src/protocol.rs",
+    "crates/serve/src/server.rs",
+    "crates/serve/src/scheduler.rs",
+    "crates/serve/src/persist.rs",
+    "crates/vnnlib/src/lib.rs",
+    "crates/tensor/src/kernels.rs",
+];
 
 #[test]
-fn committed_baseline_is_canonical_and_annotated() {
-    // Every grandfathered finding must carry a real written proof, not
-    // the generated placeholder note.
-    let base = committed_baseline();
-    for e in &base.entries {
-        assert!(
-            !e.note.contains("grandfathered pre-existing finding"),
-            "baseline entry {} still has the placeholder note; write the proof",
-            e.fingerprint
-        );
-        assert!(
-            e.note.len() >= 40,
-            "baseline entry {} note is too short to be a proof: {:?}",
-            e.fingerprint,
-            e.note
-        );
-    }
+fn workspace_scan_is_clean() {
+    let rep = lint_workspace(workspace_root()).expect("scan workspace");
+    assert!(rep.is_clean(), "workspace lint found violations:\n{rep}");
 }
 
 #[test]
@@ -69,54 +64,53 @@ fn workspace_scan_covers_the_tree() {
 
 #[test]
 fn audited_sites_are_suppressed_not_silent() {
-    // The known wall-clock / atomics / topology / condvar sites must
-    // show up as suppressions with reasons — if a refactor moves or
-    // removes them, this test documents where the audit trail went.
+    // The known atomics / condvar sites must show up as suppressions
+    // with reasons — if a refactor moves or removes them, this test
+    // documents where the audit trail went.
     let rep = lint_workspace(workspace_root()).expect("scan workspace");
     let has = |rule: &str, path: &str| {
         rep.suppressed
             .iter()
             .any(|s| s.rule == rule && s.path == path && !s.reason.is_empty())
     };
-    assert!(has("wall-clock-in-engine", "crates/core/src/driver.rs"));
-    assert!(has("wall-clock-in-engine", "crates/core/src/portfolio.rs"));
     assert!(has("relaxed-atomics", "crates/core/src/pool.rs"));
-    assert!(has("nondeterministic-api", "crates/core/src/pool.rs"));
-    // PR 9: the condvar waits hold their mutex by protocol.
+    // The condvar waits hold their mutex by protocol.
     assert!(has("lock-discipline", "crates/core/src/pool.rs"));
-    // PR 9: infallible Value-tree serialisation on the wire paths.
-    assert!(has("panic-path", "crates/serve/src/protocol.rs"));
-    assert!(has("panic-path", "crates/serve/src/server.rs"));
-    assert!(has("panic-path", "crates/serve/src/scheduler.rs"));
+}
+
+#[test]
+fn wire_path_files_deny_the_panic_lints() {
+    for path in WIRE_PATH_FILES {
+        assert!(
+            read(path).starts_with(WIRE_PATH_DENY),
+            "{path} must open with the wire-path deny list:\n{WIRE_PATH_DENY}"
+        );
+    }
+}
+
+#[test]
+fn every_crate_opts_into_the_workspace_lints() {
+    // `unsafe_code`, `undocumented_unsafe_blocks` and the reason-carrying
+    // `#[expect]` discipline reach a crate only through this opt-in.
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    for entry in std::fs::read_dir(workspace_root().join("crates")).expect("list crates/") {
+        let name = entry.expect("dir entry").file_name();
+        manifests.push(format!("crates/{}/Cargo.toml", name.to_string_lossy()));
+    }
+    for manifest in &manifests {
+        assert!(
+            read(manifest).contains("\n[lints]\nworkspace = true\n"),
+            "{manifest} must opt into [workspace.lints]"
+        );
+    }
 }
 
 #[test]
 fn daemon_sources_are_covered_by_the_determinism_rules() {
-    // The serve scopes are directory prefixes or explicit file lists, so
-    // the daemon's wire-facing files are covered without a rules edit —
-    // this pins that property and the files' existence.
+    // lock-discipline and float-reduction-order cover the serve daemon
+    // and the engine crates through directory prefixes, so new files
+    // are covered without a rules edit.
     let rules = abonn_lint::rules::default_rules();
-    for path in [
-        "crates/serve/src/scheduler.rs",
-        "crates/serve/src/persist.rs",
-        "crates/serve/src/server.rs",
-        "crates/serve/src/store.rs",
-    ] {
-        assert!(
-            workspace_root().join(path).is_file(),
-            "{path} moved; update the daemon determinism scopes"
-        );
-        for rule_name in ["wall-clock-in-engine", "unordered-iteration"] {
-            let rule = rules
-                .iter()
-                .find(|r| r.name == rule_name)
-                .expect("rule exists");
-            assert!(rule.in_scope(path), "{path} must be in scope of {rule_name}");
-        }
-    }
-    // The PR 9 passes: panic-path pins the wire files plus the vnnlib
-    // parser; lock-discipline and float-reduction-order cover the serve
-    // daemon and the engine crates.
     let rule = |name: &str| {
         rules
             .iter()
@@ -124,27 +118,14 @@ fn daemon_sources_are_covered_by_the_determinism_rules() {
             .unwrap_or_else(|| panic!("rule {name} exists"))
     };
     for path in [
-        "crates/serve/src/protocol.rs",
-        "crates/serve/src/server.rs",
-        "crates/serve/src/scheduler.rs",
-        "crates/serve/src/persist.rs",
-        "crates/vnnlib/src/parser.rs",
-        "crates/vnnlib/src/sexpr.rs",
-    ] {
-        assert!(
-            rule("panic-path").in_scope(path),
-            "{path} must be in scope of panic-path"
-        );
-    }
-    assert!(
-        !rule("panic-path").in_scope("crates/serve/src/store.rs"),
-        "store.rs is below the wire boundary; scope is the explicit file list"
-    );
-    for path in [
         "crates/serve/src/scheduler.rs",
         "crates/core/src/pool.rs",
         "crates/bench/src/bin/serve.rs",
     ] {
+        assert!(
+            workspace_root().join(path).is_file(),
+            "{path} moved; update the daemon determinism scopes"
+        );
         assert!(
             rule("lock-discipline").in_scope(path),
             "{path} must be in scope of lock-discipline"
@@ -161,20 +142,4 @@ fn daemon_sources_are_covered_by_the_determinism_rules() {
             "{path} must be in scope of float-reduction-order"
         );
     }
-}
-
-#[test]
-fn json_report_of_workspace_is_stable_and_parseable() {
-    let mut rep = lint_workspace(workspace_root()).expect("scan workspace");
-    apply_baseline(&mut rep, &committed_baseline());
-    let a = report::json(&rep);
-    let mut rep2 = lint_workspace(workspace_root()).expect("scan workspace again");
-    apply_baseline(&mut rep2, &committed_baseline());
-    let b = report::json(&rep2);
-    assert_eq!(a, b, "JSON report must be byte-identical across runs");
-    assert!(a.contains("\"active\":0"));
-    let s = report::sarif(&rep);
-    let s2 = report::sarif(&rep2);
-    assert_eq!(s, s2, "SARIF report must be byte-identical across runs");
-    assert!(s.contains("\"version\":\"2.1.0\""));
 }

@@ -525,7 +525,10 @@ impl Tableau {
 
         let mut basis = Vec::with_capacity(m);
         let mut artificial_cols: Vec<(usize, f64)> = Vec::new(); // (row, residual sign)
-        #[allow(clippy::needless_range_loop)] // `i` indexes three arrays in lockstep
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`i` indexes three arrays in lockstep"
+        )]
         for i in 0..m {
             let sj = n + i;
             // Residual the slack would have to take for the row to hold.
@@ -717,7 +720,6 @@ impl Tableau {
         }
         // Basic values from the transformed rows: basic columns are unit
         // columns, so row `i` reads `x[basis[i]] + Σ_nonbasic a·x = rhs`.
-        #[allow(clippy::needless_range_loop)] // `i` indexes basis/a/rhs in lockstep
         for i in 0..m {
             let b = basis[i];
             let mut dot = 0.0;
@@ -736,7 +738,10 @@ impl Tableau {
         // phase-1 run then repairs only these rows instead of starting the
         // whole basis from scratch.
         let mut artificial_rows: Vec<(usize, f64)> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // `i` indexes basis in lockstep with rows
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`i` indexes basis in lockstep with rows"
+        )]
         for i in 0..m {
             let b = basis[i];
             let viol_low = lower[b].is_finite() && x[b] < lower[b] - FEAS_TOL;
@@ -912,7 +917,10 @@ impl Tableau {
     /// decrease), or `None` at optimality.
     fn pick_entering(&self, d: &[f64], bland: bool) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64, f64)> = None; // (var, dir, score)
-        #[allow(clippy::needless_range_loop)] // `j` indexes `d` and `self.state`
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`j` indexes `d` and `self.state`"
+        )]
         for j in 0..self.total_vars() {
             let (eligible, dir) = match self.state[j] {
                 VarState::Basic(_) => (false, 0.0),

@@ -118,7 +118,11 @@ impl Conv2d {
     /// Panics if the weight or bias length does not match the declared
     /// dimensions, or if `stride == 0`.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per Conv2d hyperparameter, in the order the model format \
+                  lists them"
+    )]
     pub fn new(
         in_c: usize,
         out_c: usize,

@@ -1,3 +1,14 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic_in_result_fn
+)]
 //! Store persistence: canonical-JSON snapshots with a versioned header
 //! and an FNV checksum, so a restarted daemon keeps its proofs.
 //!
@@ -252,8 +263,19 @@ impl ResultStore {
     /// The complete snapshot document (header + checksum + payload) as a
     /// canonical JSON string.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the tail expect serialises the assembled document Value tree; same \
+                  infallible-serialisation argument as the payload expect below"
+    )]
     pub fn snapshot_string(&self) -> String {
         let payload = self.snapshot_payload();
+        #[expect(
+            clippy::expect_used,
+            reason = "snapshot_string serialises an in-memory Value payload; serde_json::to_string \
+                      over Value has no error path, so the expect is unreachable; rewriting \
+                      snapshot rendering around an impossible error obscures the format code"
+        )]
         let canonical =
             serde_json::to_string(&payload).expect("snapshot payload serialises");
         let checksum = format!("{:016x}", hash_bytes(canonical.as_bytes()));
@@ -331,6 +353,11 @@ impl ResultStore {
         // Re-derive the canonical rendering of what was parsed; a single
         // corrupted payload byte that still parses yields a different
         // canonical string, hence a different digest.
+        #[expect(
+            clippy::expect_used,
+            reason = "from_snapshot_str re-serialises a Value that serde_json itself just parsed; \
+                      round-tripping a parsed Value cannot fail, the expect is unreachable"
+        )]
         let canonical =
             serde_json::to_string(payload).expect("parsed value re-serialises");
         let computed = format!("{:016x}", hash_bytes(canonical.as_bytes()));
@@ -577,6 +604,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::string_slice,
+        reason = "the seeded store renders to ASCII JSON (fixed keys and numbers), so every \
+                  cut is a char boundary"
+    )]
     fn truncation_is_a_structured_error() {
         let text = seeded_store().snapshot_string();
         for cut in [1, text.len() / 2, text.len() - 1] {

@@ -1,3 +1,14 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic_in_result_fn
+)]
 //! Line-delimited JSON wire protocol: strict request parsing and
 //! deterministic response rendering.
 //!
@@ -86,13 +97,16 @@ pub fn float_array(xs: &[f64]) -> Value {
 
 /// Renders the uniform error response line (without trailing newline).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "in-memory Value trees serialise infallibly: no I/O and no foreign Serialize impls"
+)]
 pub fn error_line(id: &Value, message: &str) -> String {
     serde_json::to_string(&obj(vec![
         ("id", id.clone()),
         ("status", Value::String("error".into())),
         ("error", Value::String(message.into())),
     ]))
-    // lint: allow(panic-path, in-memory Value trees serialise infallibly: no I/O and no foreign Serialize impls)
     .expect("value tree serialises")
 }
 

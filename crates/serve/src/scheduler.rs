@@ -1,3 +1,14 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic_in_result_fn
+)]
 //! Deterministic multi-query wave scheduling.
 //!
 //! The daemon admits a *wave* of in-flight queries onto the shared
@@ -269,8 +280,12 @@ impl Server {
     ) {
         self.execute_wave(wave);
         let fill_from = responses.len() - wave.len();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "fill_from is responses.len() minus wave.len() so fill_from + i stays in \
+                      range for every drained i"
+        )]
         for (i, item) in wave.drain(..).enumerate() {
-            // lint: allow(panic-path, fill_from is responses.len() minus wave.len() so fill_from + i stays in range for every drained i)
             responses[fill_from + i] = match item {
                 Planned::Blank => None,
                 Planned::Ready(line) => Some(line),
@@ -309,8 +324,11 @@ impl Server {
         let outcomes = pool.map(tasks, |(job, budget, clamped)| {
             run_engine(&pool, job, budget, clamped)
         });
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every slot came from enumerate over this same wave earlier in the call"
+        )]
         for (slot, outcome) in slots.into_iter().zip(outcomes) {
-            // lint: allow(panic-path, every slot came from enumerate over this same wave earlier in the call)
             if let Planned::Query(q) = &mut wave[slot] {
                 q.outcome = Some(outcome);
             }

@@ -1,3 +1,14 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic_in_result_fn
+)]
 //! The verification service: line-delimited JSON queries in, response
 //! lines out, byte-identical across thread counts, batch sizes, and
 //! machines.
@@ -593,8 +604,11 @@ fn push_store_fields(
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "in-memory Value trees serialise infallibly: no I/O and no foreign Serialize impls"
+)]
 fn render(fields: &[(&str, Value)]) -> String {
-    // lint: allow(panic-path, in-memory Value trees serialise infallibly: no I/O and no foreign Serialize impls)
     serde_json::to_string(&obj(fields.to_vec())).expect("value tree serialises")
 }
 

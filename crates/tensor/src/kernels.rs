@@ -1,3 +1,14 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic_in_result_fn
+)]
 //! Optimized hot-loop kernels behind the public [`Matrix`](crate::Matrix)
 //! entry points, plus the typed [`ShapeError`] the checked (`try_*`)
 //! entry points return.
@@ -21,12 +32,12 @@
 //! The proptests in `matrix.rs` pin bit-equality against the rolled
 //! oracles on shapes that reach full register tiles.
 //!
-//! The module is in the `panic-path` lint scope: no indexing, no
-//! `unwrap`/`expect`, no panicking macros. Bounds are expressed through
-//! `split_at`/`chunks_exact`/iterator shapes, which also removes the
-//! bounds checks the rolled loops pay per step. Callers (the `Matrix`
-//! entry points) validate all shapes first; kernels document their
-//! contracts with `debug_assert!`.
+//! The module denies clippy's panic lints (the list at the top of the
+//! file): no indexing, no `unwrap`/`expect`, no panicking macros. Bounds
+//! are expressed through `split_at`/`chunks_exact`/iterator shapes, which
+//! also removes the bounds checks the rolled loops pay per step. Callers
+//! (the `Matrix` entry points) validate all shapes first; kernels
+//! document their contracts with `debug_assert!`.
 
 use std::fmt;
 
@@ -165,7 +176,11 @@ fn tile_store(orow: &mut [f64], jb: usize, tl: usize, acc: &[f64; COL_TILE]) {
 /// instead of once per row. Per output element the additions still occur
 /// in globally ascending `k` order with the same `a == 0.0` skip as the
 /// reference `ikj` loop.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "four left rows in and four output rows out keep every accumulator tile in \
+              registers; bundling them would hide the row tiling"
+)]
 fn product_rows4(
     a0: &[f64],
     a1: &[f64],
@@ -276,7 +291,11 @@ pub(crate) fn matmul_blocked(a: &[f64], acols: usize, b: &[f64], bcols: usize, o
 /// the covered columns are visited in the same ascending order the rolled
 /// masked loop visits them, so results are bit-for-bit identical to that
 /// loop (the oracle in `matrix.rs`'s tests).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a hot kernel over raw row-major slices and their widths; the one caller owns \
+              every buffer, so a parameter struct would only rename them"
+)]
 pub(crate) fn fused_affine_runs(
     a: &[f64],
     acols: usize,
@@ -386,7 +405,11 @@ pub(crate) fn fused_affine_runs(
 /// `k` order — bit-identical on finite data to the rolled masked loop
 /// whose unmasked intervals the runs encode (see the module docs for the
 /// zero-coefficient fine print).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "four left rows in and four output rows out keep every accumulator tile in \
+              registers; bundling them would hide the row tiling"
+)]
 fn runs_rows4(
     a0: &[f64],
     a1: &[f64],

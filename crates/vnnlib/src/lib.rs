@@ -1,3 +1,14 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::panic_in_result_fn
+)]
 #![forbid(unsafe_code)]
 //! Parser and writer for the VNN-LIB property subset used by
 //! local-robustness benchmarks.

@@ -149,7 +149,11 @@ fn tokenize(text: &str) -> Vec<(usize, String)> {
                 if chars.peek().is_none() {
                     end = text.len();
                 }
-                // lint: allow(panic-path, start and end both come from char_indices of this very str so the slice bounds sit on char boundaries)
+                #[expect(
+                    clippy::string_slice,
+                    reason = "start and end both come from char_indices of this very str so the \
+                              slice bounds sit on char boundaries"
+                )]
                 tokens.push((start, text[start..end].to_string()));
             }
         }

@@ -15,9 +15,7 @@ use std::fmt::Write as _;
 /// Panics if `label >= num_classes` or `num_classes < 2`.
 #[must_use]
 pub fn write_robustness(input: &[f64], epsilon: f64, label: usize, num_classes: usize) -> String {
-    // lint: allow(panic-path, documented caller contract of a property generator that never sees wire bytes - the daemon only parses)
     assert!(num_classes >= 2, "need at least two classes");
-    // lint: allow(panic-path, documented caller contract of a property generator that never sees wire bytes - the daemon only parses)
     assert!(label < num_classes, "label out of range");
     let mut out = String::new();
     let _ = writeln!(
