@@ -3,9 +3,8 @@
 //! ```sh
 //! cargo run --release -p abonn-bench --bin serve -- \
 //!     [--threads N] [--batch N] [--max-calls N] [--default-calls N] \
-//!     [--model-dir DIR] [--model-cache N] [--audit-stored] \
-//!     [--store-path FILE] [--store-cap N] \
-//!     [--store-stats FILE] [--tcp ADDR]
+//!     [--model-dir DIR] [--model-cache N] [--store-path FILE] \
+//!     [--store-cap N] [--store-stats FILE] [--tcp ADDR]
 //! ```
 //!
 //! Reads one JSON request per line from stdin (or, with `--tcp`, from
@@ -40,8 +39,7 @@ struct Options {
 
 const USAGE: &str = "usage: serve [--threads N] [--batch N] [--max-calls N] \
                      [--default-calls N] [--model-dir DIR] [--model-cache N] \
-                     [--audit-stored] [--store-path FILE] [--store-cap N] \
-                     [--store-stats FILE] [--tcp ADDR]";
+                     [--store-path FILE] [--store-cap N] [--store-stats FILE] [--tcp ADDR]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -76,7 +74,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("bad --model-cache: {e}"))?;
             }
-            "--audit-stored" => opts.config.audit_stored = true,
             "--store-path" => opts.store_path = Some(PathBuf::from(value()?)),
             "--store-cap" => {
                 opts.config.store_cap = Some(

@@ -17,7 +17,7 @@
 //! minimized failures), `check` (replay of every emitted certificate
 //! through the independent checker in `abonn-check`), and `lint` (the
 //! `abonn-lint` static determinism & soundness gate over the workspace
-//! sources, with `--json` findings reports).
+//! sources).
 //!
 //! Every binary accepts `--scale {smoke,default,full}`, `--seed N`,
 //! `--out-dir PATH`, and `--fresh` (ignore cached run records). Results

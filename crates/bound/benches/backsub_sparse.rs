@@ -8,8 +8,8 @@
 //! the condensed unmasked runs (`fused_affine_into_runs`) with register
 //! tiles. The kernel's bit-identity to the rolled masked loop it replaced
 //! is pinned by the oracle proptests in `abonn-tensor`'s `matrix.rs`.
-//! The committed trajectory in `perf/BENCH_backsub.jsonl` leads with this
-//! workload measured on the pre-optimization substrate.
+//! CHANGES.md records this workload's speedup over the pre-optimization
+//! substrate.
 //!
 //! Run with `cargo bench -p abonn-bound --bench backsub_sparse`; under
 //! `cargo test` each routine runs once as a smoke check.

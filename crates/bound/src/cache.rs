@@ -32,10 +32,8 @@ use std::sync::Arc;
 pub struct BoundPrefix {
     /// The split set the cached pass ran under (the cache key).
     pub(crate) splits: SplitSet,
-    /// Relaxation configuration; a prefix is only reusable under the same
-    /// configuration.
+    /// Relaxation mode; a prefix is only reusable under the same mode.
     pub(crate) mode: RelaxMode,
-    pub(crate) intersect_ibp: bool,
     /// Post-clamp interval-propagation bounds per stage.
     pub(crate) ibp: Vec<LayerBounds>,
     /// Post-clamp back-substituted bounds per stage; the shared stages'

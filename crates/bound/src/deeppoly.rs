@@ -44,44 +44,32 @@ pub(crate) fn compute_bounds(
     splits: &SplitSet,
     alphas: Option<&AlphaAssignment>,
 ) -> Option<BoundsResult> {
-    compute_bounds_with(net, region, splits, alphas, RelaxMode::Adaptive, true)
-}
-
-/// Lower-relaxation slope policy for unstable neurons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RelaxMode {
-    /// DeepPoly's area-adaptive slope (`1` when `u ≥ −l`, else `0`).
-    #[default]
-    Adaptive,
-    /// Planet-style zero lower bound (`a ≥ 0` only) — markedly looser,
-    /// producing the larger, bushier BaB trees typical of weaker
-    /// relaxations.
-    Zero,
-}
-
-/// Full-control variant of [`compute_bounds`]: slope policy and whether to
-/// intersect with interval propagation.
-pub(crate) fn compute_bounds_with(
-    net: &CanonicalNetwork,
-    region: &InputBox,
-    splits: &SplitSet,
-    alphas: Option<&AlphaAssignment>,
-    mode: RelaxMode,
-    intersect_ibp: bool,
-) -> Option<BoundsResult> {
     let mut stats = BoundComputeStats::default();
     compute_bounds_engine(
         net,
         region,
         splits,
         alphas,
-        mode,
-        intersect_ibp,
+        RelaxMode::Adaptive,
         None,
         false,
         &mut stats,
     )
     .map(|out| out.result)
+}
+
+/// Relaxation policy: the lower slope of unstable neurons, and whether
+/// back-substituted bounds are intersected with interval propagation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum RelaxMode {
+    /// DeepPoly's area-adaptive slope (`1` when `u ≥ −l`, else `0`),
+    /// intersected with IBP so the bounds are never looser than it.
+    #[default]
+    Adaptive,
+    /// Planet-style zero lower bound (`a ≥ 0` only), with no interval
+    /// intersection — markedly looser, producing the larger, bushier BaB
+    /// trees typical of weaker relaxations.
+    Zero,
 }
 
 /// Result of one [`compute_bounds_engine`] call.
@@ -113,21 +101,15 @@ pub(crate) fn compute_bounds_engine(
     splits: &SplitSet,
     alphas: Option<&AlphaAssignment>,
     mode: RelaxMode,
-    intersect_ibp: bool,
     parent: Option<&Arc<BoundPrefix>>,
     want_prefix: bool,
     stats: &mut BoundComputeStats,
 ) -> Option<EngineOutput> {
     let num_layers = net.num_layers();
-    // A parent prefix is only sound under the same relaxation
-    // configuration, with no slope overrides, and when it covers the
-    // whole network.
-    let parent = parent.filter(|p| {
-        alphas.is_none()
-            && p.mode == mode
-            && p.intersect_ibp == intersect_ibp
-            && p.bounds.len() == num_layers
-    });
+    // A parent prefix is only sound under the same relaxation mode, with
+    // no slope overrides, and when it covers the whole network.
+    let parent =
+        parent.filter(|p| alphas.is_none() && p.mode == mode && p.bounds.len() == num_layers);
 
     // First layer whose relaxation may differ from the cached pass. The
     // output stage is always recomputed so `output_lower_coeffs` is
@@ -206,7 +188,7 @@ pub(crate) fn compute_bounds_engine(
         // Intersect with IBP so DeepPoly never reports looser bounds
         // (skipped in the deliberately-loose Planet mode).
         for s in 0..n {
-            if intersect_ibp {
+            if mode == RelaxMode::Adaptive {
                 lo[s] = lo[s].max(ibp_bounds[k].lower[s]);
                 hi[s] = hi[s].min(ibp_bounds[k].upper[s]);
             } else {
@@ -246,7 +228,6 @@ pub(crate) fn compute_bounds_engine(
         Some(Arc::new(BoundPrefix {
             splits: splits.clone(),
             mode,
-            intersect_ibp,
             ibp: ibp_bounds,
             bounds: bounds.clone(),
             backsub,
@@ -482,7 +463,6 @@ pub(crate) fn candidate_from(result: &BoundsResult, region: &InputBox) -> Option
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeepPoly {
     mode: RelaxMode,
-    intersect_ibp: bool,
 }
 
 impl Default for DeepPoly {
@@ -497,7 +477,6 @@ impl DeepPoly {
     pub fn new() -> Self {
         Self {
             mode: RelaxMode::Adaptive,
-            intersect_ibp: true,
         }
     }
 
@@ -509,7 +488,6 @@ impl DeepPoly {
     pub fn planet() -> Self {
         Self {
             mode: RelaxMode::Zero,
-            intersect_ibp: false,
         }
     }
 
@@ -534,7 +512,6 @@ impl DeepPoly {
             splits,
             None,
             self.mode,
-            self.intersect_ibp,
             parent,
             want_prefix,
             &mut stats,

@@ -166,7 +166,6 @@ impl LpVerifier {
             splits,
             None,
             RelaxMode::Adaptive,
-            true,
             parent,
             want_prefix,
             &mut stats,

@@ -7,7 +7,7 @@
 
 use crate::certificate::{Certificate, ProofNode};
 use crate::driver::{
-    check_candidate, resolve_exhausted_leaf, Budget, Clock, RunResult, RunStats, Verdict, Verifier,
+    check_candidate, resolve_exhausted_leaf, Budget, Clock, RunResult, Verdict, Verifier,
 };
 use crate::heuristics::{BranchContext, HeuristicKind};
 use crate::pool::WorkerPool;
@@ -70,8 +70,6 @@ pub(crate) fn assemble_certificate(protos: &[ProtoNode], idx: usize, splits: &Sp
 pub struct BabBaseline {
     /// Branching heuristic `H` (same default as ABONN).
     pub heuristic: HeuristicKind,
-    /// PGD polish steps for spurious candidates (0 = paper-plain).
-    pub refine_steps: usize,
     appver: Arc<dyn AppVer>,
     pool: Arc<WorkerPool>,
 }
@@ -80,7 +78,6 @@ impl Default for BabBaseline {
     fn default() -> Self {
         Self {
             heuristic: HeuristicKind::DeepSplit,
-            refine_steps: 0,
             appver: Arc::new(DeepPoly::new()),
             pool: Arc::new(WorkerPool::inline()),
         }
@@ -102,7 +99,6 @@ impl BabBaseline {
     pub fn new(heuristic: HeuristicKind, appver: Arc<dyn AppVer>) -> Self {
         Self {
             heuristic,
-            refine_steps: 0,
             appver,
             pool: Arc::new(WorkerPool::inline()),
         }
@@ -154,27 +150,6 @@ impl BabBaseline {
         let mut tree_size = 1usize;
         let mut max_depth = 0usize;
 
-        let finish = |verdict: Verdict, clock: &Clock, visited, tree_size, max_depth| RunResult {
-            verdict,
-            stats: RunStats {
-                appver_calls: clock.appver_calls,
-                nodes_visited: visited,
-                tree_size,
-                max_depth,
-                cache_layers_reused: clock.bound_stats.layers_reused,
-                cache_layers_recomputed: clock.bound_stats.layers_recomputed,
-                backsub_steps: clock.bound_stats.backsub_steps,
-                lp_pivots: clock.bound_stats.lp_pivots,
-                lp_warm_hits: clock.bound_stats.lp_warm_hits,
-                lp_cold_solves: clock.bound_stats.lp_cold_solves,
-                backsub_rows_skipped: clock.bound_stats.backsub_rows_skipped,
-                backsub_rows_total: clock.bound_stats.backsub_rows_total,
-                blocks_skipped: clock.bound_stats.blocks_skipped,
-                arena_bytes_peak: clock.bound_stats.arena_bytes_peak,
-                lp_pivot_cells: clock.bound_stats.lp_pivot_cells,
-                wall: clock.elapsed(),
-            },
-        };
         let cert = |protos: &[ProtoNode]| {
             want_certificate
                 .then(|| Certificate::new(assemble_certificate(protos, 0, &SplitSet::new())))
@@ -209,13 +184,7 @@ impl BabBaseline {
                 // remain pending and export as `Open` obligations.
                 if clock.exhausted() {
                     return (
-                        finish(
-                            Verdict::Timeout,
-                            &clock,
-                            nodes_visited,
-                            tree_size,
-                            max_depth,
-                        ),
+                        clock.finish(Verdict::Timeout, nodes_visited, tree_size, max_depth),
                         cert(&protos),
                     );
                 }
@@ -228,15 +197,9 @@ impl BabBaseline {
                     protos[*proto].resolved = true;
                     continue;
                 }
-                if let Some(w) = check_candidate(problem, &analysis, self.refine_steps) {
+                if let Some(w) = check_candidate(problem, &analysis, 0) {
                     return (
-                        finish(
-                            Verdict::Falsified(w),
-                            &clock,
-                            nodes_visited,
-                            tree_size,
-                            max_depth,
-                        ),
+                        clock.finish(Verdict::Falsified(w), nodes_visited, tree_size, max_depth),
                         None,
                     );
                 }
@@ -267,9 +230,8 @@ impl BabBaseline {
                         // Fully split: resolve exactly with the LP.
                         if let Some(w) = resolve_exhausted_leaf(problem, splits, &mut clock) {
                             return (
-                                finish(
+                                clock.finish(
                                     Verdict::Falsified(w),
-                                    &clock,
                                     nodes_visited,
                                     tree_size,
                                     max_depth,
@@ -283,13 +245,7 @@ impl BabBaseline {
             }
         }
         (
-            finish(
-                Verdict::Verified,
-                &clock,
-                nodes_visited,
-                tree_size,
-                max_depth,
-            ),
+            clock.finish(Verdict::Verified, nodes_visited, tree_size, max_depth),
             cert(&protos),
         )
     }
@@ -308,6 +264,7 @@ impl Verifier for BabBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunStats;
     use abonn_nn::{Layer, Network, Shape};
     use abonn_tensor::Matrix;
 

@@ -12,7 +12,7 @@
 use crate::bab::{assemble_certificate, ProtoNode};
 use crate::certificate::Certificate;
 use crate::driver::{
-    check_candidate, resolve_exhausted_leaf, Budget, Clock, RunResult, RunStats, Verdict, Verifier,
+    check_candidate, resolve_exhausted_leaf, Budget, Clock, RunResult, Verdict, Verifier,
 };
 use crate::heuristics::{BranchContext, HeuristicKind};
 use crate::spec::RobustnessProblem;
@@ -21,6 +21,9 @@ use abonn_bound::{AlphaCrown, AppVer, SplitSet, SplitSign};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+
+/// PGD polish steps spent on each spurious candidate during the search.
+const REFINE_STEPS: usize = 5;
 
 /// Priority-queue entry ordered so the most negative `p̂` pops first,
 /// with an insertion counter as a deterministic tie-break.
@@ -61,10 +64,6 @@ impl Ord for Entry {
 pub struct CrownStyle {
     /// Branching heuristic.
     pub heuristic: HeuristicKind,
-    /// PGD pre-attack configuration.
-    pub attack: Pgd,
-    /// PGD polish steps for spurious candidates during the search.
-    pub refine_steps: usize,
     appver: Arc<dyn AppVer>,
 }
 
@@ -72,8 +71,6 @@ impl Default for CrownStyle {
     fn default() -> Self {
         Self {
             heuristic: HeuristicKind::DeepSplit,
-            attack: Pgd::default(),
-            refine_steps: 5,
             appver: Arc::new(AlphaCrown::default()),
         }
     }
@@ -92,12 +89,7 @@ impl CrownStyle {
     /// Creates a CROWN-style verifier with an explicit bound engine.
     #[must_use]
     pub fn new(heuristic: HeuristicKind, appver: Arc<dyn AppVer>) -> Self {
-        Self {
-            heuristic,
-            attack: Pgd::default(),
-            refine_steps: 5,
-            appver,
-        }
+        Self { heuristic, appver }
     }
 }
 
@@ -126,19 +118,6 @@ impl CrownStyle {
         let mut tree_size = 1usize;
         let mut max_depth = 0usize;
 
-        let finish = |verdict: Verdict, clock: &Clock, visited, tree_size, max_depth| RunResult {
-            verdict,
-            stats: RunStats {
-                appver_calls: clock.appver_calls,
-                nodes_visited: visited,
-                tree_size,
-                max_depth,
-                wall: clock.elapsed(),
-                // α/β-CROWN-style search re-optimises slopes per node, so
-                // prefix reuse does not apply; counters stay zero.
-                ..RunStats::default()
-            },
-        };
         let mut protos = vec![ProtoNode::pending()];
         let cert = |protos: &[ProtoNode]| {
             want_certificate
@@ -149,7 +128,7 @@ impl CrownStyle {
         // problems use the label-guided attack; general margin properties
         // fall back to descent on the margin network itself.
         let pre_attack_hit = match problem.label() {
-            Some(label) => self.attack.attack(
+            Some(label) => Pgd::default().attack(
                 problem.network(),
                 label,
                 problem.region().lo(),
@@ -157,14 +136,14 @@ impl CrownStyle {
             ),
             None => margin_pgd(
                 problem.margin_net(),
-                &self.attack,
+                &Pgd::default(),
                 problem.region().lo(),
                 problem.region().hi(),
             ),
         };
         if let Some(w) = pre_attack_hit {
             debug_assert!(problem.validate_witness(&w));
-            return (finish(Verdict::Falsified(w), &clock, 0, 1, 0), None);
+            return (clock.finish(Verdict::Falsified(w), 0, 1, 0), None);
         }
 
         // Stage 2: best-first BaB, most violated sub-problem first.
@@ -178,10 +157,10 @@ impl CrownStyle {
             .analyze(problem.margin_net(), problem.region(), &SplitSet::new());
         if root.verified() {
             protos[0].resolved = true;
-            return (finish(Verdict::Verified, &clock, 1, 1, 0), cert(&protos));
+            return (clock.finish(Verdict::Verified, 1, 1, 0), cert(&protos));
         }
-        if let Some(w) = check_candidate(problem, &root, self.refine_steps) {
-            return (finish(Verdict::Falsified(w), &clock, 1, 1, 0), None);
+        if let Some(w) = check_candidate(problem, &root, REFINE_STEPS) {
+            return (clock.finish(Verdict::Falsified(w), 1, 1, 0), None);
         }
         heap.push(Entry {
             p_hat: root.p_hat,
@@ -193,13 +172,7 @@ impl CrownStyle {
         while let Some(entry) = heap.pop() {
             if clock.exhausted() {
                 return (
-                    finish(
-                        Verdict::Timeout,
-                        &clock,
-                        nodes_visited,
-                        tree_size,
-                        max_depth,
-                    ),
+                    clock.finish(Verdict::Timeout, nodes_visited, tree_size, max_depth),
                     cert(&protos),
                 );
             }
@@ -217,15 +190,9 @@ impl CrownStyle {
                 protos[entry.proto].resolved = true;
                 continue;
             }
-            if let Some(w) = check_candidate(problem, &analysis, self.refine_steps) {
+            if let Some(w) = check_candidate(problem, &analysis, REFINE_STEPS) {
                 return (
-                    finish(
-                        Verdict::Falsified(w),
-                        &clock,
-                        nodes_visited,
-                        tree_size,
-                        max_depth,
-                    ),
+                    clock.finish(Verdict::Falsified(w), nodes_visited, tree_size, max_depth),
                     None,
                 );
             }
@@ -237,13 +204,7 @@ impl CrownStyle {
             let Some(neuron) = heuristic.select(&ctx) else {
                 if let Some(w) = resolve_exhausted_leaf(problem, &entry.splits, &mut clock) {
                     return (
-                        finish(
-                            Verdict::Falsified(w),
-                            &clock,
-                            nodes_visited,
-                            tree_size,
-                            max_depth,
-                        ),
+                        clock.finish(Verdict::Falsified(w), nodes_visited, tree_size, max_depth),
                         None,
                     );
                 }
@@ -265,15 +226,9 @@ impl CrownStyle {
                     protos[child_idx].resolved = true;
                     continue;
                 }
-                if let Some(w) = check_candidate(problem, &child_analysis, self.refine_steps) {
+                if let Some(w) = check_candidate(problem, &child_analysis, REFINE_STEPS) {
                     return (
-                        finish(
-                            Verdict::Falsified(w),
-                            &clock,
-                            nodes_visited,
-                            tree_size,
-                            max_depth,
-                        ),
+                        clock.finish(Verdict::Falsified(w), nodes_visited, tree_size, max_depth),
                         None,
                     );
                 }
@@ -287,13 +242,7 @@ impl CrownStyle {
             }
         }
         (
-            finish(
-                Verdict::Verified,
-                &clock,
-                nodes_visited,
-                tree_size,
-                max_depth,
-            ),
+            clock.finish(Verdict::Verified, nodes_visited, tree_size, max_depth),
             cert(&protos),
         )
     }
@@ -312,6 +261,7 @@ impl Verifier for CrownStyle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunStats;
     use abonn_nn::{Layer, Network, Shape};
     use abonn_tensor::Matrix;
 
@@ -394,6 +344,22 @@ mod tests {
             s
         };
         assert_eq!(no_wall(plain.stats), no_wall(r.stats));
+    }
+
+    #[test]
+    fn reports_the_lp_work_of_resolved_leaves() {
+        // Verifying this instance takes an exact LP on one fully-split
+        // leaf; its solve must show up in the run's counters.
+        let net = relu_compare_net();
+        let p = RobustnessProblem::new(&net, vec![0.6, 0.4], 0, 0.1).unwrap();
+        let r = CrownStyle::default().verify(&p, &Budget::with_appver_calls(300));
+        assert_eq!(r.verdict, Verdict::Verified);
+        assert!(
+            r.stats.lp_cold_solves + r.stats.lp_warm_hits >= 1,
+            "{}",
+            r.stats
+        );
+        assert!(r.stats.lp_pivots > 0, "{}", r.stats);
     }
 
     #[test]

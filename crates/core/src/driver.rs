@@ -110,12 +110,12 @@ impl Default for Budget {
 
 /// Counters describing how a run spent its budget.
 ///
-/// The incremental-bounding counters (`cache_layers_reused`,
-/// `cache_layers_recomputed`, `backsub_steps`) are call-based and
-/// accumulated in the deterministic consumption order of each search, so
-/// like every other field they are identical across thread counts and
-/// machines. They live only in this in-memory struct — persisted bench
-/// reports exclude them so cache-on and cache-off runs stay byte-identical.
+/// The bound-work counters (`cache_layers_reused` through
+/// `lp_pivot_cells`) are call-based and accumulated in the deterministic
+/// consumption order of each search, so like every other field they are
+/// identical across thread counts and machines. They live only in this
+/// in-memory struct: persisted bench reports keep the search counters
+/// alone, so the report bytes do not move when bounding gets cheaper.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunStats {
     /// Approximated-verifier invocations (the paper's cost unit).
@@ -224,7 +224,7 @@ impl Clock {
             // `exhausted`, which is `None` on every suite/report path
             // (`Scale::budget` is AppVer-call-only) and engaged solely
             // when a caller opts in via `Budget::and_wall_limit`, and
-            // (b) `elapsed`, whose value lands in `RunStats::wall` — an
+            // (b) `finish`, which puts it in `RunStats::wall` — an
             // in-memory field excluded from every persisted artefact
             // (`InstanceRecord::wall_secs` is `#[serde(skip)]`). With no
             // wall limit set, verdicts, counters, and report bytes are
@@ -252,13 +252,45 @@ impl Clock {
         }
     }
 
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+    /// The run's result: `verdict` and the search's tree counters, plus
+    /// the calls, bound work and wall time this clock accumulated. The one
+    /// place every engine builds its [`RunResult`].
+    pub fn finish(
+        &self,
+        verdict: Verdict,
+        nodes_visited: usize,
+        tree_size: usize,
+        max_depth: usize,
+    ) -> RunResult {
+        let work = &self.bound_stats;
+        RunResult {
+            verdict,
+            stats: RunStats {
+                appver_calls: self.appver_calls,
+                nodes_visited,
+                tree_size,
+                max_depth,
+                cache_layers_reused: work.layers_reused,
+                cache_layers_recomputed: work.layers_recomputed,
+                backsub_steps: work.backsub_steps,
+                lp_pivots: work.lp_pivots,
+                lp_warm_hits: work.lp_warm_hits,
+                lp_cold_solves: work.lp_cold_solves,
+                backsub_rows_skipped: work.backsub_rows_skipped,
+                backsub_rows_total: work.backsub_rows_total,
+                blocks_skipped: work.blocks_skipped,
+                arena_bytes_peak: work.arena_bytes_peak,
+                lp_pivot_cells: work.lp_pivot_cells,
+                wall: self.start.elapsed(),
+            },
+        }
     }
 }
 
 /// Validates an analysis candidate against the concrete network, optionally
-/// polishing it with a few PGD steps first (`refine_steps > 0`).
+/// polishing it with a few PGD steps first (`refine_steps > 0`). ABONN and
+/// the BaB baseline pass 0, the paper's plain `valid(x̂)` check; the
+/// CROWN-style baseline polishes.
 ///
 /// Returns a confirmed witness, or `None` for a false alarm.
 pub(crate) fn check_candidate(

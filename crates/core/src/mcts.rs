@@ -15,7 +15,7 @@
 
 use crate::certificate::{Certificate, ProofNode};
 use crate::driver::{
-    check_candidate, resolve_exhausted_leaf, Budget, Clock, RunResult, RunStats, Verdict, Verifier,
+    check_candidate, resolve_exhausted_leaf, Budget, Clock, RunResult, Verdict, Verifier,
 };
 use crate::heuristics::{BranchContext, HeuristicKind};
 use crate::pool::WorkerPool;
@@ -35,9 +35,6 @@ pub struct AbonnConfig {
     pub lambda: f64,
     /// c — UCB1 exploration constant (paper default 0.2).
     pub c: f64,
-    /// PGD polish steps applied to spurious candidates before declaring a
-    /// false alarm (0 reproduces the paper's plain `valid(x̂)` check).
-    pub refine_steps: usize,
     /// Branching heuristic `H`.
     pub heuristic: HeuristicKind,
 }
@@ -47,7 +44,6 @@ impl Default for AbonnConfig {
         Self {
             lambda: 0.5,
             c: 0.2,
-            refine_steps: 0,
             heuristic: HeuristicKind::DeepSplit,
         }
     }
@@ -163,7 +159,6 @@ struct Search<'p> {
 fn evaluate_child(
     appver: &dyn AppVer,
     problem: &RobustnessProblem,
-    refine_steps: usize,
     splits: &SplitSet,
     parent: Option<&Arc<BoundPrefix>>,
 ) -> ChildOutcome {
@@ -174,7 +169,7 @@ fn evaluate_child(
     } = appver.analyze_cached(problem.margin_net(), problem.region(), splits, parent);
     let eval = if analysis.verified() {
         ChildEval::Closed
-    } else if let Some(w) = check_candidate(problem, &analysis, refine_steps) {
+    } else if let Some(w) = check_candidate(problem, &analysis, 0) {
         ChildEval::Witness(w)
     } else {
         ChildEval::FalseAlarm(analysis)
@@ -187,6 +182,15 @@ fn evaluate_child(
 }
 
 impl<'p> Search<'p> {
+    fn finish(&self, verdict: Verdict) -> RunResult {
+        self.clock.finish(
+            verdict,
+            self.nodes_visited,
+            self.tree.len(),
+            self.tree.max_depth(),
+        )
+    }
+
     fn k_total(&self) -> usize {
         self.problem.num_relu_neurons().max(1)
     }
@@ -256,11 +260,11 @@ impl<'p> Search<'p> {
         self.clock.appver_calls += 2;
         let pos_splits = node_splits.with(neuron, SplitSign::Pos);
         let neg_splits = node_splits.with(neuron, SplitSign::Neg);
-        let (appver, problem, refine) = (&*self.appver, self.problem, self.config.refine_steps);
+        let (appver, problem) = (&*self.appver, self.problem);
         let parent = parent_prefix.as_ref();
         let (pos_out, neg_out) = self.pool.join2(
-            || evaluate_child(appver, problem, refine, &pos_splits, parent),
-            || evaluate_child(appver, problem, refine, &neg_splits, parent),
+            || evaluate_child(appver, problem, &pos_splits, parent),
+            || evaluate_child(appver, problem, &neg_splits, parent),
         );
         drop(parent_prefix);
         // Work counters are merged here on the search thread in fixed
@@ -344,42 +348,12 @@ impl AbonnVerifier {
         clock.bound_stats.absorb(&root_cached.stats);
         let root_analysis = root_cached.analysis;
         let root_prefix = root_cached.prefix;
-        let stats = |clock: &Clock, tree: Option<&BabTree>, visited: usize| RunStats {
-            appver_calls: clock.appver_calls,
-            nodes_visited: visited,
-            tree_size: tree.map_or(1, BabTree::len),
-            max_depth: tree.map_or(0, BabTree::max_depth),
-            cache_layers_reused: clock.bound_stats.layers_reused,
-            cache_layers_recomputed: clock.bound_stats.layers_recomputed,
-            backsub_steps: clock.bound_stats.backsub_steps,
-            lp_pivots: clock.bound_stats.lp_pivots,
-            lp_warm_hits: clock.bound_stats.lp_warm_hits,
-            lp_cold_solves: clock.bound_stats.lp_cold_solves,
-            backsub_rows_skipped: clock.bound_stats.backsub_rows_skipped,
-            backsub_rows_total: clock.bound_stats.backsub_rows_total,
-            blocks_skipped: clock.bound_stats.blocks_skipped,
-            arena_bytes_peak: clock.bound_stats.arena_bytes_peak,
-            lp_pivot_cells: clock.bound_stats.lp_pivot_cells,
-            wall: clock.elapsed(),
-        };
         if root_analysis.verified() {
             let certificate = want_certificate.then(|| Certificate::new(ProofNode::root_leaf()));
-            return (
-                RunResult {
-                    verdict: Verdict::Verified,
-                    stats: stats(&clock, None, 1),
-                },
-                certificate,
-            );
+            return (clock.finish(Verdict::Verified, 1, 1, 0), certificate);
         }
-        if let Some(w) = check_candidate(problem, &root_analysis, self.config.refine_steps) {
-            return (
-                RunResult {
-                    verdict: Verdict::Falsified(w),
-                    stats: stats(&clock, None, 1),
-                },
-                None,
-            );
+        if let Some(w) = check_candidate(problem, &root_analysis, 0) {
+            return (clock.finish(Verdict::Falsified(w), 1, 1, 0), None);
         }
 
         let tree = BabTree::new(root_analysis.p_hat);
@@ -410,34 +384,16 @@ impl AbonnVerifier {
         loop {
             if search.tree.node(NodeId::ROOT).state == NodeState::Closed {
                 let certificate = want_certificate.then(|| certificate_from_tree(&search.tree));
-                return (
-                    RunResult {
-                        verdict: Verdict::Verified,
-                        stats: stats(&search.clock, Some(&search.tree), search.nodes_visited),
-                    },
-                    certificate,
-                );
+                return (search.finish(Verdict::Verified), certificate);
             }
             if search.clock.exhausted() {
                 // Export the partial proof: closed leaves stand, still-open
                 // sub-problems become `ProofNode::Open` obligations.
                 let certificate = want_certificate.then(|| certificate_from_tree(&search.tree));
-                return (
-                    RunResult {
-                        verdict: Verdict::Timeout,
-                        stats: stats(&search.clock, Some(&search.tree), search.nodes_visited),
-                    },
-                    certificate,
-                );
+                return (search.finish(Verdict::Timeout), certificate);
             }
             if let Some(w) = search.step() {
-                return (
-                    RunResult {
-                        verdict: Verdict::Falsified(w),
-                        stats: stats(&search.clock, Some(&search.tree), search.nodes_visited),
-                    },
-                    None,
-                );
+                return (search.finish(Verdict::Falsified(w)), None);
             }
         }
     }

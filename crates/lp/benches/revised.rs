@@ -1,14 +1,14 @@
-//! Pivot cost in the wide regime — many box-bounded variables, few rows
-//! (`total ≫ m`) — of the revised simplex behind `solve` against the
-//! dense-tableau reference `solve_dense`. The dense engine rewrites a full
-//! `m × total` tableau per pivot and the revised engine only touches the
-//! `m × m` basis inverse, so the per-pivot separation grows with
-//! `total / m`. (The bound crate's triangle LPs sit at `m ≈ 2 · total`;
-//! there the separation is the ~40% pivot-cell cut that `abonn-bound`'s
-//! counters report, not this bench's asymptotic gap.) Per-pivot cell
-//! counts — exact and machine-independent, unlike the timings — are
-//! printed once outside the timed loops. Run with
-//! `cargo bench -p abonn-lp --bench revised`; under `cargo test` each
+//! Pivot cost of the revised simplex behind `solve` in the wide regime —
+//! many box-bounded variables, few rows (`total ≫ m`). The revised engine
+//! touches only the `m × m` basis inverse per pivot, where a dense
+//! tableau would rewrite all `m × total` cells; `abonn-lp`'s unit test
+//! `revised_pivot_cells_undercut_dense_on_wide_problems` checks that
+//! claim against the dense oracle by cell count, without timing. (The
+//! bound crate's triangle LPs sit at `m ≈ 2 · total`; there the
+//! separation is the ~40% pivot-cell cut that `abonn-bound`'s counters
+//! report.) Per-pivot cell counts — exact and machine-independent, unlike
+//! the timings — are printed once outside the timed loop. Run with
+//! `cargo bench -p abonn-lp --bench revised`; under `cargo test` the
 //! routine runs once as a smoke check.
 
 use abonn_lp::{Problem, Relation, Sense};
@@ -43,42 +43,25 @@ fn wide_problem(seed: u64) -> Problem {
     p
 }
 
-fn bench_pivot_engines(c: &mut Criterion) {
+fn bench_pivot_revised(c: &mut Criterion) {
     let problems: Vec<Problem> = (0..6).map(|k| wide_problem(10 + k)).collect();
 
-    let mut dense_pivots = 0usize;
-    let mut dense_cells = 0usize;
-    let mut revised_pivots = 0usize;
-    let mut revised_cells = 0usize;
+    let mut pivots = 0usize;
+    let mut cells = 0usize;
     for p in &problems {
-        let d = p.solve_dense().expect("bench problems are well-formed");
         let r = p.solve().expect("bench problems are well-formed");
-        assert_eq!(d.status, r.status, "engines must agree on the fixture");
-        dense_pivots += d.pivots;
-        dense_cells += d.pivot_cells;
-        revised_pivots += r.pivots;
-        revised_cells += r.pivot_cells;
+        pivots += r.pivots;
+        cells += r.pivot_cells;
     }
     println!(
-        "pivot engines ({} LPs, {}x{}): dense {} cells / {} pivots vs revised {} cells / {} pivots",
+        "revised simplex ({} LPs, {}x{}): {} cells / {} pivots",
         problems.len(),
         N,
         M,
-        dense_cells,
-        dense_pivots,
-        revised_cells,
-        revised_pivots,
+        cells,
+        pivots,
     );
 
-    c.bench_function("lp/pivot_dense", |bench| {
-        bench.iter(|| {
-            let mut acc = 0.0;
-            for p in &problems {
-                acc += black_box(p).solve_dense().unwrap().objective;
-            }
-            black_box(acc)
-        })
-    });
     c.bench_function("lp/pivot_revised", |bench| {
         bench.iter(|| {
             let mut acc = 0.0;
@@ -90,5 +73,5 @@ fn bench_pivot_engines(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_pivot_engines);
+criterion_group!(benches, bench_pivot_revised);
 criterion_main!(benches);

@@ -5,13 +5,20 @@
 //! LP-relaxation-based bounding. This crate is the from-scratch substitute:
 //! a primal simplex implementation that natively supports per-variable
 //! bounds `l ≤ x ≤ u` (including infinite bounds), `≤` / `≥` / `=` rows,
-//! and minimisation or maximisation objectives. Bland's rule is used as an
-//! anti-cycling fallback, so the solver terminates on degenerate problems.
+//! and minimisation or maximisation objectives.
+//!
+//! The entering variable follows Dantzig's rule, switching to Bland's
+//! smallest-index rule once more than 40 consecutive steps were
+//! degenerate; ratio-test ties go to the first basis row. Bland's rule
+//! covers only the entering choice, so it does not guarantee
+//! termination. An iteration cap of `200 · (total + m + 16)` per phase,
+//! over `total` structural, slack and artificial variables and `m` rows,
+//! ends a cycling solve with [`SolveError::IterationLimit`];
+//! `abonn-bound`'s LP verifier then falls back to its DeepPoly bound.
 //!
 //! [`Problem::solve`] and [`Problem::solve_warm`] run a revised simplex
 //! over a product-form basis inverse. The dense tableau it replaced is
-//! kept behind [`Problem::solve_dense`] and [`Problem::solve_warm_dense`]
-//! as the reference for equivalence tests and benchmarks.
+//! compiled only into this crate's tests, as their equivalence oracle.
 //!
 //! # Examples
 //!
@@ -31,6 +38,8 @@
 //! # Ok::<(), abonn_lp::SolveError>(())
 //! ```
 
+#[cfg(test)]
+mod dense;
 mod revised;
 mod simplex;
 

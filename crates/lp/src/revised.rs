@@ -1,17 +1,17 @@
 //! Revised simplex: the dense tableau's pivot rules on a factorized basis.
 //!
-//! [`Revised`] mirrors `Tableau`'s decision procedure — the same entering
-//! rule, ratio test, tolerances, Bland fallback, two-phase structure, and
-//! warm-basis install/repair — but never materialises the pivoted
-//! `m × total` tableau. It keeps the original constraint columns sparse
+//! [`Revised`] mirrors the dense tableau's decision procedure — the same
+//! entering rule, ratio test, tolerances, Bland fallback, two-phase
+//! structure, and warm-basis install/repair — but never materialises the
+//! pivoted `m × total` tableau. It keeps the original constraint columns sparse
 //! and an explicit `m × m` basis inverse updated by product-form (eta)
 //! steps, so one basis change costs `O(m · (m + nnz))` cell writes instead
 //! of the dense row sweep's `O(m · total)` — the saving the
 //! [`Solution::pivot_cells`] counter tracks. On `abonn-bound`'s triangle
 //! LPs (where `m ≈ 2 · total`: one equality row per pre-activation plus
 //! three facet rows per hidden neuron) that is a ~40% per-pivot cut; in
-//! the wide regime (`total ≫ m`, the `lp/pivot_*` benches) the gap grows
-//! with `total / m`.
+//! the wide regime (`total ≫ m`, the `lp/pivot_revised` bench) the gap
+//! grows with `total / m`.
 //!
 //! Determinism: both engines stop at an optimal *vertex*, and the
 //! canonical extraction (`vertex_values` in `simplex.rs`) is a pure
@@ -20,24 +20,20 @@
 //! though their intermediate arithmetic differs; only the call counters
 //! (`pivots`, `pivot_cells`) may diverge, and those never reach persisted
 //! reports. [`Problem::solve`] and [`Problem::solve_warm`] run this
-//! engine; the dense tableau stays reachable only through
-//! [`Problem::solve_dense`]/[`Problem::solve_warm_dense`], the reference
-//! the equivalence tests (`tests/revised_equivalence.rs`) and the pivot
-//! benches compare against.
+//! engine; the dense tableau survives only as the `cfg(test)` oracle in
+//! `dense.rs`, whose unit tests compare the two.
 //!
 //! [`Solution::pivot_cells`]: crate::Solution::pivot_cells
 //! [`Problem::solve`]: crate::Problem::solve
 //! [`Problem::solve_warm`]: crate::Problem::solve_warm
-//! [`Problem::solve_dense`]: crate::Problem::solve_dense
-//! [`Problem::solve_warm_dense`]: crate::Problem::solve_warm_dense
 
 use crate::simplex::{
-    better_leaving, slack_bounds, Problem, RatioOutcome, Rest, Sense, SolveError, Status, VarState,
-    WarmStart, FEAS_TOL, PIVOT_TOL,
+    slack_bounds, Problem, RatioOutcome, Rest, Sense, SolveError, Status, VarState, WarmStart,
+    FEAS_TOL, PIVOT_TOL,
 };
 
 /// Revised-simplex working state: sparse original columns plus an explicit
-/// basis inverse, mirroring every scalar decision of the dense `Tableau`.
+/// basis inverse, mirroring every scalar decision of the dense tableau.
 pub(crate) struct Revised {
     /// Original-space constraint columns in compressed-sparse-column form:
     /// `(row, value)` pairs in ascending row order, column `j` occupying
@@ -158,9 +154,9 @@ fn extended_bounds(p: &Problem) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 
 impl Revised {
     /// Cold start: the same initial placement, slack-vs-artificial
-    /// decision, and residual arithmetic as `Tableau::build`, with the
-    /// dense build's whole-row negations folded into `binv` (which starts
-    /// as the signed identity).
+    /// decision, and residual arithmetic as the dense build, with its
+    /// whole-row negations folded into `binv` (which starts as the signed
+    /// identity).
     pub(crate) fn build(p: &Problem) -> Self {
         let m = p.rows.len();
         let n = p.n;
@@ -498,7 +494,8 @@ impl Revised {
         &self.col_entries[self.col_start[j]..self.col_start[j + 1]]
     }
 
-    /// Two-phase driver, mirroring `Tableau::run`.
+    /// Runs phase 1 (when artificials exist) then phase 2, as the dense
+    /// tableau does.
     pub(crate) fn run(&mut self) -> Result<Status, SolveError> {
         if self.first_artificial < self.total_vars() {
             let mut phase1 = vec![0.0; self.total_vars()];
@@ -689,22 +686,23 @@ impl Revised {
         };
         let mut t_max = own_limit; // may be +inf
         let mut leaving: Option<(usize, VarState)> = None;
+        // A row within `FEAS_TOL` of the current limit displaces only the
+        // entering variable's own bound, never an earlier row: ratio ties
+        // go to the first basis row in scan order.
 
         for (i, &bi) in self.basis.iter().enumerate() {
             let delta = dir * w[i]; // x_bi decreases by delta * t
             if delta > PIVOT_TOL {
                 if self.lower[bi].is_finite() {
                     let t = (self.x[bi] - self.lower[bi]) / delta;
-                    if t < t_max - FEAS_TOL
-                        || (t < t_max + FEAS_TOL && better_leaving(&leaving, bi))
-                    {
+                    if t < t_max - FEAS_TOL || (t < t_max + FEAS_TOL && leaving.is_none()) {
                         t_max = t.max(0.0);
                         leaving = Some((i, VarState::AtLower));
                     }
                 }
             } else if delta < -PIVOT_TOL && self.upper[bi].is_finite() {
                 let t = (self.upper[bi] - self.x[bi]) / (-delta);
-                if t < t_max - FEAS_TOL || (t < t_max + FEAS_TOL && better_leaving(&leaving, bi)) {
+                if t < t_max - FEAS_TOL || (t < t_max + FEAS_TOL && leaving.is_none()) {
                     t_max = t.max(0.0);
                     leaving = Some((i, VarState::AtUpper));
                 }

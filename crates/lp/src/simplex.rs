@@ -49,8 +49,8 @@ pub enum Status {
 /// Error returned by [`Problem::solve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
-    /// The iteration limit was exceeded (should not happen with Bland's
-    /// rule unless the problem is numerically pathological).
+    /// The iteration limit was exceeded. Bland's rule guards only the
+    /// entering choice, so a degenerate problem can cycle until the cap.
     IterationLimit,
     /// The problem definition is malformed (e.g. a lower bound above an
     /// upper bound).
@@ -246,30 +246,6 @@ impl Problem {
         ))
     }
 
-    /// Solves with the dense-tableau engine: the reference that the
-    /// revised engine behind [`solve`](Problem::solve) is tested and
-    /// benchmarked against. Both engines share the same pivot rules and
-    /// the same canonical vertex extraction, so they return bit-identical
-    /// solutions whenever they stop at the same optimal vertex (always
-    /// the case for a unique optimum); only the work counters differ.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Problem::solve).
-    pub fn solve_dense(&self) -> Result<Solution, SolveError> {
-        self.validate()?;
-        let mut t = Tableau::build(self);
-        let status = t.run()?;
-        Ok(self.extract_parts(
-            status,
-            false,
-            &t.x,
-            || t.warm_snapshot(),
-            t.pivots,
-            t.pivot_cells,
-        ))
-    }
-
     /// Solves the problem starting from a previously captured basis.
     ///
     /// The basis is installed by re-deriving the pivoted tableau from the
@@ -316,45 +292,6 @@ impl Problem {
         self.solve()
     }
 
-    /// Warm-started solve with the dense-tableau engine: the reference for
-    /// [`solve_warm`](Problem::solve_warm), as
-    /// [`solve_dense`](Problem::solve_dense) is for `solve`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Problem::solve).
-    pub fn solve_warm_dense(&self, warm: &WarmStart) -> Result<Solution, SolveError> {
-        self.validate()?;
-        if let Some(mut t) = Tableau::build_warm(self, warm) {
-            match t.run() {
-                Ok(status) => {
-                    return Ok(self.extract_parts(
-                        status,
-                        true,
-                        &t.x,
-                        || t.warm_snapshot(),
-                        t.pivots,
-                        t.pivot_cells,
-                    ))
-                }
-                // A stall from a pathological warm basis is recoverable:
-                // retry from scratch below.
-                Err(SolveError::IterationLimit) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut t = Tableau::build(self);
-        let status = t.run()?;
-        Ok(self.extract_parts(
-            status,
-            false,
-            &t.x,
-            || t.warm_snapshot(),
-            t.pivots,
-            t.pivot_cells,
-        ))
-    }
-
     /// Builds the `Solution` for a finished solve of either engine.
     /// Optimal solutions are re-derived canonically from the terminal
     /// vertex (see [`vertex_values`]; basis-based [`canonical_values`] as
@@ -362,7 +299,7 @@ impl Problem {
     /// rather than of the pivot path — or the engine — that found it.
     /// `terminal_x` holds the terminal variable values (structural, slack,
     /// then any artificials); `snapshot` is consulted only on optimality.
-    fn extract_parts(
+    pub(crate) fn extract_parts(
         &self,
         status: Status,
         warmed: bool,
@@ -404,7 +341,7 @@ impl Problem {
         }
     }
 
-    fn validate(&self) -> Result<(), SolveError> {
+    pub(crate) fn validate(&self) -> Result<(), SolveError> {
         for j in 0..self.n {
             if self.lower[j] > self.upper[j] + FEAS_TOL {
                 return Err(SolveError::BadProblem(format!(
@@ -439,620 +376,13 @@ pub(crate) enum VarState {
     FreeZero,
 }
 
-struct Tableau {
-    /// rows × total-vars coefficient matrix, kept pivoted so that basic
-    /// columns are unit columns.
-    a: Vec<Vec<f64>>,
-    /// Current value of every variable.
-    x: Vec<f64>,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    state: Vec<VarState>,
-    /// basis[row] = variable index basic in that row.
-    basis: Vec<usize>,
-    /// Phase-2 minimisation objective over all variables.
-    cost: Vec<f64>,
-    n_structural: usize,
-    /// First artificial variable index (artificials occupy the tail).
-    first_artificial: usize,
-    /// Simplex pivots performed (basis changes; bound flips excluded).
-    pivots: usize,
-    /// Tableau cell writes spent on those pivots (see
-    /// [`Solution::pivot_cells`]).
-    pivot_cells: usize,
-}
-
-/// Bounds of the slack variable encoding `rel` (see `Tableau::build`).
+/// Bounds of the slack variable encoding `rel` (`a·x + s = b`).
 pub(crate) fn slack_bounds(rel: Relation) -> (f64, f64) {
     match rel {
         Relation::Le => (0.0, f64::INFINITY),
         Relation::Ge => (f64::NEG_INFINITY, 0.0),
         Relation::Eq => (0.0, 0.0),
     }
-}
-
-impl Tableau {
-    fn build(p: &Problem) -> Self {
-        let m = p.rows.len();
-        let n = p.n;
-        let n_slack = m;
-        // Artificials are appended lazily below; reserve index space now.
-        let total_known = n + n_slack;
-
-        let mut lower = p.lower.clone();
-        let mut upper = p.upper.clone();
-        let mut cost: Vec<f64> = match p.sense {
-            Sense::Minimize => p.objective.clone(),
-            Sense::Maximize => p.objective.iter().map(|c| -c).collect(),
-        };
-        // Slack bounds encode the relation: a·x + s = b.
-        for rel in &p.relations {
-            let (lo, hi) = slack_bounds(*rel);
-            lower.push(lo);
-            upper.push(hi);
-            cost.push(0.0);
-        }
-
-        // Initial nonbasic placement for structural variables.
-        let mut state = Vec::with_capacity(total_known);
-        let mut x = vec![0.0; total_known];
-        for j in 0..n {
-            if lower[j].is_finite() {
-                state.push(VarState::AtLower);
-                x[j] = lower[j];
-            } else if upper[j].is_finite() {
-                state.push(VarState::AtUpper);
-                x[j] = upper[j];
-            } else {
-                state.push(VarState::FreeZero);
-                x[j] = 0.0;
-            }
-        }
-        // Slacks: placement decided per row below.
-        for _ in 0..n_slack {
-            state.push(VarState::AtLower); // provisional, fixed up below
-        }
-
-        let mut a: Vec<Vec<f64>> = Vec::with_capacity(m);
-        for row in &p.rows {
-            let mut r = vec![0.0; total_known];
-            r[..n].copy_from_slice(row);
-            a.push(r);
-        }
-        for (i, r) in a.iter_mut().enumerate() {
-            r[n + i] = 1.0; // slack coefficient
-        }
-
-        let mut basis = Vec::with_capacity(m);
-        let mut artificial_cols: Vec<(usize, f64)> = Vec::new(); // (row, residual sign)
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "`i` indexes three arrays in lockstep"
-        )]
-        for i in 0..m {
-            let sj = n + i;
-            // Residual the slack would have to take for the row to hold.
-            let mut dot = 0.0;
-            for (j, &xj) in x[..n].iter().enumerate() {
-                dot += a[i][j] * xj;
-            }
-            let need = p.rhs[i] - dot;
-            if need >= lower[sj] - FEAS_TOL && need <= upper[sj] + FEAS_TOL {
-                // Slack can be basic at `need`: row starts feasible.
-                x[sj] = need.clamp(lower[sj], upper[sj]);
-                state[sj] = VarState::Basic(i);
-                basis.push(sj);
-            } else {
-                // Put the slack at its nearest bound and absorb the rest
-                // with an artificial variable.
-                let rest;
-                if need < lower[sj] {
-                    x[sj] = lower[sj];
-                    state[sj] = VarState::AtLower;
-                    rest = need - lower[sj];
-                } else {
-                    x[sj] = upper[sj];
-                    state[sj] = VarState::AtUpper;
-                    rest = need - upper[sj];
-                }
-                artificial_cols.push((i, rest));
-                basis.push(usize::MAX); // patched when artificials are added
-            }
-        }
-
-        let first_artificial = total_known;
-        let n_art = artificial_cols.len();
-        let total = total_known + n_art;
-        for r in &mut a {
-            r.resize(total, 0.0);
-        }
-        let mut lower2 = lower;
-        let mut upper2 = upper;
-        let mut x2 = x;
-        let mut state2 = state;
-        let mut cost2 = cost;
-        lower2.resize(total, 0.0);
-        upper2.resize(total, f64::INFINITY);
-        x2.resize(total, 0.0);
-        state2.resize(total, VarState::AtLower);
-        cost2.resize(total, 0.0);
-        for (k, &(row, rest)) in artificial_cols.iter().enumerate() {
-            let aj = first_artificial + k;
-            // Scale the row so the artificial enters with coefficient +1
-            // while staying nonnegative; basic columns must be unit columns
-            // for the tableau invariants to hold.
-            if rest < 0.0 {
-                for v in &mut a[row] {
-                    *v = -*v;
-                }
-            }
-            a[row][aj] = 1.0;
-            x2[aj] = rest.abs();
-            state2[aj] = VarState::Basic(row);
-            basis[row] = aj;
-        }
-
-        Tableau {
-            a,
-            x: x2,
-            lower: lower2,
-            upper: upper2,
-            state: state2,
-            basis,
-            cost: cost2,
-            n_structural: n,
-            first_artificial,
-            pivots: 0,
-            pivot_cells: 0,
-        }
-    }
-
-    /// Rebuilds a tableau around a previously captured basis, honouring the
-    /// *current* problem data. Returns `None` when the basis cannot be
-    /// recovered: shape mismatch, duplicate/out-of-range basis entries, or
-    /// a numerically singular basis column.
-    fn build_warm(p: &Problem, warm: &WarmStart) -> Option<Tableau> {
-        let m = p.rows.len();
-        let n = p.n;
-        let total_known = n + m;
-        if warm.n != n || warm.m != m || warm.basis.len() != m || warm.rests.len() != total_known {
-            return None;
-        }
-        let mut is_basic = vec![false; total_known];
-        for &b in &warm.basis {
-            if b >= total_known || is_basic[b] {
-                return None;
-            }
-            is_basic[b] = true;
-        }
-
-        let mut lower = p.lower.clone();
-        let mut upper = p.upper.clone();
-        let mut cost: Vec<f64> = match p.sense {
-            Sense::Minimize => p.objective.clone(),
-            Sense::Maximize => p.objective.iter().map(|c| -c).collect(),
-        };
-        for rel in &p.relations {
-            let (lo, hi) = slack_bounds(*rel);
-            lower.push(lo);
-            upper.push(hi);
-            cost.push(0.0);
-        }
-
-        // Constraint matrix with the slack identity, plus a tracked rhs so
-        // basic values can be read off after the basis is installed.
-        let mut a: Vec<Vec<f64>> = Vec::with_capacity(m);
-        for row in &p.rows {
-            let mut r = vec![0.0; total_known];
-            r[..n].copy_from_slice(row);
-            a.push(r);
-        }
-        for (i, r) in a.iter_mut().enumerate() {
-            r[n + i] = 1.0;
-        }
-        let mut rhs = p.rhs.clone();
-
-        // Install the basis by Gauss–Jordan elimination. Each saved basic
-        // variable is pivoted into the unassigned row where its column is
-        // largest (partial pivoting; ties take the smallest row index), so
-        // a basis that is recoverable under *some* row assignment is
-        // recovered deterministically.
-        let mut basis = vec![usize::MAX; m];
-        let mut row_taken = vec![false; m];
-        for &b in &warm.basis {
-            let mut best_row = usize::MAX;
-            let mut best = PIVOT_TOL;
-            for (i, r) in a.iter().enumerate() {
-                if !row_taken[i] && r[b].abs() > best {
-                    best = r[b].abs();
-                    best_row = i;
-                }
-            }
-            if best_row == usize::MAX {
-                return None; // singular basis column
-            }
-            let i = best_row;
-            row_taken[i] = true;
-            basis[i] = b;
-            let inv = 1.0 / a[i][b];
-            for v in &mut a[i] {
-                *v *= inv;
-            }
-            rhs[i] *= inv;
-            let pivot_row = a[i].clone();
-            let pivot_rhs = rhs[i];
-            for (i2, r) in a.iter_mut().enumerate() {
-                if i2 == i {
-                    continue;
-                }
-                let factor = r[b];
-                if factor == 0.0 {
-                    continue;
-                }
-                for (v, &q) in r.iter_mut().zip(&pivot_row) {
-                    *v -= factor * q;
-                }
-                rhs[i2] -= factor * pivot_rhs;
-            }
-        }
-
-        // Nonbasic variables rest where the snapshot recorded them, demoted
-        // to a still-finite bound (or to free-at-zero) when the recorded
-        // side is no longer finite after a perturbation.
-        let mut state = vec![VarState::AtLower; total_known];
-        let mut x = vec![0.0; total_known];
-        for j in 0..total_known {
-            if is_basic[j] {
-                continue;
-            }
-            state[j] = match warm.rests[j] {
-                Rest::Lower if lower[j].is_finite() => VarState::AtLower,
-                Rest::Upper if upper[j].is_finite() => VarState::AtUpper,
-                Rest::Lower if upper[j].is_finite() => VarState::AtUpper,
-                Rest::Upper if lower[j].is_finite() => VarState::AtLower,
-                _ => VarState::FreeZero,
-            };
-            x[j] = match state[j] {
-                VarState::AtLower => lower[j],
-                VarState::AtUpper => upper[j],
-                _ => 0.0,
-            };
-        }
-        // Basic values from the transformed rows: basic columns are unit
-        // columns, so row `i` reads `x[basis[i]] + Σ_nonbasic a·x = rhs`.
-        for i in 0..m {
-            let b = basis[i];
-            let mut dot = 0.0;
-            for (j, &xj) in x.iter().enumerate() {
-                if j != b {
-                    dot += a[i][j] * xj;
-                }
-            }
-            x[b] = rhs[i] - dot;
-            state[b] = VarState::Basic(i);
-        }
-
-        // Primal-feasibility repair: a basic variable pushed outside its
-        // bounds by the perturbation is snapped to the violated bound and
-        // an artificial absorbs the residual, exactly as in `build`; the
-        // phase-1 run then repairs only these rows instead of starting the
-        // whole basis from scratch.
-        let mut artificial_rows: Vec<(usize, f64)> = Vec::new();
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "`i` indexes basis in lockstep with rows"
-        )]
-        for i in 0..m {
-            let b = basis[i];
-            let viol_low = lower[b].is_finite() && x[b] < lower[b] - FEAS_TOL;
-            let viol_high = upper[b].is_finite() && x[b] > upper[b] + FEAS_TOL;
-            if !viol_low && !viol_high {
-                continue;
-            }
-            let bound = if viol_low { lower[b] } else { upper[b] };
-            let rest = x[b] - bound;
-            x[b] = bound;
-            state[b] = if viol_low {
-                VarState::AtLower
-            } else {
-                VarState::AtUpper
-            };
-            artificial_rows.push((i, rest));
-        }
-
-        let first_artificial = total_known;
-        let total = total_known + artificial_rows.len();
-        for r in &mut a {
-            r.resize(total, 0.0);
-        }
-        lower.resize(total, 0.0);
-        upper.resize(total, f64::INFINITY);
-        x.resize(total, 0.0);
-        state.resize(total, VarState::AtLower);
-        cost.resize(total, 0.0);
-        for (k, &(row, rest)) in artificial_rows.iter().enumerate() {
-            let aj = first_artificial + k;
-            if rest < 0.0 {
-                for v in &mut a[row] {
-                    *v = -*v;
-                }
-                rhs[row] = -rhs[row];
-            }
-            a[row][aj] = 1.0;
-            x[aj] = rest.abs();
-            state[aj] = VarState::Basic(row);
-            basis[row] = aj;
-        }
-
-        Some(Tableau {
-            a,
-            x,
-            lower,
-            upper,
-            state,
-            basis,
-            cost,
-            n_structural: n,
-            first_artificial,
-            pivots: 0,
-            pivot_cells: 0,
-        })
-    }
-
-    /// Captures the current basis as a [`WarmStart`], or `None` while an
-    /// artificial variable is still basic (degenerate phase-1 leftovers).
-    fn warm_snapshot(&self) -> Option<WarmStart> {
-        let m = self.a.len();
-        let mut basis = Vec::with_capacity(m);
-        for &b in &self.basis {
-            if b >= self.first_artificial {
-                return None;
-            }
-            basis.push(b);
-        }
-        let mut rests = Vec::with_capacity(self.first_artificial);
-        for j in 0..self.first_artificial {
-            rests.push(match self.state[j] {
-                VarState::AtUpper => Rest::Upper,
-                VarState::FreeZero => Rest::Free,
-                VarState::AtLower | VarState::Basic(_) => Rest::Lower,
-            });
-        }
-        Some(WarmStart {
-            n: self.n_structural,
-            m,
-            basis,
-            rests,
-        })
-    }
-
-    fn total_vars(&self) -> usize {
-        self.x.len()
-    }
-
-    /// Reduced costs `d_j = c_j − c_B · T[:, j]` for the given cost vector.
-    fn reduced_costs(&self, cost: &[f64]) -> Vec<f64> {
-        let mut d = cost.to_vec();
-        for (i, &bi) in self.basis.iter().enumerate() {
-            let cb = cost[bi];
-            if cb == 0.0 {
-                continue;
-            }
-            for (dj, &aij) in d.iter_mut().zip(&self.a[i]) {
-                *dj -= cb * aij;
-            }
-        }
-        d
-    }
-
-    fn run(&mut self) -> Result<Status, SolveError> {
-        // Phase 1: minimise the sum of artificial variables.
-        if self.first_artificial < self.total_vars() {
-            let mut phase1 = vec![0.0; self.total_vars()];
-            for c in phase1[self.first_artificial..].iter_mut() {
-                *c = 1.0;
-            }
-            let status = self.optimize(&phase1)?;
-            let artificial: &[f64] = &self.x[self.first_artificial..];
-            let infeas: f64 = artificial.iter().sum();
-            if status != Status::Optimal || infeas > 1e-6 {
-                return Ok(Status::Infeasible);
-            }
-            // Pin artificials to zero for phase 2 so they can never
-            // re-enter with a nonzero value.
-            for j in self.first_artificial..self.total_vars() {
-                self.lower[j] = 0.0;
-                self.upper[j] = 0.0;
-                self.x[j] = 0.0;
-            }
-        }
-        let phase2 = self.cost.clone();
-        self.optimize(&phase2)
-    }
-
-    /// Runs primal simplex iterations with the given minimisation costs.
-    fn optimize(&mut self, cost: &[f64]) -> Result<Status, SolveError> {
-        let total = self.total_vars();
-        let max_iter = 200 * (total + self.a.len() + 16);
-        // Dantzig rule normally; switch to Bland's rule after a stall to
-        // guarantee termination under degeneracy.
-        let mut degenerate_steps = 0usize;
-
-        for _ in 0..max_iter {
-            let d = self.reduced_costs(cost);
-            let use_bland = degenerate_steps > 40;
-            let Some((enter, dir)) = self.pick_entering(&d, use_bland) else {
-                return Ok(Status::Optimal);
-            };
-            match self.ratio_test(enter, dir) {
-                RatioOutcome::Unbounded => return Ok(Status::Unbounded),
-                RatioOutcome::BoundFlip(t) => {
-                    self.apply_step(enter, dir, t);
-                    self.state[enter] = match self.state[enter] {
-                        VarState::AtLower => VarState::AtUpper,
-                        VarState::AtUpper => VarState::AtLower,
-                        s => s,
-                    };
-                    if t <= FEAS_TOL {
-                        degenerate_steps += 1;
-                    } else {
-                        degenerate_steps = 0;
-                    }
-                }
-                RatioOutcome::Pivot(t, row, leave_state) => {
-                    self.apply_step(enter, dir, t);
-                    self.pivot(row, enter, leave_state);
-                    if t <= FEAS_TOL {
-                        degenerate_steps += 1;
-                    } else {
-                        degenerate_steps = 0;
-                    }
-                }
-            }
-        }
-        Err(SolveError::IterationLimit)
-    }
-
-    /// Chooses an entering variable and its direction (+1 increase, −1
-    /// decrease), or `None` at optimality.
-    fn pick_entering(&self, d: &[f64], bland: bool) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64, f64)> = None; // (var, dir, score)
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "`j` indexes `d` and `self.state`"
-        )]
-        for j in 0..self.total_vars() {
-            let (eligible, dir) = match self.state[j] {
-                VarState::Basic(_) => (false, 0.0),
-                VarState::AtLower => (d[j] < -PIVOT_TOL, 1.0),
-                VarState::AtUpper => (d[j] > PIVOT_TOL, -1.0),
-                VarState::FreeZero => {
-                    if d[j] < -PIVOT_TOL {
-                        (true, 1.0)
-                    } else if d[j] > PIVOT_TOL {
-                        (true, -1.0)
-                    } else {
-                        (false, 0.0)
-                    }
-                }
-            };
-            if !eligible {
-                continue;
-            }
-            if bland {
-                return Some((j, dir));
-            }
-            let score = d[j].abs();
-            match best {
-                Some((_, _, s)) if s >= score => {}
-                _ => best = Some((j, dir, score)),
-            }
-        }
-        best.map(|(j, dir, _)| (j, dir))
-    }
-
-    /// Moves `x[enter]` by `dir * t` and updates basic values accordingly.
-    fn apply_step(&mut self, enter: usize, dir: f64, t: f64) {
-        if t == 0.0 {
-            return;
-        }
-        self.x[enter] += dir * t;
-        for (i, &bi) in self.basis.iter().enumerate() {
-            self.x[bi] -= dir * t * self.a[i][enter];
-        }
-    }
-
-    fn ratio_test(&self, enter: usize, dir: f64) -> RatioOutcome {
-        // Limit from the entering variable's own opposite bound.
-        let own_limit = if dir > 0.0 {
-            self.upper[enter] - self.x[enter]
-        } else {
-            self.x[enter] - self.lower[enter]
-        };
-        let mut t_max = own_limit; // may be +inf
-        let mut leaving: Option<(usize, VarState)> = None;
-
-        for (i, &bi) in self.basis.iter().enumerate() {
-            let delta = dir * self.a[i][enter]; // x_bi decreases by delta * t
-            if delta > PIVOT_TOL {
-                if self.lower[bi].is_finite() {
-                    let t = (self.x[bi] - self.lower[bi]) / delta;
-                    if t < t_max - FEAS_TOL
-                        || (t < t_max + FEAS_TOL && better_leaving(&leaving, bi))
-                    {
-                        t_max = t.max(0.0);
-                        leaving = Some((i, VarState::AtLower));
-                    }
-                }
-            } else if delta < -PIVOT_TOL && self.upper[bi].is_finite() {
-                let t = (self.upper[bi] - self.x[bi]) / (-delta);
-                if t < t_max - FEAS_TOL || (t < t_max + FEAS_TOL && better_leaving(&leaving, bi)) {
-                    t_max = t.max(0.0);
-                    leaving = Some((i, VarState::AtUpper));
-                }
-            }
-        }
-
-        match leaving {
-            None if t_max.is_infinite() => RatioOutcome::Unbounded,
-            None => RatioOutcome::BoundFlip(t_max),
-            Some((row, st)) => {
-                if own_limit < t_max - FEAS_TOL {
-                    RatioOutcome::BoundFlip(own_limit)
-                } else {
-                    RatioOutcome::Pivot(t_max, row, st)
-                }
-            }
-        }
-    }
-
-    /// Pivots `enter` into the basis at `row`; the departing variable takes
-    /// `leave_state`.
-    fn pivot(&mut self, row: usize, enter: usize, leave_state: VarState) {
-        self.pivots += 1;
-        let total = self.total_vars();
-        let leave = self.basis[row];
-        let piv = self.a[row][enter];
-        debug_assert!(piv.abs() > PIVOT_TOL, "pivot element too small: {piv}");
-        let inv = 1.0 / piv;
-        for v in &mut self.a[row] {
-            *v *= inv;
-        }
-        let pivot_row = self.a[row].clone();
-        let mut updated_rows = 0usize;
-        for (i, r) in self.a.iter_mut().enumerate() {
-            if i == row {
-                continue;
-            }
-            let factor = r[enter];
-            if factor == 0.0 {
-                continue;
-            }
-            updated_rows += 1;
-            for (v, &p) in r.iter_mut().zip(&pivot_row) {
-                *v -= factor * p;
-            }
-        }
-        // Normalising the pivot row plus eliminating `enter` from each
-        // touched row each rewrites a full `total`-wide tableau row — the
-        // per-pivot cost the revised engine avoids.
-        self.pivot_cells += total * (1 + updated_rows);
-        self.basis[row] = enter;
-        self.state[enter] = VarState::Basic(row);
-        self.state[leave] = leave_state;
-        // Snap the departing variable exactly onto its bound to stop
-        // round-off from accumulating.
-        self.x[leave] = match leave_state {
-            VarState::AtLower => self.lower[leave],
-            VarState::AtUpper => self.upper[leave],
-            _ => self.x[leave],
-        };
-    }
-}
-
-/// Tie-break for the leaving variable: smallest variable index (Bland).
-pub(crate) fn better_leaving(current: &Option<(usize, VarState)>, _candidate_var: usize) -> bool {
-    current.is_none()
 }
 
 /// Re-derives the full variable vector (structural then slack) of an

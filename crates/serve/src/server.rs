@@ -36,7 +36,9 @@ use std::sync::Arc;
 
 /// Engine configuration tag baked into every store key and snapshot
 /// header: bump it whenever a change could alter verdicts, and old
-/// entries stop matching (and old snapshots stop loading).
+/// entries stop matching (and old snapshots stop loading). An opaque
+/// version string: the daemon runs `AbonnVerifier::default()`, ABONN over
+/// adaptive DeepPoly, whatever the `planet` in the tag suggests.
 pub const ENGINE_CONFIG: &str = "abonn/planet/v1";
 
 /// Server configuration.
@@ -58,9 +60,6 @@ pub struct ServerConfig {
     /// Maximum result-store entries (`None` = unbounded); LRU families
     /// are evicted whole when exceeded.
     pub store_cap: Option<usize>,
-    /// Re-audit every store-served certificate even when the query does
-    /// not ask for it.
-    pub audit_stored: bool,
 }
 
 impl Default for ServerConfig {
@@ -73,7 +72,6 @@ impl Default for ServerConfig {
             model_dir: None,
             model_cache_capacity: 8,
             store_cap: None,
-            audit_stored: false,
         }
     }
 }
@@ -381,8 +379,7 @@ impl Server {
         ];
         match &entry.verdict {
             CachedVerdict::Unsat { certificate } => {
-                let audit_wanted =
-                    req.audit || self.config.audit_stored || entry.needs_reaudit;
+                let audit_wanted = req.audit || entry.needs_reaudit;
                 if audit_wanted {
                     // The certificate proves the property at its SOURCE
                     // radius; audit against that region, which covers the

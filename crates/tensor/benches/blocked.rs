@@ -1,11 +1,9 @@
-//! Benchmarks of the register-tiled hot kernels on the committed
-//! trajectory `perf/BENCH_tensor.jsonl`.
+//! Benchmarks of the register-tiled hot kernels.
 //!
 //! `tensor/matmul_blocked_*` times `matmul_into`, and
 //! `tensor/fused_affine_runs_*` times the block-sparse fused step that
-//! back-substitution runs per layer. The trajectory's first entries
-//! record the pre-optimization rolled loops under `*_reference_*` names,
-//! so the speedup stays visible in-repo; bit-identity to those loops is
+//! back-substitution runs per layer. CHANGES.md records their speedup
+//! over the pre-optimization rolled loops; bit-identity to those loops is
 //! pinned by the oracle proptests in `matrix.rs`.
 //!
 //! Run with `cargo bench -p abonn-tensor --bench blocked`; under

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository CI: tier-1 build + tests, a 2-thread smoke run of every
-# experiment binary, and a determinism spot-check (reports produced with
-# 2 threads must be byte-identical to a fresh 1-thread run).
+# experiment binary, and two byte-for-byte checks of its RQ1 records:
+# against the committed golden, and against a fresh 1-thread run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +40,13 @@ for exp in table1 table2 fig3 fig4 fig5 fig6; do
         --scale smoke --seed 2025 --threads 2 --out-dir "$out2" >/dev/null
 done
 
+echo "== cost unit: the 2-thread smoke must reproduce the committed RQ1 records =="
+# The golden pins every verdict and AppVer-call count of the smoke suite.
+# A change that moves a verdict or a call count must regenerate
+# scripts/rq1-smoke.golden.json (table2 --scale smoke --seed 2025
+# --threads 2) and explain the move in CHANGES.md.
+diff scripts/rq1-smoke.golden.json "$out2/rq1-smoke-2025.json"
+
 echo "== determinism: 1-thread fresh rerun must reproduce the records =="
 out1=$(mktemp -d)
 cargo run --release -q -p abonn-bench --bin table2 -- \
@@ -47,10 +54,9 @@ cargo run --release -q -p abonn-bench --bin table2 -- \
 diff "$out2/rq1-smoke-2025.json" "$out1/rq1-smoke-2025.json"
 
 echo "== benches: micro-benchmarks, roster pinned by scripts/bench-roster.golden =="
-# Fresh timings go to target/experiments/BENCH_*.json only; the committed
-# perf/BENCH_*.jsonl trajectories are history, never appended to here.
-# The golden pins the bench-name roster, so adding, dropping or renaming
-# a bench is a deliberate, reviewed act.
+# Fresh timings go to target/experiments/BENCH_*.json only; CHANGES.md
+# records the historical speedups. The golden pins the bench-name roster,
+# so adding, dropping or renaming a bench is a deliberate, reviewed act.
 mkdir -p target/experiments
 rm -f target/experiments/BENCH_lp.json target/experiments/BENCH_tensor.json \
     target/experiments/BENCH_backsub.json
