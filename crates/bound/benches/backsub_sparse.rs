@@ -11,11 +11,18 @@
 //! CHANGES.md records this workload's speedup over the pre-optimization
 //! substrate.
 //!
+//! `bound/backsub_conv` times a root pass of the Planet-style DeepPoly
+//! over a conv-lowered network shaped like CIFAR-10_DEEP (four
+//! convolutions, two dense layers; lowered stages 6–39% non-zero), where
+//! back-substitution steps through the convolutions' compressed sparse
+//! forms in the neuron-major layout. Its bits against the all-dense pass
+//! are pinned by `tests/lowered_bound_bits.rs`.
+//!
 //! Run with `cargo bench -p abonn-bound --bench backsub_sparse`; under
 //! `cargo test` each routine runs once as a smoke check.
 
 use abonn_bound::{AppVer, DeepPoly, InputBox, SplitSet, SplitSign};
-use abonn_nn::{AffinePair, CanonicalNetwork};
+use abonn_nn::{init, AffinePair, CanonicalNetwork, Layer, Network, Shape};
 use abonn_tensor::Matrix;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
@@ -89,5 +96,52 @@ fn bench_block_sparse(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_block_sparse);
+/// CIFAR-10_DEEP's layer stack on a 3×8×8 input, Xavier-initialised.
+fn deep_conv_net(seed: u64) -> CanonicalNetwork {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let net = Network::new(
+        Shape::Image { c: 3, h: 8, w: 8 },
+        vec![
+            init::conv_xavier(3, 4, 3, 1, 1, &mut rng),
+            Layer::relu(),
+            init::conv_xavier(4, 4, 3, 1, 1, &mut rng),
+            Layer::relu(),
+            init::conv_xavier(4, 6, 2, 2, 0, &mut rng),
+            Layer::relu(),
+            init::conv_xavier(6, 6, 3, 1, 1, &mut rng),
+            Layer::relu(),
+            Layer::flatten(),
+            init::dense_xavier(96, 32, &mut rng),
+            Layer::relu(),
+            init::dense_xavier(32, 10, &mut rng),
+        ],
+    )
+    .expect("valid conv stack");
+    CanonicalNetwork::from_network(&net).expect("lowers")
+}
+
+fn bench_conv(c: &mut Criterion) {
+    let net = deep_conv_net(29);
+    let mut rng = SmallRng::seed_from_u64(30);
+    let center: Vec<f64> = (0..net.input_dim())
+        .map(|_| rng.gen_range(0.0..1.0))
+        .collect();
+    let region = InputBox::linf_ball(&center, 0.01, 0.0, 1.0);
+    let dp = DeepPoly::planet();
+    let sparse = (0..net.num_layers())
+        .filter(|&k| net.sparse_weight(k).is_some())
+        .count();
+    let node = dp.analyze_cached(&net, &region, &SplitSet::new(), None);
+    println!(
+        "conv root ({sparse} sparse stages, p_hat bits {:x}): {} / {} substitution rows skipped",
+        node.analysis.p_hat.to_bits(),
+        node.stats.backsub_rows_skipped,
+        node.stats.backsub_rows_total,
+    );
+    c.bench_function("bound/backsub_conv", |bench| {
+        bench.iter(|| black_box(dp.analyze(&net, black_box(&region), &SplitSet::new()).p_hat))
+    });
+}
+
+criterion_group!(benches, bench_block_sparse, bench_conv);
 criterion_main!(benches);

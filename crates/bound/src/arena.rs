@@ -1,7 +1,8 @@
 //! Per-thread scratch arena for back-substitution.
 //!
-//! Every bound computation needs the same six scratch buffers (four
-//! coefficient matrices, two constant vectors) plus the stable-neuron
+//! Every bound computation needs the same scratch buffers (four
+//! coefficient matrices, two constant vectors, one lane accumulator for
+//! neuron-major steps) plus the stable-neuron
 //! masks and the block-sparsity run index. Allocating them per node costs
 //! a malloc/free pair per analysis on the BaB hot path, so this module
 //! keeps one [`BoundArena`] parked per worker thread: an analysis leases
@@ -41,10 +42,12 @@ pub(crate) struct BoundArena {
     /// Constant terms of the lower/upper bound expressions.
     pub(crate) lo_c: Vec<f64>,
     pub(crate) hi_c: Vec<f64>,
+    /// Per-lane intercept sums of one neuron-major substitution step.
+    pub(crate) lane_acc: Vec<f64>,
 }
 
 impl BoundArena {
-    /// Logical size of the six float buffers in bytes — the
+    /// Logical size of the seven float buffers in bytes — the
     /// machine-independent footprint `arena_bytes_peak` tracks. Based on
     /// lengths, never capacities, so the value is identical whether the
     /// arena is fresh or recycled.
@@ -54,7 +57,8 @@ impl BoundArena {
             + self.lo_next.as_slice().len()
             + self.hi_next.as_slice().len()
             + self.lo_c.len()
-            + self.hi_c.len())
+            + self.hi_c.len()
+            + self.lane_acc.len())
     }
 }
 

@@ -15,7 +15,7 @@ use crate::ibp::Ibp;
 use crate::relax::{apply_split, ReluRelaxation};
 use crate::types::{Analysis, AppVer, InputBox, LayerBounds, NeuronId, SplitSet};
 use abonn_nn::CanonicalNetwork;
-use abonn_tensor::Matrix;
+use abonn_tensor::{lane_padded, Matrix};
 use std::sync::Arc;
 
 /// Intermediate result of a full bound computation, including everything
@@ -285,6 +285,18 @@ fn relax_neuron(l: f64, u: f64, alpha: Option<f64>, mode: RelaxMode) -> ReluRela
 /// ([`Matrix::fused_affine_into_runs`]), skipping whole masked blocks
 /// structurally instead of testing every column; `stats.blocks_skipped`
 /// counts the elided gaps.
+///
+/// Weight sparsity: a step through a stage with a compressed sparse form
+/// ([`CanonicalNetwork::sparse_weight`], the lowered convolutions) runs
+/// neuron-major. The blocks are transposed once, in the arena's own swap
+/// buffers, to one row per neuron with the expression rows as
+/// contiguous lanes (zero-padded, [`lane_padded`]); the substitution
+/// then works on whole neuron rows, and the fused step gathers each
+/// output column from its stored weights only
+/// ([`Matrix::fused_affine_csc_into_runs`]). A dense stage switches the
+/// blocks back, and so does the end of the pass, since concretisation and
+/// `output_lower_coeffs` read row-major rows. Per element every chain
+/// keeps its ascending-neuron order, so the bits match the all-dense pass.
 fn back_substitute(
     net: &CanonicalNetwork,
     k: usize,
@@ -293,12 +305,28 @@ fn back_substitute(
     stats: &mut BoundComputeStats,
 ) {
     let stage = &net.layers()[k];
-    scratch.lo_a.copy_from(&stage.weight);
-    scratch.hi_a.copy_from(&stage.weight);
-    scratch.lo_c.clear();
-    scratch.lo_c.extend_from_slice(&stage.bias);
-    scratch.hi_c.clear();
-    scratch.hi_c.extend_from_slice(&stage.bias);
+    let rows = stage.out_dim();
+    let lanes = lane_padded(rows);
+    // Start in the layout the first step wants.
+    let mut neuron_major = k > 0 && net.sparse_weight(k - 1).is_some();
+    if neuron_major {
+        stage
+            .weight
+            .transpose_into(stage.in_dim(), lanes, &mut scratch.lo_a);
+        scratch.hi_a.copy_from(&scratch.lo_a);
+    } else {
+        scratch.lo_a.copy_from(&stage.weight);
+        scratch.hi_a.copy_from(&stage.weight);
+    }
+    let width = if neuron_major { lanes } else { rows };
+    for c in [&mut scratch.lo_c, &mut scratch.hi_c] {
+        c.clear();
+        c.extend_from_slice(&stage.bias);
+        c.resize(width, 0.0);
+    }
+    // Only a sparse step sizes the lane accumulator; until then it must
+    // not count an earlier lease's lanes in `live_bytes`.
+    scratch.lane_acc.clear();
 
     for j in (0..k).rev() {
         let relax = &relaxations[j];
@@ -342,45 +370,80 @@ fn back_substitute(
             in_gap = sk;
         }
         stats.blocks_skipped += 2 * gap_blocks;
-        substitute_relu(
-            &mut scratch.lo_a,
-            &mut scratch.lo_c,
-            relax,
-            true,
-            &scratch.skip,
-            &scratch.ident,
-        );
-        substitute_relu(
-            &mut scratch.hi_a,
-            &mut scratch.hi_c,
-            relax,
-            false,
-            &scratch.skip,
-            &scratch.ident,
-        );
         let prev = &net.layers()[j];
         // Expression over z_j = W_j a_{j-1} + b_j → over a_{j-1}.
-        scratch.lo_a.fused_affine_into_runs(
-            &prev.weight,
-            &prev.bias,
-            &mut scratch.lo_c,
-            &mut scratch.lo_next,
-            &scratch.runs,
-        );
+        let sparse = net.sparse_weight(j);
+        if sparse.is_some() != neuron_major {
+            if neuron_major {
+                to_row_major(scratch, rows);
+            } else {
+                to_neuron_major(scratch, lanes);
+            }
+            neuron_major = !neuron_major;
+        }
+        let BoundArena {
+            lo_a,
+            hi_a,
+            lo_next,
+            hi_next,
+            skip,
+            ident,
+            runs,
+            lo_c,
+            hi_c,
+            lane_acc,
+        } = &mut *scratch;
+        for (lower, a, c, next) in [(true, lo_a, lo_c, lo_next), (false, hi_a, hi_c, hi_next)] {
+            if let Some(weight) = sparse {
+                substitute_relu_lanes(a, c, relax, lower, skip, ident, lane_acc);
+                a.fused_affine_csc_into_runs(weight, &prev.bias, c, next, runs);
+            } else {
+                substitute_relu(a, c, relax, lower, skip, ident);
+                a.fused_affine_into_runs(&prev.weight, &prev.bias, c, next, runs);
+            }
+        }
         std::mem::swap(&mut scratch.lo_a, &mut scratch.lo_next);
-        scratch.hi_a.fused_affine_into_runs(
-            &prev.weight,
-            &prev.bias,
-            &mut scratch.hi_c,
-            &mut scratch.hi_next,
-            &scratch.runs,
-        );
         std::mem::swap(&mut scratch.hi_a, &mut scratch.hi_next);
         // Length-based footprint after the swaps, when every buffer's
         // logical size is determined by this node's own computation
         // (never by stale contents from a previous lease).
         stats.arena_bytes_peak = stats.arena_bytes_peak.max(scratch.live_bytes());
     }
+    if neuron_major {
+        to_row_major(scratch, rows);
+    }
+}
+
+/// Transposes both coefficient blocks from row-major to neuron-major,
+/// `lanes` wide, through the swap buffers; the constants gain zero lanes.
+fn to_neuron_major(scratch: &mut BoundArena, lanes: usize) {
+    let neurons = scratch.lo_a.cols();
+    scratch
+        .lo_a
+        .transpose_into(neurons, lanes, &mut scratch.lo_next);
+    scratch
+        .hi_a
+        .transpose_into(neurons, lanes, &mut scratch.hi_next);
+    std::mem::swap(&mut scratch.lo_a, &mut scratch.lo_next);
+    std::mem::swap(&mut scratch.hi_a, &mut scratch.hi_next);
+    scratch.lo_c.resize(lanes, 0.0);
+    scratch.hi_c.resize(lanes, 0.0);
+}
+
+/// Transposes both coefficient blocks back to `rows` row-major rows,
+/// dropping the padding lanes.
+fn to_row_major(scratch: &mut BoundArena, rows: usize) {
+    let neurons = scratch.lo_a.rows();
+    scratch
+        .lo_a
+        .transpose_into(rows, neurons, &mut scratch.lo_next);
+    scratch
+        .hi_a
+        .transpose_into(rows, neurons, &mut scratch.hi_next);
+    std::mem::swap(&mut scratch.lo_a, &mut scratch.lo_next);
+    std::mem::swap(&mut scratch.hi_a, &mut scratch.hi_next);
+    scratch.lo_c.truncate(rows);
+    scratch.hi_c.truncate(rows);
 }
 
 /// Replaces coefficients over post-activations `a_j` with coefficients
@@ -416,6 +479,44 @@ fn substitute_relu(
             }
         }
         *cs += const_add;
+    }
+}
+
+/// Neuron-major [`substitute_relu`]: row `t` of `a` holds neuron `t`'s
+/// coefficient in every expression lane, so a relaxation applies to the
+/// whole row at once, branch-free. `acc` builds each lane's intercept
+/// chain in ascending neuron order, as the row-major loop does per row;
+/// a lane taking the lower side adds `x·0.0 = ±0.0` to that
+/// `+0.0`-seeded chain, which leaves it unchanged.
+fn substitute_relu_lanes(
+    a: &mut Matrix,
+    c: &mut [f64],
+    relax: &[ReluRelaxation],
+    lower: bool,
+    skip: &[bool],
+    ident: &[bool],
+    acc: &mut Vec<f64>,
+) {
+    acc.clear();
+    acc.resize(c.len(), 0.0);
+    for (t, r) in relax.iter().enumerate() {
+        if skip[t] || ident[t] {
+            continue;
+        }
+        for (coeff, add) in a.row_mut(t).iter_mut().zip(acc.iter_mut()) {
+            let x = *coeff;
+            let take_lower = (x >= 0.0) == lower;
+            let (slope, intercept) = if take_lower {
+                (r.lower_slope, 0.0)
+            } else {
+                (r.upper_slope, r.upper_intercept)
+            };
+            *add += x * intercept;
+            *coeff = x * slope;
+        }
+    }
+    for (cs, &add) in c.iter_mut().zip(acc.iter()) {
+        *cs += add;
     }
 }
 

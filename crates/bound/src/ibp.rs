@@ -91,21 +91,45 @@ impl Ibp {
             let n = stage.out_dim();
             let mut lo = stage.bias.clone();
             let mut hi = stage.bias.clone();
-            for i in 0..n {
-                let row = stage.weight.row(i);
-                let mut l = 0.0;
-                let mut h = 0.0;
-                for (t, &w) in row.iter().enumerate() {
-                    if w >= 0.0 {
-                        l += w * a_lo[t];
-                        h += w * a_hi[t];
-                    } else {
-                        l += w * a_hi[t];
-                        h += w * a_lo[t];
+            if let Some(csc) = net.sparse_weight(k) {
+                // Scatter column by column: each output still sums its
+                // terms in ascending input order, and the zero weights
+                // left out would only add `±0.0` to a `+0.0`-seeded
+                // chain, so the bits match the dense loop below.
+                let mut l = vec![0.0; n];
+                let mut h = vec![0.0; n];
+                for (t, (&al, &ah)) in a_lo.iter().zip(&a_hi).enumerate() {
+                    for (i, w) in csc.col(t) {
+                        if w >= 0.0 {
+                            l[i] += w * al;
+                            h[i] += w * ah;
+                        } else {
+                            l[i] += w * ah;
+                            h[i] += w * al;
+                        }
                     }
                 }
-                lo[i] += l;
-                hi[i] += h;
+                for i in 0..n {
+                    lo[i] += l[i];
+                    hi[i] += h[i];
+                }
+            } else {
+                for i in 0..n {
+                    let row = stage.weight.row(i);
+                    let mut l = 0.0;
+                    let mut h = 0.0;
+                    for (t, &w) in row.iter().enumerate() {
+                        if w >= 0.0 {
+                            l += w * a_lo[t];
+                            h += w * a_hi[t];
+                        } else {
+                            l += w * a_hi[t];
+                            h += w * a_lo[t];
+                        }
+                    }
+                    lo[i] += l;
+                    hi[i] += h;
+                }
             }
             if k + 1 < num_layers {
                 // Apply split clamps, detect infeasibility, then ReLU.

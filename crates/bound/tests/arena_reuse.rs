@@ -1,14 +1,15 @@
 //! The per-thread scratch arena must be invisible in results.
 //!
 //! Back-substitution leases one [`BoundArena`] per worker thread and
-//! recycles it across nodes, so these tests pin the three ways recycling
+//! recycles it across nodes, so these tests pin the four ways recycling
 //! could leak: stale buffer contents from an earlier (differently-shaped)
-//! analysis, a lease dropped on the infeasible early-exit path, and
-//! degenerate panel shapes smaller than any block the tiled kernels use.
+//! analysis, a lease dropped on the infeasible early-exit path,
+//! degenerate panel shapes smaller than any block the tiled kernels use,
+//! and stale buffer lengths in the `arena_bytes_peak` footprint.
 //! The oracle is always a fresh `std::thread::spawn` — its thread-local
 //! arena pool starts empty, so its result is what a never-recycled arena
 //! produces — and equality is bit-for-bit over `p_hat` and every layer
-//! bound.
+//! bound, or exact over the footprint.
 
 use abonn_bound::{Analysis, AppVer, DeepPoly, InputBox, SplitSet, SplitSign};
 use abonn_nn::{AffinePair, CanonicalNetwork};
@@ -157,4 +158,71 @@ fn one_wide_panels_reuse_equivalence() {
             "dims {dims:?}"
         );
     }
+}
+
+/// A net whose middle stage is ~20% non-zero, so it is stored sparse and
+/// back-substitution through it runs neuron-major.
+fn sparse_middle_net(seed: u64) -> CanonicalNetwork {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut stage = |rows: usize, cols: usize, density: f64| {
+        let m = Matrix::from_fn(rows, cols, |_, _| {
+            if rng.gen_range(0.0..1.0) < density {
+                rng.gen_range(-1.0..1.0)
+            } else {
+                0.0
+            }
+        });
+        let b: Vec<f64> = (0..rows).map(|_| rng.gen_range(-0.3..0.3)).collect();
+        AffinePair::new(m, b)
+    };
+    let layers = vec![stage(40, 3, 1.0), stage(40, 40, 0.2), stage(2, 40, 1.0)];
+    CanonicalNetwork::from_affine_pairs(3, layers)
+}
+
+/// `arena_bytes_peak` of a root pass and one split child.
+fn arena_peaks(net: &CanonicalNetwork, region: &InputBox) -> Vec<usize> {
+    let dp = DeepPoly::new();
+    let root = dp.analyze_cached(net, region, &SplitSet::new(), None);
+    let neuron = root.analysis.unstable_neurons(&SplitSet::new())[0];
+    let splits = SplitSet::new().with(neuron, SplitSign::Neg);
+    let child = dp.analyze_cached(net, region, &splits, root.prefix.as_ref());
+    vec![root.stats.arena_bytes_peak, child.stats.arena_bytes_peak]
+}
+
+/// The arena footprint is length-based, so it must not depend on what
+/// an earlier lease left behind: after bounding a net with a sparse
+/// (neuron-major) stage, a dense-only net and the sparse net itself
+/// report the same peaks as on a fresh thread.
+#[test]
+fn arena_peak_matches_fresh_thread_after_a_neuron_major_pass() {
+    let region = InputBox::new(vec![-0.5; 3], vec![0.5; 3]);
+    let sparse = sparse_middle_net(23);
+    assert!(
+        sparse.sparse_weight(1).is_some(),
+        "middle stage must be sparse"
+    );
+    let dense = random_net(29, &[3, 6, 6, 2]);
+    assert!((0..dense.num_layers()).all(|k| dense.sparse_weight(k).is_none()));
+
+    let fresh = |net: &CanonicalNetwork| {
+        let (net, region) = (net.clone(), region.clone());
+        std::thread::spawn(move || arena_peaks(&net, &region))
+            .join()
+            .expect("analysis thread must not panic")
+    };
+    let (fresh_dense, fresh_sparse) = (fresh(&dense), fresh(&sparse));
+    let (s, d) = (sparse.clone(), dense.clone());
+    let r = region.clone();
+    let (recycled_dense, recycled_sparse) = std::thread::spawn(move || {
+        arena_peaks(&s, &r);
+        let dense_peaks = arena_peaks(&d, &r);
+        (dense_peaks, arena_peaks(&s, &r))
+    })
+    .join()
+    .expect("analysis thread must not panic");
+    assert_eq!(recycled_dense, fresh_dense, "dense net after a sparse one");
+    assert_eq!(
+        recycled_sparse, fresh_sparse,
+        "sparse net on a recycled arena"
+    );
 }

@@ -32,6 +32,14 @@
 //! The proptests in `matrix.rs` pin bit-equality against the rolled
 //! oracles on shapes that reach full register tiles.
 //!
+//! The neuron-major step ([`fused_affine_csc_runs`]) runs the same
+//! product transposed: its block holds one row per neuron and one lane
+//! per expression row, and it gathers each output column from a
+//! compressed sparse weight. Per element the terms still arrive in
+//! ascending neuron order, and what it adds beyond the rolled masked loop
+//! (the masked rows it zeroes) or leaves out (zero weights) are `±0.0`
+//! terms, so the argument above carries over unchanged.
+//!
 //! The module denies clippy's panic lints (the list at the top of the
 //! file): no indexing, no `unwrap`/`expect`, no panicking macros. Bounds
 //! are expressed through `split_at`/`chunks_exact`/iterator shapes, which
@@ -39,6 +47,7 @@
 //! (the `Matrix` entry points) validate all shapes first; kernels
 //! document their contracts with `debug_assert!`.
 
+use crate::sparse::CscMatrix;
 use std::fmt;
 
 /// A typed argument-shape mismatch from a checked kernel entry point.
@@ -110,14 +119,35 @@ pub(crate) fn check_fused_affine(
     Ok(())
 }
 
-/// Checks that every column run lies within `lc` columns.
+/// Checks that the column runs are ascending, disjoint and lie within
+/// `lc` columns. A descending or overlapping run list would make the
+/// kernels visit a column twice or out of order, so it is an error, not
+/// a `debug_assert!`.
 pub(crate) fn check_runs(op: &str, runs: &[(usize, usize)], lc: usize) -> Result<(), ShapeError> {
+    let mut floor = 0;
     for &(start, end) in runs {
         if start > end || end > lc {
             return Err(ShapeError::new(format!(
                 "Matrix::{op}: run {start}..{end} does not fit {lc} cols"
             )));
         }
+        if start < floor {
+            return Err(ShapeError::new(format!(
+                "Matrix::{op}: run {start}..{end} is not ascending and disjoint \
+                 (the previous run ends at {floor})"
+            )));
+        }
+        floor = end;
+    }
+    Ok(())
+}
+
+/// Checks that a neuron-major block is `LANE_WIDTH`-padded.
+pub(crate) fn check_lanes(op: &str, lanes: usize) -> Result<(), ShapeError> {
+    if !lanes.is_multiple_of(LANE_WIDTH) {
+        return Err(ShapeError::new(format!(
+            "Matrix::{op}: neuron-major width {lanes} is not a multiple of {LANE_WIDTH} lanes"
+        )));
     }
     Ok(())
 }
@@ -491,5 +521,180 @@ fn runs_rows4(
         tile_store(o1, jb, tl, &acc1);
         tile_store(o2, jb, tl, &acc2);
         tile_store(o3, jb, tl, &acc3);
+    }
+}
+
+/// Lane multiple of a neuron-major block: its width (one lane per
+/// expression row) is padded up to a multiple of this — one 64-byte
+/// cache line of `f64`, one AVX-512 register.
+pub const LANE_WIDTH: usize = 8;
+
+/// The padded width of a neuron-major block with `rows` expression rows:
+/// `rows` rounded up to [`LANE_WIDTH`], plus one more cache line when
+/// the row stride would be a multiple of 512 bytes. Such a stride maps
+/// every neuron row of a lane tile into the same few L1 sets, and the
+/// gather's row loads then miss L1 — 1.2–1.9× slower at 256 rows.
+#[must_use]
+pub fn lane_padded(rows: usize) -> usize {
+    let lanes = rows.next_multiple_of(LANE_WIDTH);
+    if lanes.is_multiple_of(LANE_WIDTH * LANE_WIDTH) {
+        lanes + LANE_WIDTH
+    } else {
+        lanes
+    }
+}
+
+/// Lanes per neuron-major register tile: eight 256-bit accumulators, so
+/// each stored weight feeds eight independent add chains. A block's last
+/// lanes run in one 16- and/or one 8-lane tile.
+const LANE_TILE: usize = 32;
+
+/// Neuron-major fused affine step over a compressed sparse weight: the
+/// transposed counterpart of [`fused_affine_runs`].
+///
+/// `a` holds one `lanes`-wide row per neuron `t` (the row-major block's
+/// column `t`, one lane per expression row) and `weight` is the `n × m`
+/// stage weight in compressed column form. Rows of `a` outside `runs`
+/// are dropped by zeroing them in place. Then, per tile of lanes, the
+/// constants gain `Σ_{t ∈ runs} a[t]·bias[t]` and output row `j` (pre-
+/// zeroed, `m × lanes`) becomes `Σ_t weight[t][j]·a[t]` over column `j`'s
+/// stored entries — a gather whose accumulator tile stays in registers.
+///
+/// Per output element the terms arrive in ascending `t`, as in the rolled
+/// masked loop. The terms that loop adds and this one does not (zero
+/// weights) or this one adds and that one does not (zeroed rows) are
+/// all `±0.0`, the identity on a `+0.0`-seeded chain (module docs).
+pub(crate) fn fused_affine_csc_runs(
+    a: &mut [f64],
+    lanes: usize,
+    weight: &CscMatrix,
+    bias: &[f64],
+    consts: &mut [f64],
+    out: &mut [f64],
+    runs: &[(usize, usize)],
+) {
+    if lanes == 0 {
+        return;
+    }
+    debug_assert!(
+        lanes.is_multiple_of(LANE_WIDTH),
+        "neuron-major blocks are lane-padded"
+    );
+    let mut next = 0;
+    for &(start, end) in runs {
+        if let Some(gap) = a.get_mut(next * lanes..start * lanes) {
+            gap.fill(0.0);
+        }
+        next = end;
+    }
+    if let Some(gap) = a.get_mut(next * lanes..) {
+        gap.fill(0.0);
+    }
+    let step = LaneStep {
+        a,
+        lanes,
+        weight,
+        bias,
+        runs,
+    };
+    let mut jb = 0;
+    while jb + LANE_TILE <= lanes {
+        step.tile::<LANE_TILE>(jb, consts, out);
+        jb += LANE_TILE;
+    }
+    if jb + 2 * LANE_WIDTH <= lanes {
+        step.tile::<{ 2 * LANE_WIDTH }>(jb, consts, out);
+        jb += 2 * LANE_WIDTH;
+    }
+    if jb < lanes {
+        step.tile::<LANE_WIDTH>(jb, consts, out);
+    }
+}
+
+/// The read-only operands of one [`fused_affine_csc_runs`] call.
+struct LaneStep<'a> {
+    a: &'a [f64],
+    lanes: usize,
+    weight: &'a CscMatrix,
+    bias: &'a [f64],
+    runs: &'a [(usize, usize)],
+}
+
+impl LaneStep<'_> {
+    /// Lanes `jb..jb + W` of neuron `t`'s row.
+    #[inline(always)]
+    fn lane_seg<const W: usize>(&self, t: usize, jb: usize) -> Option<&[f64; W]> {
+        let lo = t * self.lanes + jb;
+        self.a.get(lo..lo + W)?.try_into().ok()
+    }
+
+    /// One `W`-lane tile of the step: the bias dot over the runs, then
+    /// the column gather.
+    fn tile<const W: usize>(&self, jb: usize, consts: &mut [f64], out: &mut [f64]) {
+        let mut cacc = [0.0; W];
+        for &(start, end) in self.runs {
+            let Some(bseg) = self.bias.get(start..end) else {
+                continue;
+            };
+            for (t, &bv) in (start..end).zip(bseg) {
+                let Some(x) = self.lane_seg::<W>(t, jb) else {
+                    continue;
+                };
+                for (c, &v) in cacc.iter_mut().zip(x) {
+                    *c += v * bv;
+                }
+            }
+        }
+        if let Some(cs) = consts.get_mut(jb..jb + W) {
+            for (c, &v) in cs.iter_mut().zip(&cacc) {
+                *c += v;
+            }
+        }
+        let (col_ptr, row_idx, vals) = self.weight.parts();
+        for (span, orow) in col_ptr.windows(2).zip(out.chunks_exact_mut(self.lanes)) {
+            let &[s, e] = span else {
+                continue;
+            };
+            let (Some(ts), Some(ws)) = (row_idx.get(s..e), vals.get(s..e)) else {
+                continue;
+            };
+            let mut acc = [0.0; W];
+            for (&t, &wv) in ts.iter().zip(ws) {
+                let Some(x) = self.lane_seg::<W>(t, jb) else {
+                    continue;
+                };
+                for (o, &v) in acc.iter_mut().zip(x) {
+                    *o += v * wv;
+                }
+            }
+            if let Some(os) = orow.get_mut(jb..jb + W) {
+                for (o, &v) in os.iter_mut().zip(&acc) {
+                    *o += v;
+                }
+            }
+        }
+    }
+}
+
+/// Overwrites every entry of `dst` (`dst_cols` wide) with the transpose
+/// of `src` (`src_cols` wide), clipped to `dst`'s extent: `dst[i][j] =
+/// src[j][i]`, and `0.0` where `src` has no such entry. Writing every
+/// entry spares the caller a zero-fill pass over the whole block.
+// Out of line on purpose: inlined into `transpose_into`, it moved the
+// `serve` binary's dense kernels to other 64-byte offsets, and
+// serve-session's request p50 rose 22–29% on MNIST models, which never
+// transpose (DESIGN.md §5j).
+#[inline(never)]
+pub(crate) fn transpose_window(src: &[f64], src_cols: usize, dst: &mut [f64], dst_cols: usize) {
+    if dst_cols == 0 {
+        return;
+    }
+    for (i, drow) in dst.chunks_exact_mut(dst_cols).enumerate() {
+        // Column `i` of `src`; empty past its last column.
+        let column = src.get(i..).filter(|_| i < src_cols).unwrap_or_default();
+        let mut column = column.iter().step_by(src_cols.max(1));
+        for d in drow {
+            *d = column.next().copied().unwrap_or(0.0);
+        }
     }
 }

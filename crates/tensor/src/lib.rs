@@ -4,7 +4,8 @@
 //! The verification stack (bound propagation, LP solving, neural-network
 //! inference and training) only needs small, dense, double-precision
 //! matrices and vectors, so this crate provides exactly that: a row-major
-//! [`Matrix`] plus a set of slice-based vector helpers in [`vecops`].
+//! [`Matrix`], a compressed sparse column [`CscMatrix`] for mostly-zero
+//! weights, plus a set of slice-based vector helpers in [`vecops`].
 //!
 //! # Examples
 //!
@@ -18,10 +19,12 @@
 
 pub mod kernels;
 mod matrix;
+mod sparse;
 pub mod vecops;
 
-pub use kernels::ShapeError;
+pub use kernels::{lane_padded, ShapeError, LANE_WIDTH};
 pub use matrix::Matrix;
+pub use sparse::CscMatrix;
 
 /// Absolute tolerance used by the approximate comparisons in this workspace.
 pub const EPSILON: f64 = 1e-9;

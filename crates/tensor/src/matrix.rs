@@ -1,6 +1,7 @@
 //! Row-major dense matrix.
 
 use crate::kernels::{self, ShapeError};
+use crate::CscMatrix;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
@@ -380,6 +381,93 @@ impl Matrix {
         Ok(())
     }
 
+    /// Neuron-major counterpart of
+    /// [`fused_affine_into_runs`](Self::fused_affine_into_runs) over a
+    /// compressed sparse weight, visiting only its stored entries.
+    ///
+    /// `self` is the transposed coefficient block: one row per neuron
+    /// (column of the row-major block), one column (lane) per expression
+    /// row, its width padded to a multiple of [`LANE_WIDTH`](crate::LANE_WIDTH).
+    /// `out` becomes the transposed product `(Aᵀ·W)ᵀ`, `weight.cols() ×
+    /// self.cols()`, and `consts` (one slot per lane) gains each lane's
+    /// bias dot over the rows covered by `runs`. Rows outside `runs` are
+    /// dropped as in the row-major step, by zeroing them in `self`.
+    ///
+    /// Bit-for-bit contract: each lane of `out` and `consts` matches the
+    /// row-major step on the corresponding row; per element the terms
+    /// still arrive in ascending neuron order, and the terms either side
+    /// skips are exact `±0.0` (see the `kernels` module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch, a width that is not lane-padded, or
+    /// runs that are not ascending, disjoint and within `self.rows()`.
+    pub fn fused_affine_csc_into_runs(
+        &mut self,
+        weight: &CscMatrix,
+        bias: &[f64],
+        consts: &mut [f64],
+        out: &mut Matrix,
+        runs: &[(usize, usize)],
+    ) {
+        if let Err(e) = self.try_fused_affine_csc_into_runs(weight, bias, consts, out, runs) {
+            panic!("{e}");
+        }
+    }
+
+    /// Checked [`fused_affine_csc_into_runs`](Self::fused_affine_csc_into_runs).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] on any shape mismatch, a width that is
+    /// not lane-padded, or runs that are not ascending, disjoint and
+    /// within `self.rows()`.
+    pub fn try_fused_affine_csc_into_runs(
+        &mut self,
+        weight: &CscMatrix,
+        bias: &[f64],
+        consts: &mut [f64],
+        out: &mut Matrix,
+        runs: &[(usize, usize)],
+    ) -> Result<(), ShapeError> {
+        const OP: &str = "fused_affine_csc_into_runs";
+        kernels::check_fused_affine(
+            OP,
+            self.cols,
+            self.rows,
+            weight.rows(),
+            weight.cols(),
+            bias.len(),
+            consts.len(),
+        )?;
+        kernels::check_lanes(OP, self.cols)?;
+        kernels::check_runs(OP, runs, self.rows)?;
+        out.resize_zeroed(weight.cols(), self.cols);
+        kernels::fused_affine_csc_runs(
+            &mut self.data,
+            self.cols,
+            weight,
+            bias,
+            consts,
+            &mut out.data,
+            runs,
+        );
+        Ok(())
+    }
+
+    /// Writes the `rows × cols` window of `self`'s transpose into `out`,
+    /// reusing its allocation: `out[i][j] = self[j][i]` where `self` has
+    /// that entry, `0.0` elsewhere. Back-substitution switches its
+    /// coefficient blocks between row-major and zero-padded neuron-major
+    /// layouts with it.
+    pub fn transpose_into(&self, rows: usize, cols: usize, out: &mut Matrix) {
+        // The kernel overwrites every entry, so stale contents may stay.
+        out.rows = rows;
+        out.cols = cols;
+        out.data.resize(rows * cols, 0.0);
+        kernels::transpose_window(&self.data, self.cols, &mut out.data, cols);
+    }
+
     /// Matrix–vector product `self * x`.
     ///
     /// # Panics
@@ -440,7 +528,9 @@ impl Matrix {
     /// Returns the transposed matrix.
     #[must_use]
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
+        let mut out = Matrix::default();
+        self.transpose_into(self.cols, self.rows, &mut out);
+        out
     }
 
     /// Applies `f` to every entry, returning a new matrix.
@@ -589,6 +679,7 @@ impl fmt::Debug for Matrix {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use crate::CscMatrix;
     use proptest::prelude::*;
 
     #[test]
@@ -895,6 +986,120 @@ mod tests {
         let mut c = vec![0.0; 2];
         let mut out = Matrix::default();
         a.fused_affine_into_runs(&w, &[0.0; 3], &mut c, &mut out, &[(1, 4)]);
+    }
+
+    /// Both checked run-walking entries, on runs that fit the width but
+    /// are descending or overlapping: each would visit a column twice or
+    /// out of order, so each must be a `ShapeError`.
+    #[test]
+    fn run_steps_reject_descending_and_overlapping_runs() {
+        let a = seeded(2, 6, 0);
+        let w = seeded(6, 3, 1);
+        let csc = CscMatrix::from_dense(&w);
+        let mut at = Matrix::default();
+        a.transpose_into(6, crate::LANE_WIDTH, &mut at);
+        let mut out = Matrix::default();
+        for runs in [
+            &[(3, 5), (0, 2)][..],
+            &[(0, 3), (2, 5)][..],
+            &[(4, 4), (1, 2)][..],
+            &[(0, 6), (0, 6)][..],
+        ] {
+            let mut c = vec![0.0; 2];
+            let err = a
+                .try_fused_affine_into_runs(&w, &[0.0; 6], &mut c, &mut out, runs)
+                .expect_err("row-major step accepted bad runs");
+            assert!(err.to_string().contains("ascending and disjoint"), "{err}");
+            let mut c = vec![0.0; crate::LANE_WIDTH];
+            let err = at
+                .try_fused_affine_csc_into_runs(&csc, &[0.0; 6], &mut c, &mut out, runs)
+                .expect_err("neuron-major step accepted bad runs");
+            assert!(err.to_string().contains("ascending and disjoint"), "{err}");
+        }
+        // Adjacent and zero-width runs are still ascending and disjoint.
+        let mut c = vec![0.0; 2];
+        a.fused_affine_into_runs(&w, &[0.0; 6], &mut c, &mut out, &[(0, 2), (2, 2), (2, 6)]);
+    }
+
+    #[test]
+    fn neuron_major_step_rejects_unpadded_blocks_and_shape_mismatches() {
+        let w = CscMatrix::from_dense(&seeded(4, 3, 1));
+        let mut out = Matrix::default();
+        let mut narrow = Matrix::zeros(4, 5);
+        let err = narrow
+            .try_fused_affine_csc_into_runs(&w, &[0.0; 4], &mut [0.0; 5], &mut out, &[])
+            .expect_err("unpadded width accepted");
+        assert!(err.to_string().contains("multiple of"), "{err}");
+        let mut tall = Matrix::zeros(5, crate::LANE_WIDTH);
+        let err = tall
+            .try_fused_affine_csc_into_runs(&w, &[0.0; 5], &mut [0.0; 8], &mut out, &[])
+            .expect_err("row mismatch accepted");
+        assert!(err.to_string().contains("not defined"), "{err}");
+    }
+
+    /// A lowered convolution (`conv_to_matrix`) over a 2×6×6 input with
+    /// 3×3 kernels into 3 channels, its weights drawn from [`entries`]
+    /// (so some are exact `±0.0`), plus a bias per output neuron.
+    fn conv_stage(seed: u64, stride: usize, padding: usize) -> (Matrix, Vec<f64>) {
+        let (weights, bias) = (entries(seed, 54), entries(seed ^ 1, 3));
+        let conv = abonn_nn::Conv2d::new(2, 3, 3, 3, stride, padding, weights, bias);
+        let (m, b) = abonn_nn::lowering::conv_to_matrix(&conv, 6, 6);
+        (Matrix::from_vec(m.rows(), m.cols(), m.into_vec()), b)
+    }
+
+    /// The neuron-major step against [`fused_affine_reference`]: an
+    /// `rows × n` block over the conv stage's `n` neurons, transposed to
+    /// lane-padded neuron-major form, stepped, and transposed back. The
+    /// product and the constants must match bit for bit, and the padding
+    /// lanes must come out as exact `+0.0`.
+    fn assert_csc_step_matches_oracle(rows: usize, stride: usize, padding: usize, seed: u64) {
+        let (w, _) = conv_stage(seed, stride, padding);
+        let n = w.rows();
+        let a = Matrix::from_vec(rows, n, entries(seed.wrapping_add(1), rows * n));
+        let bias = entries(seed.wrapping_add(2), n);
+        let consts = entries(seed.wrapping_add(3), rows);
+        let runs = random_runs(seed.wrapping_add(4), n);
+        let mut want_c = consts.clone();
+        let want = fused_affine_reference(&a, &w, &bias, &mut want_c, &skip_outside(&runs, n));
+
+        let lanes = crate::lane_padded(rows);
+        let mut at = Matrix::from_fn(3, 5, |_, _| 42.0);
+        a.transpose_into(n, lanes, &mut at);
+        let mut got_c = consts;
+        got_c.resize(lanes, 0.0);
+        let mut out_t = Matrix::from_fn(2, 9, |_, _| 42.0);
+        let csc = CscMatrix::from_dense(&w);
+        at.fused_affine_csc_into_runs(&csc, &bias, &mut got_c, &mut out_t, &runs);
+        let mut got = Matrix::default();
+        out_t.transpose_into(rows, w.cols(), &mut got);
+        assert_bits_eq(&got, &want);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (got_bits, want_bits) = (bits(&got_c[..rows]), bits(&want_c));
+        assert_eq!(got_bits, want_bits, "consts, {rows} rows runs {runs:?}");
+        let zero = 0.0_f64.to_bits();
+        assert!(got_c[rows..].iter().all(|v| v.to_bits() == zero));
+        for j in 0..out_t.rows() {
+            assert!(out_t.row(j)[rows..].iter().all(|v| v.to_bits() == zero));
+        }
+    }
+
+    proptest! {
+        /// Stride 1/2 and padding 0/1 lowered convolutions, padded as in
+        /// production (`lane_padded`): 1 and 7 rows fill part of one
+        /// 8-lane tile, 9 rows one 16-lane tile, 33 rows (40 lanes) a
+        /// 32-lane tile and an 8-lane tail, 49 rows (56 lanes) a 32-, a
+        /// 16- and an 8-lane tile, and 64 rows take the extra cache line
+        /// (72 lanes: two 32-lane tiles and an 8-lane tail).
+        #[test]
+        fn csc_step_matches_rolled_oracle_on_lowered_convs(
+            row_pick in 0usize..6,
+            stride in 1usize..=2,
+            padding in 0usize..=1,
+            seed in 0u64..u64::MAX,
+        ) {
+            let rows = [1, 7, 9, 33, 49, 64][row_pick];
+            assert_csc_step_matches_oracle(rows, stride, padding, seed);
+        }
     }
 
     proptest! {
