@@ -4,20 +4,19 @@
 //!
 //! ```sh
 //! cargo run --release -p abonn-bench --bin check -- \
-//!     [--scale smoke|default|full] [--seed N] [--out-dir DIR] [--models SUBSTR]
+//!     [--scale smoke|default|full] [--seed N] [--out-dir DIR]
 //! ```
 //!
-//! For each `(model, instance)` pair the ABONN search and the BaB
-//! baseline run with certificate emission; `Verified` runs must pass the
-//! strict audit, `Timeout` runs must pass the partial audit (open leaves
-//! exactly covering the unexplored region). Any rejection is printed and
-//! the process exits 1.
+//! For each `(model, instance)` pair of all five models the ABONN search
+//! and the BaB baseline run with certificate emission; `Verified` runs
+//! must pass the strict audit, `Timeout` runs must pass the partial audit
+//! (open leaves exactly covering the unexplored region). Any rejection is
+//! printed and the process exits 1.
 //!
-//! `--models` keeps only models whose paper name contains the given
-//! substring (case-insensitive). The audit replays each leaf with LPs
-//! over every input variable, so the 192-input CIFAR models cost one to
-//! two minutes per certificate; CI audits `--models mnist` and the conv
-//! models are opt-in.
+//! The summary line splits the re-verified leaves by the stage that
+//! closed them: vacuous, interval, linear, box LP and refined LP. Most
+//! close at the linear stage, before any LP, so the smoke-scale audit of
+//! all five models takes seconds.
 
 use abonn_bench::scenario::{prepare_model_cached, PreparedModel};
 use abonn_bench::Args;
@@ -69,47 +68,14 @@ fn audit_one(
 }
 
 fn main() -> ExitCode {
-    // Strip the binary-specific `--models` filter before handing the rest
-    // to the shared parser.
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut filter: Option<String> = None;
-    if let Some(pos) = raw.iter().position(|a| a == "--models") {
-        raw.remove(pos);
-        if pos < raw.len() {
-            filter = Some(raw.remove(pos).to_lowercase());
-        } else {
-            eprintln!("--models needs a value (substring of a paper model name)");
-            return ExitCode::from(2);
-        }
-    }
-    let args = match Args::parse(raw.into_iter()) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let kinds: Vec<ModelKind> = ModelKind::ALL
-        .into_iter()
-        .filter(|kind| {
-            filter
-                .as_ref()
-                .is_none_or(|f| kind.paper_name().to_lowercase().contains(f))
-        })
-        .collect();
-    if kinds.is_empty() {
-        eprintln!("--models filter matched no benchmark model");
-        return ExitCode::from(2);
-    }
-    let models: Vec<PreparedModel> = kinds
+    let args = Args::from_env();
+    let models: Vec<PreparedModel> = ModelKind::ALL
         .into_iter()
         .map(|kind| prepare_model_cached(kind, args.scale.per_model(), args.seed, &args.out_dir))
         .collect();
     let budget: Budget = args.scale.budget();
     let mut audited = 0usize;
-    let mut leaves = 0usize;
-    let mut open = 0usize;
-    let mut lp_calls = 0usize;
+    let mut total = AuditReport::default();
     let mut failures = Vec::new();
     for prepared in &models {
         for instance in &prepared.instances {
@@ -141,9 +107,14 @@ fn main() -> ExitCode {
                 ) {
                     Ok(Some(report)) => {
                         audited += 1;
-                        leaves += report.leaves;
-                        open += report.open;
-                        lp_calls += report.lp_calls;
+                        total.leaves += report.leaves;
+                        total.vacuous_leaves += report.vacuous_leaves;
+                        total.open += report.open;
+                        total.by_interval += report.by_interval;
+                        total.by_linear += report.by_linear;
+                        total.by_box_lp += report.by_box_lp;
+                        total.by_refined_lp += report.by_refined_lp;
+                        total.lp_calls += report.lp_calls;
                     }
                     Ok(None) => {}
                     Err(msg) => {
@@ -160,8 +131,17 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "{audited} certificates audited: {leaves} leaves re-verified, {open} open obligations \
-         covered, {lp_calls} LP calls; {} rejections",
+        "{audited} certificates audited: {} leaves re-verified ({} vacuous, {} interval, \
+         {} linear, {} box LP, {} refined LP), {} open obligations covered, {} LP calls; \
+         {} rejections",
+        total.leaves,
+        total.vacuous_leaves,
+        total.by_interval,
+        total.by_linear,
+        total.by_box_lp,
+        total.by_refined_lp,
+        total.open,
+        total.lp_calls,
         failures.len()
     );
     if failures.is_empty() {

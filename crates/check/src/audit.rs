@@ -113,6 +113,8 @@ pub struct AuditReport {
     pub open: usize,
     /// Leaves certified by plain intervals.
     pub by_interval: usize,
+    /// Leaves certified by back-substituted linear bounds.
+    pub by_linear: usize,
     /// Leaves certified by the box LP.
     pub by_box_lp: usize,
     /// Leaves certified by the refined LP.
@@ -235,6 +237,7 @@ fn audit(
                 } else {
                     match outcome.stage.expect("non-vacuous outcome has a stage") {
                         LeafStage::Interval => report.by_interval += 1,
+                        LeafStage::Linear => report.by_linear += 1,
                         LeafStage::BoxLp => report.by_box_lp += 1,
                         LeafStage::RefinedLp => report.by_refined_lp += 1,
                     }

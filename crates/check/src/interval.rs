@@ -1,9 +1,9 @@
 //! Plain interval propagation, written from the definition.
 //!
-//! This is the auditor's *only* bound computation below the LP stages,
-//! and it intentionally shares no code with `abonn-bound`: a one-line
-//! transcription error in the engines' shared propagation loop would
-//! survive any cross-check built on top of that loop.
+//! This is the auditor's first bound computation, and like
+//! `crate::linear` it intentionally shares no code with `abonn-bound`:
+//! a one-line transcription error in the engines' shared propagation
+//! loop would survive any cross-check built on top of that loop.
 
 use abonn_bound::{InputBox, NeuronId, SplitSet, SplitSign};
 use abonn_nn::CanonicalNetwork;

@@ -3,23 +3,29 @@
 //! A leaf claims: "over the input region restricted by my split set, every
 //! margin output is positive". The engines established that claim with
 //! DeepPoly/α-CROWN back-substitution; this module re-establishes it with
-//! machinery that shares none of that code, escalating through three
+//! machinery that shares none of that code, escalating through four
 //! stages until one succeeds:
 //!
 //! 1. **Interval** — plain interval propagation ([`crate::interval`]).
-//! 2. **Box LP** — one triangle-relaxation LP per output, with every
+//! 2. **Linear** — back-substituted linear bounds (`crate::linear`),
+//!    which tighten every unstable or split neuron's box before the
+//!    margins are bounded.
+//! 3. **Box LP** — one triangle-relaxation LP per output, with every
 //!    unstable ReLU relaxed over its *interval* pre-activation range.
-//! 3. **Refined LP** — intermediate pre-activation ranges are themselves
+//! 4. **Refined LP** — intermediate pre-activation ranges are themselves
 //!    re-derived layer by layer with LPs before the final margin LPs.
 //!
-//! Stage 3 dominates any back-substitution-style bound: a CROWN/DeepPoly
+//! Stage 4 dominates any back-substitution-style bound: a CROWN/DeepPoly
 //! bound with slopes `α ∈ [0, 1]` is a dual-feasible bound of the
 //! triangle LP over the same (or looser) intermediate boxes, so the LP
 //! optimum is at least as large. A leaf the engines verified therefore
-//! always passes stage 3 — up to simplex tolerances, absorbed by
-//! [`ACCEPT_TOL`].
+//! always passes stage 4 — up to simplex tolerances, absorbed by
+//! [`ACCEPT_TOL`]. Stage 2's bound is one such back-substitution, so a
+//! leaf it certifies would pass the LP stages too; when it fails, the LP
+//! stages run on the interval boxes exactly as if it did not exist.
 
 use crate::interval::{self, IntervalBounds, EMPTY_TOL};
+use crate::linear;
 use abonn_bound::{InputBox, SplitSet};
 use abonn_lp::{Problem, Relation, Sense, Status};
 use abonn_nn::CanonicalNetwork;
@@ -34,6 +40,8 @@ pub const ACCEPT_TOL: f64 = 1e-6;
 pub enum LeafStage {
     /// Plain interval propagation sufficed.
     Interval,
+    /// Back-substituted linear bounds over tightened boxes.
+    Linear,
     /// Triangle LP over interval boxes.
     BoxLp,
     /// Triangle LP over layerwise LP-refined boxes.
@@ -209,6 +217,15 @@ fn vacuous_outcome(lp_calls: usize) -> LeafOutcome {
     }
 }
 
+fn certified(stage: LeafStage, margin: f64, lp_calls: usize) -> LeafOutcome {
+    LeafOutcome {
+        vacuous: false,
+        stage: Some(stage),
+        margin,
+        lp_calls,
+    }
+}
+
 /// Re-validates one leaf obligation; see the module docs for the staged
 /// escalation.
 ///
@@ -227,14 +244,31 @@ pub fn check_leaf(
     };
     let interval_margin = bounds.min_output_lower();
     if interval_margin > 0.0 {
-        return Ok(LeafOutcome {
-            vacuous: false,
-            stage: Some(LeafStage::Interval),
-            margin: interval_margin,
-            lp_calls: 0,
-        });
+        return Ok(certified(LeafStage::Interval, interval_margin, 0));
     }
-    // Stage 2: triangle LP over the interval boxes.
+    // Stage 2: linear bounds back-substituted through tightened boxes.
+    let Some(tightened) = linear::propagate(net, region, splits, &bounds) else {
+        return Ok(vacuous_outcome(0));
+    };
+    // At least the interval margin: the linear boxes are intersected
+    // with the interval ones.
+    let linear_margin = tightened.min_output_lower();
+    if linear_margin > 0.0 {
+        return Ok(certified(LeafStage::Linear, linear_margin, 0));
+    }
+    lp_stages(net, region, bounds, linear_margin)
+}
+
+/// Stages 3 and 4 over the leaf's interval boxes. `best_margin` is the
+/// largest margin lower bound the earlier stages established, reported
+/// if the LPs do no better.
+fn lp_stages(
+    net: &CanonicalNetwork,
+    region: &InputBox,
+    bounds: IntervalBounds,
+    best_margin: f64,
+) -> Result<LeafOutcome, LeafError> {
+    // Stage 3: triangle LP over the interval boxes.
     let IntervalBounds { pre: mut boxes } = bounds;
     let mut lp_calls = 0;
     let box_margin = match margin_lp(net, region, &boxes, &mut lp_calls)? {
@@ -242,14 +276,9 @@ pub fn check_leaf(
         LpBound::Value(v) => v,
     };
     if box_margin > -ACCEPT_TOL {
-        return Ok(LeafOutcome {
-            vacuous: false,
-            stage: Some(LeafStage::BoxLp),
-            margin: box_margin,
-            lp_calls,
-        });
+        return Ok(certified(LeafStage::BoxLp, box_margin, lp_calls));
     }
-    // Stage 3: refine intermediate boxes layer by layer with LPs, then
+    // Stage 4: refine intermediate boxes layer by layer with LPs, then
     // redo the margin LPs. Stage 0's interval box is already exact (an
     // affine image of the input box), so refinement starts at stage 1.
     let hidden = net.num_layers() - 1;
@@ -297,15 +326,10 @@ pub fn check_leaf(
         box_margin
     };
     if refined_margin > -ACCEPT_TOL {
-        return Ok(LeafOutcome {
-            vacuous: false,
-            stage: Some(LeafStage::RefinedLp),
-            margin: refined_margin,
-            lp_calls,
-        });
+        return Ok(certified(LeafStage::RefinedLp, refined_margin, lp_calls));
     }
     Err(LeafError::NotVerified {
-        margin: refined_margin.max(box_margin).max(interval_margin),
+        margin: refined_margin.max(box_margin).max(best_margin),
         lp_calls,
     })
 }
@@ -313,9 +337,39 @@ pub fn check_leaf(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::tests::random_net;
     use abonn_bound::{NeuronId, SplitSign};
     use abonn_nn::AffinePair;
     use abonn_tensor::Matrix;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random leaf: a 2-3-3-1 net with weights and biases in `[−1, 1]`,
+    /// an input box of radius up to 1, and each hidden neuron split with
+    /// probability 0.15.
+    fn random_leaf(rng: &mut SmallRng) -> (CanonicalNetwork, InputBox, SplitSet) {
+        let net = random_net(rng, &[2, 3, 3, 1]);
+        let radius = rng.gen_range(0.05..1.0);
+        let center: Vec<f64> = (0..2).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let region = InputBox::new(
+            center.iter().map(|c| c - radius).collect(),
+            center.iter().map(|c| c + radius).collect(),
+        );
+        let mut splits = SplitSet::new();
+        for layer in 0..2 {
+            for index in 0..3 {
+                if rng.gen_bool(0.15) {
+                    let sign = if rng.gen_bool(0.5) {
+                        SplitSign::Pos
+                    } else {
+                        SplitSign::Neg
+                    };
+                    splits = splits.with(NeuronId::new(layer, index), sign);
+                }
+            }
+        }
+        (net, region, splits)
+    }
 
     /// z = (x, -x), a = relu(z), y = a0 + a1 - 0.6: true range of y over
     /// x in [-1, 1] is [-0.6 + |x|] = [-0.6, 0.4] — not robust at root,
@@ -401,11 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn refined_lp_tightens_two_hidden_layer_nets() {
+    fn linear_stage_recovers_two_hidden_layer_anti_correlation() {
         // Layer 1: z1 = (x, -x); layer 2 feeds on a1 = relu(z1) with
         // y2 = (a0 - a1, a1 - a0); output sums relu(y2) - small constant.
         // The second layer's interval boxes are loose (they ignore the
-        // a0/a1 anti-correlation); LP refinement recovers it.
+        // a0/a1 anti-correlation); back-substitution recovers it.
         let net = CanonicalNetwork::from_affine_pairs(
             1,
             vec![
@@ -423,10 +477,120 @@ mod tests {
             &net,
             &InputBox::new(vec![-1.0], vec![1.0]),
             &SplitSet::new(),
+        )
+        .unwrap();
+        assert_eq!(out.stage, Some(LeafStage::Linear));
+        assert_eq!(out.lp_calls, 0);
+    }
+
+    #[test]
+    fn box_lp_certifies_what_the_adaptive_slope_misses() {
+        // y = relu(x) − 0.5·relu(x + 2) + 1.3 over x ∈ [−1, 1]. The second
+        // ReLU is stable, so y = relu(x) − 0.5·x + 0.3, minimal (0.3) at
+        // x = 0. Intervals give −0.2; the adaptive slope relu(x) ≥ x gives
+        // 0.5·x + 0.3 ≥ −0.2; the triangle LP keeps relu(x) ≥ 0 as well.
+        let net = CanonicalNetwork::from_affine_pairs(
+            1,
+            vec![
+                AffinePair::new(Matrix::from_rows(&[&[1.0], &[1.0]]), vec![0.0, 2.0]),
+                AffinePair::new(Matrix::from_rows(&[&[1.0, -0.5]]), vec![1.3]),
+            ],
         );
-        // Whatever stage certifies it, it must certify: the property is
-        // robust with margin 0.05 and the refined LP dominates DeepPoly.
-        let out = out.unwrap();
-        assert!(!out.vacuous);
+        let region = InputBox::new(vec![-1.0], vec![1.0]);
+        let splits = SplitSet::new();
+        let boxes = interval::propagate(&net, &region, &splits).unwrap();
+        assert!((boxes.min_output_lower() + 0.2).abs() < 1e-12);
+        let tightened = linear::propagate(&net, &region, &splits, &boxes).unwrap();
+        assert!((tightened.min_output_lower() + 0.2).abs() < 1e-12);
+        let out = check_leaf(&net, &region, &splits).unwrap();
+        assert_eq!(out.stage, Some(LeafStage::BoxLp));
+        assert!((out.margin - 0.3).abs() < 1e-9);
+        assert_eq!(out.lp_calls, 1);
+    }
+
+    #[test]
+    fn refined_lp_certifies_a_searched_net() {
+        // A robust 2-3-3-1 net with one-decimal weights, found by a
+        // seeded search over [−1, 1]²: intervals, linear bounds and the
+        // box LP all leave a non-positive margin, only stage 4 closes it.
+        let net = CanonicalNetwork::from_affine_pairs(
+            2,
+            vec![
+                AffinePair::new(
+                    Matrix::from_rows(&[&[-0.8, -0.3], &[-0.3, -0.4], &[-0.7, -0.6]]),
+                    vec![0.0, 0.0, 0.9],
+                ),
+                AffinePair::new(
+                    Matrix::from_rows(&[&[0.1, -0.7, 0.3], &[0.6, 1.0, 0.2], &[-0.9, 0.6, 0.6]]),
+                    vec![-1.0, -0.3, -0.8],
+                ),
+                AffinePair::new(Matrix::from_rows(&[&[-0.2, 0.7, -0.9]]), vec![0.5]),
+            ],
+        );
+        let region = InputBox::new(vec![-1.0, -1.0], vec![1.0, 1.0]);
+        let out = check_leaf(&net, &region, &SplitSet::new()).unwrap();
+        assert_eq!(out.stage, Some(LeafStage::RefinedLp));
+        assert!(out.margin > 0.2);
+        assert!(out.lp_calls > 1);
+    }
+
+    #[test]
+    fn lp_proves_a_same_layer_split_pair_empty() {
+        // The gate leaf g1+, g2− with g1 = x0 + x1 − 1, g2 = x0 + x1 − 0.9:
+        // x0 + x1 ≥ 1 and ≤ 0.9 at once. Each gate's box alone stays
+        // non-empty, so only the LP, which couples them, sees the leaf
+        // is empty; the output −relu(g1) keeps earlier stages from
+        // certifying it.
+        let net = CanonicalNetwork::from_affine_pairs(
+            2,
+            vec![
+                AffinePair::new(
+                    Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]),
+                    vec![-1.0, -0.9],
+                ),
+                AffinePair::new(Matrix::from_rows(&[&[-1.0, 0.0]]), vec![0.0]),
+            ],
+        );
+        let region = InputBox::new(vec![0.52, -0.08], vec![1.0, 0.48]);
+        let splits = SplitSet::new()
+            .with(NeuronId::new(0, 0), SplitSign::Pos)
+            .with(NeuronId::new(0, 1), SplitSign::Neg);
+        let out = check_leaf(&net, &region, &splits).unwrap();
+        assert!(out.vacuous);
+        assert_eq!(out.lp_calls, 1);
+    }
+
+    /// Whenever the linear stage certifies a leaf (positive margin or an
+    /// empty box), the LP stages alone certify it too: the refined LP
+    /// dominates back-substitution, so the new stage changes no audit's
+    /// outcome.
+    #[test]
+    fn lp_stages_certify_every_leaf_the_linear_stage_does() {
+        let mut rng = SmallRng::seed_from_u64(18);
+        let mut certified = 0;
+        for _ in 0..10_000 {
+            let (net, region, splits) = random_leaf(&mut rng);
+            let Some(bounds) = interval::propagate(&net, &region, &splits) else {
+                continue;
+            };
+            if bounds.min_output_lower() > 0.0 {
+                continue;
+            }
+            let closes = linear::propagate(&net, &region, &splits, &bounds)
+                .is_none_or(|tightened| tightened.min_output_lower() > 0.0);
+            if closes {
+                certified += 1;
+                let lp = lp_stages(&net, &region, bounds, f64::NEG_INFINITY);
+                assert!(
+                    lp.is_ok(),
+                    "linear stage certified, LP stages did not: {lp:?} on {:?} over {region:?} with {splits:?}",
+                    net.layers()
+                );
+            }
+        }
+        assert!(
+            certified >= 200,
+            "only {certified} leaves reached a linear certificate"
+        );
     }
 }

@@ -10,11 +10,14 @@
 //!
 //! * [`interval`] reimplements plain interval propagation from its
 //!   definition — no code shared with `abonn-bound`'s analyzers.
-//! * [`leaf`] escalates each leaf obligation through three independent
-//!   stages: intervals, a triangle-relaxation LP over the interval boxes,
-//!   and a layerwise LP-refined variant whose bound provably dominates
-//!   any back-substituted bound the engines could have used (see
-//!   `DESIGN.md` §5d).
+//! * `linear` (crate-private, behind [`leaf`]) reimplements
+//!   back-substituted linear bounds (DeepPoly's adaptive lower slope, the
+//!   triangle's upper facet) the same way.
+//! * [`leaf`] escalates each leaf obligation through four independent
+//!   stages: intervals, linear bounds, a triangle-relaxation LP over the
+//!   interval boxes, and a layerwise LP-refined variant whose bound
+//!   provably dominates any back-substituted bound the engines could
+//!   have used (see `DESIGN.md` §5d). Most leaves close before any LP.
 //! * [`audit`] replays a [`Certificate`](abonn_core::Certificate)'s flat
 //!   terminal collection, rejecting overlapping or non-covering split
 //!   sets before any leaf is believed.
@@ -35,6 +38,7 @@ pub mod audit;
 pub mod fuzz;
 pub mod interval;
 pub mod leaf;
+mod linear;
 pub mod replay;
 
 pub use audit::{

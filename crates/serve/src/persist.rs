@@ -33,14 +33,17 @@
 //! Trust is *not* restored with the bytes. Loaded certificates pass the
 //! checker's structural audit ([`abonn_check::audit_structure`]) at load
 //! time, and are flagged `needs_reaudit` so the server runs the full
-//! LP-backed [`abonn_check::audit_certificate`] before their first
+//! [`abonn_check::audit_certificate`] before their first
 //! reuse (the model and property needed for that audit only exist once
 //! a matching query arrives — family keys are one-way hashes). Loaded
 //! witnesses need no flag: witnesses are replayed on every serve.
 //!
-//! Writes are atomic: the document is written to a sibling `*.tmp` file
-//! and renamed over the target, so a crash mid-write leaves the previous
-//! snapshot intact.
+//! Writes are atomic: the document is written to a sibling tmp file,
+//! synced, and renamed over the target, so a crash mid-write leaves the
+//! previous snapshot intact. Each write gets its own tmp file (process id
+//! plus a process-wide counter): every closing TCP connection saves a
+//! snapshot, and concurrent closers sharing one tmp file would truncate
+//! and rename each other's half-written bytes.
 
 use crate::hash::hash_bytes;
 use crate::server::ENGINE_CONFIG;
@@ -51,7 +54,9 @@ use abonn_check::audit_structure;
 use abonn_core::Certificate;
 use serde::{Deserialize as _, Serialize as _};
 use serde_json::{Number, Value};
+use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Snapshot format marker.
 pub const SNAPSHOT_FORMAT: &str = "abonn-store-snapshot";
@@ -485,8 +490,9 @@ impl ResultStore {
 }
 
 /// Writes an already-rendered snapshot document atomically: a sibling
-/// `*.tmp` file is renamed over `path`, so readers (and crashes) only
-/// ever see a complete document.
+/// tmp file of this call's own is synced and renamed over `path`, so
+/// readers (and crashes) only ever see a complete document, even with
+/// concurrent writers.
 ///
 /// Split from [`ResultStore::write_snapshot`] so callers that share the
 /// store behind a mutex can render under the lock and perform the file
@@ -496,14 +502,25 @@ impl ResultStore {
 ///
 /// [`SnapshotError::Io`] on filesystem failures.
 pub fn write_snapshot_text(text: &str, path: &Path) -> Result<(), SnapshotError> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let mut tmp_name = path
         .file_name()
         .map(std::ffi::OsStr::to_os_string)
         .ok_or_else(|| SnapshotError::Io(format!("{} has no file name", path.display())))?;
-    tmp_name.push(".tmp");
+    // lint: allow(relaxed-atomics, the counter only has to hand out distinct values, which every atomic read-modify-write does; no other memory is published through it)
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, text.to_string() + "\n").map_err(|e| SnapshotError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| SnapshotError::Io(e.to_string()))
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(text.as_bytes())?;
+        file.write_all(b"\n")?;
+        file.sync_all()
+    });
+    let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed.map_err(|e| SnapshotError::Io(e.to_string()))
 }
 
 #[cfg(test)]
@@ -622,15 +639,55 @@ mod tests {
     #[test]
     fn atomic_write_and_load() {
         let dir = std::env::temp_dir().join("abonn-persist-test");
+        let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("store.json");
         let store = seeded_store();
         store.write_snapshot(&path).unwrap();
         // No stray temp file remains.
-        assert!(!path.with_file_name("store.json.tmp").exists());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["store.json"]);
         let (loaded, _) = ResultStore::load_snapshot(&path, Some(16)).unwrap();
         assert_eq!(loaded.capacity(), Some(16));
         assert_eq!(loaded.num_entries(), store.num_entries());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Concurrent closers each save a snapshot to the same path: every
+    /// write succeeds, and the file left behind is one whole rendering.
+    #[test]
+    fn concurrent_writers_each_leave_a_complete_snapshot() {
+        let dir = std::env::temp_dir().join(format!("abonn-persist-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+        // Four distinct ~200 KB renderings.
+        let renderings: Vec<String> = (0..4u8)
+            .map(|w| format!("{{\"writer\":{w},\"pad\":\"{}\"}}", "x".repeat(200_000)))
+            .collect();
+        let start = std::sync::Barrier::new(renderings.len());
+        std::thread::scope(|scope| {
+            for text in &renderings {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        write_snapshot_text(text, path).unwrap();
+                    }
+                });
+            }
+        });
+        let left = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            renderings.iter().any(|text| left == format!("{text}\n")),
+            "the snapshot is not one complete rendering ({} bytes)",
+            left.len()
+        );
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "tmp files were left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

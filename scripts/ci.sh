@@ -133,11 +133,9 @@ test -s "$outsv/store.json"
 grep -Eq '"appver_calls_total": *0' "$outsv/warm-stats.json"
 rm -rf "$outsv"
 
-# The LP replay over the 192-input conv models costs one to two minutes
-# per certificate, so CI audits the MNIST models; drop --models for the rest.
-echo "== soundness: certificate audit over the MNIST tier-1 suite =="
+echo "== soundness: certificate audit over the tier-1 suite =="
 cargo run --release -q -p abonn-bench --bin check -- \
-    --scale smoke --seed 2025 --out-dir "$out2" --models mnist 2>/dev/null
+    --scale smoke --seed 2025 --out-dir "$out2" 2>/dev/null
 
 rm -rf "$out1" "$out2" "$outfz"
 echo "ci: ok"
