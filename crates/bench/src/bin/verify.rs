@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Prints `verified`, `falsified <witness…>`, or `timeout` on stdout and
-//! exits 0 (conclusive) or 2 (timeout); malformed inputs exit 1.
+//! exits 0 (conclusive) or 2 (timeout); malformed inputs exit 1. A
+//! verified run of `abonn`, `bab` or `crown` writes its proof certificate
+//! to `--certificate`; `portfolio` builds none, so it rejects the flag.
 
 use abonn_core::{
     AbonnVerifier, BabBaseline, Budget, CrownStyle, Portfolio, RobustnessProblem, Verdict,
@@ -56,6 +58,16 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.model.as_os_str().is_empty() || opts.property.as_os_str().is_empty() {
         return Err(format!("--model and --property are required\n{USAGE}"));
+    }
+    match opts.verifier.as_str() {
+        "abonn" | "bab" | "crown" => {}
+        "portfolio" if opts.certificate.is_none() => {}
+        "portfolio" => {
+            return Err(format!(
+                "--certificate needs --verifier abonn, bab or crown\n{USAGE}"
+            ))
+        }
+        other => return Err(format!("unknown verifier '{other}'\n{USAGE}")),
     }
     Ok(opts)
 }
@@ -105,30 +117,17 @@ fn main() -> ExitCode {
         budget = budget.and_wall_limit(Duration::from_secs(s));
     }
 
-    // ABONN runs through the certificate-aware path so --certificate works.
-    let (verdict, stats, certificate) = match opts.verifier.as_str() {
-        "abonn" => {
-            let (result, cert) =
-                AbonnVerifier::default().verify_with_certificate(&problem, &budget);
-            (result.verdict, result.stats, cert)
-        }
-        other => {
-            let verifier: Box<dyn Verifier> = match other {
-                "bab" => Box::new(BabBaseline::default()),
-                "crown" => Box::new(CrownStyle::default()),
-                "portfolio" => Box::new(Portfolio::standard()),
-                _ => {
-                    eprintln!("unknown verifier '{other}'\n{USAGE}");
-                    return ExitCode::from(1);
-                }
-            };
-            let result = verifier.verify(&problem, &budget);
-            (result.verdict, result.stats, None)
-        }
+    // Every engine but the portfolio runs through its certificate-aware
+    // path, so --certificate works; `parse_args` accepted nothing else.
+    let (result, certificate) = match opts.verifier.as_str() {
+        "abonn" => AbonnVerifier::default().verify_with_certificate(&problem, &budget),
+        "bab" => BabBaseline::default().verify_with_certificate(&problem, &budget),
+        "crown" => CrownStyle::default().verify_with_certificate(&problem, &budget),
+        _ => (Portfolio::standard().verify(&problem, &budget), None),
     };
 
-    eprintln!("stats: {stats}");
-    match verdict {
+    eprintln!("stats: {}", result.stats);
+    match result.verdict {
         Verdict::Verified => {
             println!("verified");
             if let (Some(path), Some(cert)) = (&opts.certificate, certificate) {

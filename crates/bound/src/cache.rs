@@ -21,7 +21,6 @@
 
 use crate::deeppoly::RelaxMode;
 use crate::types::{Analysis, LayerBounds, SplitSet};
-use abonn_lp::{Problem, WarmStart};
 use abonn_tensor::Matrix;
 use std::sync::Arc;
 
@@ -45,36 +44,6 @@ pub struct BoundPrefix {
     pub(crate) backsub: Vec<LayerBounds>,
     /// Linear lower-bound coefficients of the output stage over the input.
     pub(crate) output_lower_coeffs: Matrix,
-    /// LP solver state for warm-starting child triangle LPs; `None` when
-    /// the pass was not produced by the LP verifier.
-    pub(crate) lp: Option<LpPrefix>,
-}
-
-/// Reusable simplex state produced by one [`LpVerifier`](crate::LpVerifier)
-/// node solve: the split-independent constraint skeleton (shared tree-wide
-/// via `Arc`) plus the terminal basis of the node's last output-row LP.
-#[derive(Debug, Clone)]
-pub(crate) struct LpPrefix {
-    /// Affine-row skeleton of the triangle LP: identical for every node of
-    /// a given network, so one allocation serves the whole BaB tree.
-    pub(crate) skeleton: Arc<Problem>,
-    /// Terminal optimal basis of the parent's last solved output-row LP;
-    /// seeds the child's first solve.
-    pub(crate) warm: Option<WarmStart>,
-}
-
-impl BoundPrefix {
-    /// Number of affine stages covered by the cached pass.
-    #[must_use]
-    pub fn num_layers(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// Number of split constraints in the cache key.
-    #[must_use]
-    pub fn split_depth(&self) -> usize {
-        self.splits.len()
-    }
 }
 
 /// Machine-independent work counters for one or more bound computations.
@@ -96,9 +65,8 @@ pub struct BoundComputeStats {
     /// Simplex basis changes across all LP solves (phases 1 + 2; bound
     /// flips excluded).
     pub lp_pivots: usize,
-    /// LP solves that successfully installed a warm-start basis.
-    pub lp_warm_hits: usize,
-    /// LP solves run cold (no donor basis, or warm install fell back).
+    /// LP solves, each from the two-phase cold start (one per output row
+    /// the LP verifier has to bound).
     pub lp_cold_solves: usize,
     /// Back-substitution rows skipped because the neuron's relaxation was
     /// identically zero (naturally inactive or split-fixed inactive).
@@ -125,7 +93,6 @@ impl BoundComputeStats {
         self.layers_recomputed += other.layers_recomputed;
         self.backsub_steps += other.backsub_steps;
         self.lp_pivots += other.lp_pivots;
-        self.lp_warm_hits += other.lp_warm_hits;
         self.lp_cold_solves += other.lp_cold_solves;
         self.backsub_rows_skipped += other.backsub_rows_skipped;
         self.backsub_rows_total += other.backsub_rows_total;

@@ -232,7 +232,6 @@ pub(crate) fn compute_bounds_engine(
             bounds: bounds.clone(),
             backsub,
             output_lower_coeffs: output_lower_coeffs.clone(),
-            lp: None,
         }))
     } else {
         None

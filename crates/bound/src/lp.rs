@@ -8,45 +8,25 @@
 //! a sound lower bound that is at least as tight as DeepPoly's (the
 //! DeepPoly bound is a feasible dual choice of the same relaxation).
 //!
-//! # Warm starting across the BaB tree
+//! # One cold solve per output row
 //!
-//! A child node's LP differs from its parent's by the rows/bounds of the
-//! neurons its extra split touches, so re-solving from scratch wastes
-//! almost all of the parent's simplex work (Bunel et al.). Three reuse
-//! layers avoid that:
-//!
-//! 1. **Constant row layout.** Every hidden neuron contributes *exactly
-//!    two* ReLU rows regardless of its stability category (unstable:
-//!    `a ≥ z` and `a ≤ s·(z − l)`; active: `a = z` plus an all-zero
-//!    trivial row; inactive: two trivial rows). An all-zero `≤ 0` row is
-//!    inert in the simplex — its slack stays basic at zero and its column
-//!    never becomes eligible to enter — so the padding costs nothing but
-//!    keeps the constraint matrix the same shape at every node of a tree,
-//!    letting a parent's terminal basis install directly on the child.
-//! 2. **Skeleton sharing.** The split-independent part of the problem
-//!    (variable layout, input-box bounds, the affine rows
-//!    `z_k = W_k·a_{k−1} + b_k`) is built once per tree and shared via
-//!    [`Arc`] through [`BoundPrefix`]; a node clones it and patches only
-//!    pre-activation bounds and ReLU rows.
-//! 3. **Warm-started solves.** Within a node, each output-row LP differs
-//!    from the previous one only in the objective, so its terminal basis
-//!    is dual-feasible for the next row and re-solving from it takes few
-//!    pivots. Across nodes, the parent's final basis seeds the child's
-//!    first solve through [`Problem::solve_warm`]'s deterministic repair.
-//!
-//! Warm and cold solves return bit-identical [`abonn_lp::Solution`]s
-//! whenever they terminate in the same basis (canonical extraction; see
-//! `abonn-lp`), so verdicts, witnesses, and reports do not depend on warm
-//! starting. [`LpVerifier::with_warm_start`]`(false)` is the cold
-//! reference: this module's tests and `crates/bench/tests/lp_warm.rs` (an
-//! MNIST slice) compare it against the warm default. The in-memory
-//! [`BoundComputeStats`] counters (`lp_pivots`, `lp_warm_hits`,
-//! `lp_cold_solves`) are the only observable difference.
+//! The engines bound with DeepPoly and call this verifier only to resolve
+//! a fully-split leaf, without a parent prefix. Each call builds its LP
+//! from scratch: the input-box bounds and the affine rows
+//! `z_k = W_k·a_{k−1} + b_k`, then per hidden neuron the row `a = z` when
+//! it is active, none when it is inactive (its bounds fix `a` to 0), and
+//! the facets `a ≥ z`, `a ≤ s·(z − l)` when it is unstable (`a ≥ 0` is its
+//! lower bound). Every output row DeepPoly has not verified gets one cold
+//! [`Problem::solve`], so an analysis's bits are a function of its node
+//! alone. The DeepPoly pre-pass runs through the incremental engine, so a
+//! parent prefix passed to [`AppVer::analyze_cached`] still saves its
+//! already-bound layers; the LP work shows in [`BoundComputeStats`]
+//! (`lp_pivots`, `lp_pivot_cells`, `lp_cold_solves`).
 
-use crate::cache::{BoundComputeStats, BoundPrefix, CachedAnalysis, LpPrefix};
+use crate::cache::{BoundComputeStats, BoundPrefix, CachedAnalysis};
 use crate::deeppoly::{compute_bounds_engine, RelaxMode};
 use crate::types::{Analysis, AppVer, InputBox, NeuronId, SplitSet, SplitSign};
-use abonn_lp::{Problem, Relation, Sense, Status, WarmStart};
+use abonn_lp::{Problem, Relation, Sense, Status};
 use abonn_nn::CanonicalNetwork;
 use std::sync::Arc;
 
@@ -54,18 +34,10 @@ use std::sync::Arc;
 ///
 /// Noticeably more expensive per call than [`DeepPoly`](crate::DeepPoly);
 /// intended for small networks, ablations, and as the "expensive solver"
-/// end of the verifier spectrum. Warm starting (on by default) reuses
-/// simplex bases across the output rows of a node and, through
-/// [`AppVer::analyze_cached`], across parent/child BaB nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// end of the verifier spectrum.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpVerifier {
-    warm_start: bool,
-}
-
-impl Default for LpVerifier {
-    fn default() -> Self {
-        Self::new()
-    }
+    _private: (),
 }
 
 /// Variable layout of the triangle LP: input, then per hidden stage the
@@ -101,9 +73,8 @@ impl Layout {
     }
 }
 
-/// Builds the split-independent constraint skeleton: input-box bounds and
-/// the affine rows `z_k − W_k·a_{k−1} = b_k`. Identical for every node of
-/// a BaB tree over `(net, region)`, so it is built once and shared.
+/// Builds the split-independent part of the LP: input-box bounds and the
+/// affine rows `z_k − W_k·a_{k−1} = b_k`.
 fn build_skeleton(net: &CanonicalNetwork, region: &InputBox, layout: &Layout) -> Problem {
     let mut base = Problem::new(layout.total, Sense::Minimize);
     for (j, (&l, &h)) in region.lo().iter().zip(region.hi()).enumerate() {
@@ -126,19 +97,10 @@ fn build_skeleton(net: &CanonicalNetwork, region: &InputBox, layout: &Layout) ->
 }
 
 impl LpVerifier {
-    /// Creates an LP verifier with warm starting enabled.
+    /// Creates an LP verifier.
     #[must_use]
     pub fn new() -> Self {
-        Self { warm_start: true }
-    }
-
-    /// Enables or disables warm starting. Results are bit-identical either
-    /// way; only the in-memory work counters differ. Production keeps the
-    /// default; `false` is the cold reference for equivalence tests.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
+        Self::default()
     }
 
     /// Shared implementation behind [`AppVer::analyze`] and
@@ -182,24 +144,13 @@ impl LpVerifier {
         let layout = Layout::of(net);
         let total = layout.total;
 
-        let parent_lp = parent.and_then(|p| p.lp.as_ref());
-        let skeleton = match parent_lp {
-            Some(lp) => Arc::clone(&lp.skeleton),
-            None => Arc::new(build_skeleton(net, region, &layout)),
-        };
-
-        let mut base = (*skeleton).clone();
+        let mut base = build_skeleton(net, region, &layout);
         for (k, lb) in bounds.iter().enumerate().take(num_layers) {
             for i in 0..lb.len() {
                 base.set_bounds(layout.z_off[k] + i, lb.lower[i], lb.upper[i]);
             }
         }
 
-        // ReLU encodings: exactly two rows per hidden neuron, in a fixed
-        // order, padding stable categories with inert all-zero rows so the
-        // constraint matrix keeps the same shape at every node (see the
-        // module docs). `zero_row` is reused for every trivial row.
-        let zero_row = vec![0.0; total];
         for (k, lb) in bounds.iter().enumerate().take(num_layers - 1) {
             for i in 0..lb.len() {
                 let (l, u) = (lb.lower[i], lb.upper[i]);
@@ -215,11 +166,8 @@ impl LpVerifier {
                     row[av] = 1.0;
                     row[zv] = -1.0;
                     base.add_row(&row, Relation::Eq, 0.0);
-                    base.add_row(&zero_row, Relation::Le, 0.0);
                 } else if inactive {
                     base.set_bounds(av, 0.0, 0.0);
-                    base.add_row(&zero_row, Relation::Le, 0.0);
-                    base.add_row(&zero_row, Relation::Le, 0.0);
                 } else {
                     // Unstable: triangle relaxation.
                     base.set_bounds(av, 0.0, u.max(0.0));
@@ -236,14 +184,7 @@ impl LpVerifier {
             }
         }
 
-        // Solve one LP per output row DeepPoly has not already verified,
-        // chaining each solve off the previous terminal basis (and the
-        // first off the parent's) when warm starting is on.
-        let mut warm: Option<WarmStart> = if self.warm_start {
-            parent_lp.and_then(|lp| lp.warm.clone())
-        } else {
-            None
-        };
+        // Solve one LP per output row DeepPoly has not already verified.
         let out_off = layout.z_off[num_layers - 1];
         let mut p_hat = f64::INFINITY;
         let mut candidate: Option<Vec<f64>> = None;
@@ -251,8 +192,7 @@ impl LpVerifier {
         let mut new_lower = out_bounds.lower.clone();
         // One objective buffer reused across the per-row solves: the rows
         // differ only in which coefficient is 1.0, and `set_objective`
-        // overwrites in place, so the former per-row `base.clone()` (a
-        // full copy of the constraint matrix) is gone.
+        // overwrites in place.
         let mut obj = vec![0.0; total];
         for r in 0..n_out {
             if out_bounds.lower[r] > 0.0 {
@@ -261,25 +201,15 @@ impl LpVerifier {
             }
             obj[out_off + r] = 1.0;
             base.set_objective(&obj);
-            let res = match &warm {
-                Some(w) => base.solve_warm(w),
-                None => base.solve(),
-            };
+            let res = base.solve();
             obj[out_off + r] = 0.0;
+            stats.lp_cold_solves += 1;
             match res {
                 Ok(sol) => {
                     stats.lp_pivots += sol.pivots;
                     stats.lp_pivot_cells += sol.pivot_cells;
-                    if sol.warmed {
-                        stats.lp_warm_hits += 1;
-                    } else {
-                        stats.lp_cold_solves += 1;
-                    }
                     match sol.status {
                         Status::Optimal => {
-                            if self.warm_start && sol.warm.is_some() {
-                                warm = sol.warm.clone();
-                            }
                             // The LP minimum can only improve (raise) the
                             // DeepPoly bound; guard against solver
                             // tolerance lowering it.
@@ -301,31 +231,15 @@ impl LpVerifier {
                         }
                         // Unbounded cannot happen (all variables boxed);
                         // fall back to the sound DeepPoly bound.
-                        _ => p_hat = p_hat.min(out_bounds.lower[r]),
+                        Status::Unbounded => p_hat = p_hat.min(out_bounds.lower[r]),
                     }
                 }
                 // Solver failure falls back to the sound DeepPoly bound.
-                Err(_) => {
-                    stats.lp_cold_solves += 1;
-                    p_hat = p_hat.min(out_bounds.lower[r]);
-                }
+                Err(_) => p_hat = p_hat.min(out_bounds.lower[r]),
             }
         }
         let last = bounds.len() - 1;
         bounds[last].lower = new_lower;
-
-        let prefix = if want_prefix {
-            engine_out.prefix.map(|p| {
-                let mut inner = (*p).clone();
-                inner.lp = Some(LpPrefix {
-                    skeleton,
-                    warm: if self.warm_start { warm } else { None },
-                });
-                Arc::new(inner)
-            })
-        } else {
-            None
-        };
 
         CachedAnalysis {
             analysis: Analysis {
@@ -334,7 +248,7 @@ impl LpVerifier {
                 bounds,
                 infeasible: false,
             },
-            prefix,
+            prefix: engine_out.prefix,
             stats,
         }
     }
@@ -480,84 +394,53 @@ mod tests {
             .with(n, SplitSign::Pos)
             .with(n, SplitSign::Neg);
         assert!(splits.is_contradictory());
-        for lp in [
-            LpVerifier::new(),
-            LpVerifier::new().with_warm_start(false),
-        ] {
-            let a = lp.analyze(&net, &region, &splits);
-            assert!(a.infeasible, "analyze must report infeasible");
-            assert!(a.verified(), "infeasible implies vacuously verified");
-            let c = lp.analyze_cached(&net, &region, &splits, None);
-            assert!(c.analysis.infeasible);
-            assert!(c.prefix.is_none(), "no prefix for an empty region");
-        }
+        let lp = LpVerifier::new();
+        let a = lp.analyze(&net, &region, &splits);
+        assert!(a.infeasible, "analyze must report infeasible");
+        assert!(a.verified(), "infeasible implies vacuously verified");
+        let c = lp.analyze_cached(&net, &region, &splits, None);
+        assert!(c.analysis.infeasible);
+        assert!(c.prefix.is_none(), "no prefix for an empty region");
     }
 
     #[test]
-    fn warm_and_cold_analyses_are_bit_identical() {
+    fn children_match_with_and_without_a_parent_prefix() {
         for seed in 0..5 {
             let net = random_net(seed, &[3, 6, 5, 2]);
             let region = InputBox::new(vec![-0.5; 3], vec![0.5; 3]);
-            let warm_v = LpVerifier::new();
-            let cold_v = LpVerifier::new().with_warm_start(false);
-            // Root, then a child per sign of the first unstable neuron,
-            // threading the warm verifier's prefix to exercise the
-            // parent-basis path.
-            let root_w = warm_v.analyze_cached(&net, &region, &SplitSet::new(), None);
-            let root_c = cold_v.analyze_cached(&net, &region, &SplitSet::new(), None);
-            assert_analysis_bits_eq(&root_w.analysis, &root_c.analysis, "root");
-            let unstable = root_w.analysis.unstable_neurons(&SplitSet::new());
+            let lp = LpVerifier::new();
+            // A child per sign of the root's first unstable neuron, bounded
+            // from the root's prefix and from scratch.
+            let root = lp.analyze_cached(&net, &region, &SplitSet::new(), None);
+            let unstable = root.analysis.unstable_neurons(&SplitSet::new());
             if unstable.is_empty() {
                 continue;
             }
             for sign in [SplitSign::Pos, SplitSign::Neg] {
                 let splits = SplitSet::new().with(unstable[0], sign);
-                let child_w =
-                    warm_v.analyze_cached(&net, &region, &splits, root_w.prefix.as_ref());
-                let child_c = cold_v.analyze_cached(&net, &region, &splits, None);
+                let cached = lp.analyze_cached(&net, &region, &splits, root.prefix.as_ref());
+                let scratch = lp.analyze_cached(&net, &region, &splits, None);
                 assert_analysis_bits_eq(
-                    &child_w.analysis,
-                    &child_c.analysis,
+                    &cached.analysis,
+                    &scratch.analysis,
                     &format!("seed {seed} child {sign:?}"),
                 );
+                assert!(cached.stats.layers_reused > 0, "prefix not used");
             }
         }
     }
 
     #[test]
-    fn warm_start_reduces_pivots_and_counts_hits() {
+    fn counts_one_cold_solve_per_unverified_output_row() {
         let net = random_net(7, &[4, 8, 8, 3]);
         let region = InputBox::new(vec![-0.5; 4], vec![0.5; 4]);
-        let warm_v = LpVerifier::new();
-        let cold_v = LpVerifier::new().with_warm_start(false);
-
-        let mut warm_stats = BoundComputeStats::default();
-        let mut cold_stats = BoundComputeStats::default();
-        let root_w = warm_v.analyze_cached(&net, &region, &SplitSet::new(), None);
-        let root_c = cold_v.analyze_cached(&net, &region, &SplitSet::new(), None);
-        warm_stats.absorb(&root_w.stats);
-        cold_stats.absorb(&root_c.stats);
-        let unstable = root_w.analysis.unstable_neurons(&SplitSet::new());
-        assert!(!unstable.is_empty(), "test needs an unstable neuron");
-        for sign in [SplitSign::Pos, SplitSign::Neg] {
-            let splits = SplitSet::new().with(unstable[0], sign);
-            let cw = warm_v.analyze_cached(&net, &region, &splits, root_w.prefix.as_ref());
-            let cc = cold_v.analyze_cached(&net, &region, &splits, None);
-            warm_stats.absorb(&cw.stats);
-            cold_stats.absorb(&cc.stats);
-        }
-        assert!(warm_stats.lp_warm_hits > 0, "warm path never engaged");
-        assert_eq!(cold_stats.lp_warm_hits, 0, "cold run must not warm-start");
-        assert!(
-            cold_stats.lp_cold_solves >= warm_stats.lp_warm_hits + warm_stats.lp_cold_solves,
-            "solve counts should cover the same LPs"
-        );
-        assert!(
-            warm_stats.lp_pivots < cold_stats.lp_pivots,
-            "warm {} >= cold {} pivots",
-            warm_stats.lp_pivots,
-            cold_stats.lp_pivots
-        );
+        let c = LpVerifier::new().analyze_cached(&net, &region, &SplitSet::new(), None);
+        let dp = DeepPoly::new().analyze(&net, &region, &SplitSet::new());
+        let out = &dp.bounds[dp.bounds.len() - 1];
+        let unverified = out.lower.iter().filter(|&&l| l <= 0.0).count();
+        assert_eq!(c.stats.lp_cold_solves, unverified);
+        assert!(c.stats.lp_cold_solves > 0, "test needs an LP solve");
+        assert!(c.stats.lp_pivots > 0 && c.stats.lp_pivot_cells > 0);
     }
 
     #[test]
@@ -569,7 +452,5 @@ mod tests {
         let cached = lp.analyze_cached(&net, &region, &SplitSet::new(), None);
         assert_analysis_bits_eq(&plain, &cached.analysis, "entry points");
         assert!(cached.prefix.is_some(), "LP verifier caches its prefix");
-        let prefix = cached.prefix.expect("just checked");
-        assert!(prefix.lp.is_some(), "prefix carries LP state");
     }
 }

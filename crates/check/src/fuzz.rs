@@ -662,29 +662,23 @@ mod tests {
     fn lp_driven_run_produces_auditable_certificates() {
         // Drive the BaB baseline with the exact triangle-LP relaxation as
         // its AppVer. The resulting certificates must pass the same
-        // independent audit as DeepPoly-driven ones, and warm starting
-        // must not change the verdict or the certificate bytes.
+        // independent audit as DeepPoly-driven ones.
         let mut rng = SmallRng::seed_from_u64(0);
         let case_net = gate_net(&mut rng).build();
         let problem = RobustnessProblem::new(&case_net, vec![0.8, 0.2], 0, 0.28).unwrap();
         let budget = Budget::with_appver_calls(120);
-        let run = |warm: bool| {
-            let lp = abonn_bound::LpVerifier::new().with_warm_start(warm);
-            BabBaseline::new(HeuristicKind::DeepSplit, Arc::new(lp))
-                .with_pool(Arc::new(WorkerPool::new(1)))
-                .verify_with_certificate(&problem, &budget)
-        };
-        let (warm_run, warm_cert) = run(true);
-        let (cold_run, cold_cert) = run(false);
-        assert_eq!(warm_run.verdict, cold_run.verdict);
-        assert_eq!(warm_cert, cold_cert, "warm starting changed the certificate");
-        match &warm_run.verdict {
+        let (run, cert) = BabBaseline::new(
+            HeuristicKind::DeepSplit,
+            Arc::new(abonn_bound::LpVerifier::new()),
+        )
+        .with_pool(Arc::new(WorkerPool::new(1)))
+        .verify_with_certificate(&problem, &budget);
+        match &run.verdict {
             Verdict::Verified => {
-                audit_certificate(&warm_cert.expect("verified run has certificate"), &problem)
-                    .unwrap();
+                audit_certificate(&cert.expect("verified run has certificate"), &problem).unwrap();
             }
             Verdict::Timeout => {
-                audit_partial(&warm_cert.expect("timeout run has certificate"), &problem).unwrap();
+                audit_partial(&cert.expect("timeout run has certificate"), &problem).unwrap();
             }
             Verdict::Falsified(w) => assert!(problem.validate_witness(w)),
         }

@@ -354,11 +354,7 @@ mod tests {
         let p = RobustnessProblem::new(&net, vec![0.6, 0.4], 0, 0.1).unwrap();
         let r = CrownStyle::default().verify(&p, &Budget::with_appver_calls(300));
         assert_eq!(r.verdict, Verdict::Verified);
-        assert!(
-            r.stats.lp_cold_solves + r.stats.lp_warm_hits >= 1,
-            "{}",
-            r.stats
-        );
+        assert!(r.stats.lp_cold_solves >= 1, "{}", r.stats);
         assert!(r.stats.lp_pivots > 0, "{}", r.stats);
     }
 

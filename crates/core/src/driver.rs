@@ -137,9 +137,11 @@ pub struct RunStats {
     pub backsub_steps: usize,
     /// Simplex pivots across all LP solves (phases 1 + 2).
     pub lp_pivots: usize,
-    /// LP solves that successfully installed a warm-start basis.
+    /// Always 0: every LP is solved cold. Kept only because the end-to-end
+    /// benchmark (`perfbench/`) reads it; it can go with the next change
+    /// to the benchmark.
     pub lp_warm_hits: usize,
-    /// LP solves run cold (no donor basis, or warm install fell back).
+    /// LP solves, each from the two-phase cold start.
     pub lp_cold_solves: usize,
     /// Back-substitution rows skipped via stable-neuron sparsity.
     pub backsub_rows_skipped: usize,
@@ -166,7 +168,7 @@ impl std::fmt::Display for RunStats {
             "{} AppVer calls, {} nodes visited, tree size {}, depth {}, \
              {} backsub steps ({} layers reused / {} recomputed, \
              {}/{} rows skipped, {} blocks elided, arena peak {} B), \
-             {} LP pivots ({} cells, {} warm / {} cold solves), \
+             {} LP pivots ({} cells, {} solves), \
              {:.3}s",
             self.appver_calls,
             self.nodes_visited,
@@ -181,7 +183,6 @@ impl std::fmt::Display for RunStats {
             self.arena_bytes_peak,
             self.lp_pivots,
             self.lp_pivot_cells,
-            self.lp_warm_hits,
             self.lp_cold_solves,
             self.wall.as_secs_f64()
         )
@@ -274,7 +275,7 @@ impl Clock {
                 cache_layers_recomputed: work.layers_recomputed,
                 backsub_steps: work.backsub_steps,
                 lp_pivots: work.lp_pivots,
-                lp_warm_hits: work.lp_warm_hits,
+                lp_warm_hits: 0,
                 lp_cold_solves: work.lp_cold_solves,
                 backsub_rows_skipped: work.backsub_rows_skipped,
                 backsub_rows_total: work.backsub_rows_total,
@@ -378,7 +379,7 @@ mod tests {
             cache_layers_recomputed: 10,
             backsub_steps: 45,
             lp_pivots: 37,
-            lp_warm_hits: 4,
+            lp_warm_hits: 0,
             lp_cold_solves: 2,
             backsub_rows_skipped: 18,
             backsub_rows_total: 60,
@@ -396,7 +397,7 @@ mod tests {
         assert!(text.contains("arena peak 4096 B"));
         assert!(text.contains("37 LP pivots"));
         assert!(text.contains("925 cells"));
-        assert!(text.contains("4 warm / 2 cold solves"));
+        assert!(text.contains("2 solves"));
         assert!(text.contains("1.500s"));
     }
 

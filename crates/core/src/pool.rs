@@ -224,12 +224,6 @@ impl WorkerPool {
         Self::new(1)
     }
 
-    /// A pool sized to the machine, via [`std::thread::available_parallelism`].
-    #[must_use]
-    pub fn with_available_parallelism() -> Self {
-        Self::new(default_threads())
-    }
-
     /// Total execution lanes (workers plus the submitting thread).
     #[must_use]
     pub fn threads(&self) -> usize {

@@ -225,11 +225,6 @@ impl BabTree {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
     }
 
-    /// Iterates over all node ids in creation order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len()).map(NodeId)
-    }
-
     /// Checks the structural invariants of the tree, returning the first
     /// violation found. Used by tests and debug assertions; `None` means
     /// the tree is consistent.

@@ -1,15 +1,14 @@
 //! The dense-tableau simplex: the test oracle for the revised engine.
 //!
-//! [`Problem::solve`] and [`Problem::solve_warm`] run the revised simplex
-//! in `revised.rs`. This module keeps the dense tableau it replaced,
-//! compiled only under `cfg(test)`, behind `Problem::solve_dense` and
-//! `Problem::solve_warm_dense`. Both engines implement the same pivot
-//! rules and share the canonical vertex extraction in `simplex.rs`; the
-//! tests below pin the two together.
+//! [`Problem::solve`] runs the revised simplex in `revised.rs`. This
+//! module keeps the dense tableau it replaced, compiled only under
+//! `cfg(test)`, behind `Problem::solve_dense`. Both engines implement the
+//! same pivot rules and share the canonical vertex extraction in
+//! `simplex.rs`; the tests below pin the two together.
 
 use crate::simplex::{
-    slack_bounds, Problem, RatioOutcome, Rest, Sense, Solution, SolveError, Status, VarState,
-    WarmStart, FEAS_TOL, PIVOT_TOL,
+    slack_bounds, Problem, RatioOutcome, Rest, Sense, Solution, SolveError, Status, TerminalBasis,
+    VarState, FEAS_TOL, PIVOT_TOL,
 };
 
 struct Tableau {
@@ -25,7 +24,6 @@ struct Tableau {
     basis: Vec<usize>,
     /// Phase-2 minimisation objective over all variables.
     cost: Vec<f64>,
-    n_structural: usize,
     /// First artificial variable index (artificials occupy the tail).
     first_artificial: usize,
     /// Simplex pivots performed (basis changes; bound flips excluded).
@@ -50,53 +48,7 @@ impl Problem {
         self.validate()?;
         let mut t = Tableau::build(self);
         let status = t.run()?;
-        Ok(self.extract_parts(
-            status,
-            false,
-            &t.x,
-            || t.warm_snapshot(),
-            t.pivots,
-            t.pivot_cells,
-        ))
-    }
-
-    /// Warm-started solve with the dense-tableau engine: the reference for
-    /// [`solve_warm`](Problem::solve_warm), as
-    /// [`solve_dense`](Problem::solve_dense) is for `solve`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Problem::solve).
-    pub(crate) fn solve_warm_dense(&self, warm: &WarmStart) -> Result<Solution, SolveError> {
-        self.validate()?;
-        if let Some(mut t) = Tableau::build_warm(self, warm) {
-            match t.run() {
-                Ok(status) => {
-                    return Ok(self.extract_parts(
-                        status,
-                        true,
-                        &t.x,
-                        || t.warm_snapshot(),
-                        t.pivots,
-                        t.pivot_cells,
-                    ))
-                }
-                // A stall from a pathological warm basis is recoverable:
-                // retry from scratch below.
-                Err(SolveError::IterationLimit) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut t = Tableau::build(self);
-        let status = t.run()?;
-        Ok(self.extract_parts(
-            status,
-            false,
-            &t.x,
-            || t.warm_snapshot(),
-            t.pivots,
-            t.pivot_cells,
-        ))
+        Ok(self.extract_parts(status, &t.x, || t.terminal_basis(), t.pivots, t.pivot_cells))
     }
 }
 
@@ -229,208 +181,15 @@ impl Tableau {
             state: state2,
             basis,
             cost: cost2,
-            n_structural: n,
             first_artificial,
             pivots: 0,
             pivot_cells: 0,
         }
     }
 
-    /// Rebuilds a tableau around a previously captured basis, honouring the
-    /// *current* problem data. Returns `None` when the basis cannot be
-    /// recovered: shape mismatch, duplicate/out-of-range basis entries, or
-    /// a numerically singular basis column.
-    fn build_warm(p: &Problem, warm: &WarmStart) -> Option<Tableau> {
-        let m = p.rows.len();
-        let n = p.n;
-        let total_known = n + m;
-        if warm.n != n || warm.m != m || warm.basis.len() != m || warm.rests.len() != total_known {
-            return None;
-        }
-        let mut is_basic = vec![false; total_known];
-        for &b in &warm.basis {
-            if b >= total_known || is_basic[b] {
-                return None;
-            }
-            is_basic[b] = true;
-        }
-
-        let mut lower = p.lower.clone();
-        let mut upper = p.upper.clone();
-        let mut cost: Vec<f64> = match p.sense {
-            Sense::Minimize => p.objective.clone(),
-            Sense::Maximize => p.objective.iter().map(|c| -c).collect(),
-        };
-        for rel in &p.relations {
-            let (lo, hi) = slack_bounds(*rel);
-            lower.push(lo);
-            upper.push(hi);
-            cost.push(0.0);
-        }
-
-        // Constraint matrix with the slack identity, plus a tracked rhs so
-        // basic values can be read off after the basis is installed.
-        let mut a: Vec<Vec<f64>> = Vec::with_capacity(m);
-        for row in &p.rows {
-            let mut r = vec![0.0; total_known];
-            r[..n].copy_from_slice(row);
-            a.push(r);
-        }
-        for (i, r) in a.iter_mut().enumerate() {
-            r[n + i] = 1.0;
-        }
-        let mut rhs = p.rhs.clone();
-
-        // Install the basis by Gauss–Jordan elimination. Each saved basic
-        // variable is pivoted into the unassigned row where its column is
-        // largest (partial pivoting; ties take the smallest row index), so
-        // a basis that is recoverable under *some* row assignment is
-        // recovered deterministically.
-        let mut basis = vec![usize::MAX; m];
-        let mut row_taken = vec![false; m];
-        for &b in &warm.basis {
-            let mut best_row = usize::MAX;
-            let mut best = PIVOT_TOL;
-            for (i, r) in a.iter().enumerate() {
-                if !row_taken[i] && r[b].abs() > best {
-                    best = r[b].abs();
-                    best_row = i;
-                }
-            }
-            if best_row == usize::MAX {
-                return None; // singular basis column
-            }
-            let i = best_row;
-            row_taken[i] = true;
-            basis[i] = b;
-            let inv = 1.0 / a[i][b];
-            for v in &mut a[i] {
-                *v *= inv;
-            }
-            rhs[i] *= inv;
-            let pivot_row = a[i].clone();
-            let pivot_rhs = rhs[i];
-            for (i2, r) in a.iter_mut().enumerate() {
-                if i2 == i {
-                    continue;
-                }
-                let factor = r[b];
-                if factor == 0.0 {
-                    continue;
-                }
-                for (v, &q) in r.iter_mut().zip(&pivot_row) {
-                    *v -= factor * q;
-                }
-                rhs[i2] -= factor * pivot_rhs;
-            }
-        }
-
-        // Nonbasic variables rest where the snapshot recorded them, demoted
-        // to a still-finite bound (or to free-at-zero) when the recorded
-        // side is no longer finite after a perturbation.
-        let mut state = vec![VarState::AtLower; total_known];
-        let mut x = vec![0.0; total_known];
-        for j in 0..total_known {
-            if is_basic[j] {
-                continue;
-            }
-            state[j] = match warm.rests[j] {
-                Rest::Lower if lower[j].is_finite() => VarState::AtLower,
-                Rest::Upper if upper[j].is_finite() => VarState::AtUpper,
-                Rest::Lower if upper[j].is_finite() => VarState::AtUpper,
-                Rest::Upper if lower[j].is_finite() => VarState::AtLower,
-                _ => VarState::FreeZero,
-            };
-            x[j] = match state[j] {
-                VarState::AtLower => lower[j],
-                VarState::AtUpper => upper[j],
-                _ => 0.0,
-            };
-        }
-        // Basic values from the transformed rows: basic columns are unit
-        // columns, so row `i` reads `x[basis[i]] + Σ_nonbasic a·x = rhs`.
-        for i in 0..m {
-            let b = basis[i];
-            let mut dot = 0.0;
-            for (j, &xj) in x.iter().enumerate() {
-                if j != b {
-                    dot += a[i][j] * xj;
-                }
-            }
-            x[b] = rhs[i] - dot;
-            state[b] = VarState::Basic(i);
-        }
-
-        // Primal-feasibility repair: a basic variable pushed outside its
-        // bounds by the perturbation is snapped to the violated bound and
-        // an artificial absorbs the residual, exactly as in `build`; the
-        // phase-1 run then repairs only these rows instead of starting the
-        // whole basis from scratch.
-        let mut artificial_rows: Vec<(usize, f64)> = Vec::new();
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "`i` indexes basis in lockstep with rows"
-        )]
-        for i in 0..m {
-            let b = basis[i];
-            let viol_low = lower[b].is_finite() && x[b] < lower[b] - FEAS_TOL;
-            let viol_high = upper[b].is_finite() && x[b] > upper[b] + FEAS_TOL;
-            if !viol_low && !viol_high {
-                continue;
-            }
-            let bound = if viol_low { lower[b] } else { upper[b] };
-            let rest = x[b] - bound;
-            x[b] = bound;
-            state[b] = if viol_low {
-                VarState::AtLower
-            } else {
-                VarState::AtUpper
-            };
-            artificial_rows.push((i, rest));
-        }
-
-        let first_artificial = total_known;
-        let total = total_known + artificial_rows.len();
-        for r in &mut a {
-            r.resize(total, 0.0);
-        }
-        lower.resize(total, 0.0);
-        upper.resize(total, f64::INFINITY);
-        x.resize(total, 0.0);
-        state.resize(total, VarState::AtLower);
-        cost.resize(total, 0.0);
-        for (k, &(row, rest)) in artificial_rows.iter().enumerate() {
-            let aj = first_artificial + k;
-            if rest < 0.0 {
-                for v in &mut a[row] {
-                    *v = -*v;
-                }
-                rhs[row] = -rhs[row];
-            }
-            a[row][aj] = 1.0;
-            x[aj] = rest.abs();
-            state[aj] = VarState::Basic(row);
-            basis[row] = aj;
-        }
-
-        Some(Tableau {
-            a,
-            x,
-            lower,
-            upper,
-            state,
-            basis,
-            cost,
-            n_structural: n,
-            first_artificial,
-            pivots: 0,
-            pivot_cells: 0,
-        })
-    }
-
-    /// Captures the current basis as a [`WarmStart`], or `None` while an
+    /// The current basis as a [`TerminalBasis`], or `None` while an
     /// artificial variable is still basic (degenerate phase-1 leftovers).
-    fn warm_snapshot(&self) -> Option<WarmStart> {
+    fn terminal_basis(&self) -> Option<TerminalBasis> {
         let m = self.a.len();
         let mut basis = Vec::with_capacity(m);
         for &b in &self.basis {
@@ -447,12 +206,7 @@ impl Tableau {
                 VarState::AtLower | VarState::Basic(_) => Rest::Lower,
             });
         }
-        Some(WarmStart {
-            n: self.n_structural,
-            m,
-            basis,
-            rests,
-        })
+        Some(TerminalBasis { basis, rests })
     }
 
     fn total_vars(&self) -> usize {
@@ -683,9 +437,8 @@ impl Tableau {
 mod tests {
     //! Revised-vs-dense engine equivalence on randomly generated LPs.
     //!
-    //! [`Problem::solve`]/[`Problem::solve_warm`] run the revised simplex;
-    //! [`Problem::solve_dense`]/[`Problem::solve_warm_dense`] keep the dense
-    //! tableau it replaced as the reference. Both engines implement the same
+    //! [`Problem::solve`] runs the revised simplex; [`Problem::solve_dense`]
+    //! keeps the dense tableau it replaced as the reference. Both engines implement the same
     //! pivot rules (entering rule, ratio test, tolerances, Bland fallback,
     //! two-phase structure), differing only in how the basis arithmetic is
     //! carried (pivoted tableau vs. factorized basis inverse). These tests pin
@@ -696,9 +449,9 @@ mod tests {
     //!   engines are optimal (the canonical vertex extraction is a pure
     //!   function of `(problem, vertex)`, independent of the engine);
     //! * the revised engine never spends more pivots than the dense one, and
-    //!   on LPs shaped like `abonn-bound`'s triangle relaxation — solved as a
-    //!   warm-chained objective sweep, the way `LpVerifier` solves them — it
-    //!   walks the same pivot path.
+    //!   on LPs shaped like `abonn-bound`'s triangle relaxation — one cold
+    //!   solve per objective, the way `LpVerifier` solves them — it walks
+    //!   the same pivot path.
     //!
     //! Coefficients are drawn from a dyadic grid (multiples of 1/8, exactly
     //! representable in binary) so the two engines' pricing — mathematically
@@ -764,10 +517,10 @@ mod tests {
     /// net `x (n_in) → z, a (hidden) → out (n_out)`: variables `[x, z, a,
     /// out]`, all boxed (inputs to `[-1, 1]`, pre-activations and outputs to
     /// their exact interval bounds); first the affine equality rows
-    /// `z − W·x = b` and `out − V·a = c`, then exactly two rows per hidden
-    /// neuron by category — active `a = z` plus an inert all-zero `≤ 0` row,
-    /// inactive two inert rows with `a` fixed to 0, unstable the facets
-    /// `a ≥ z` and `a − s·z ≤ −s·l` with a dyadic slope `s`.
+    /// `z − W·x = b` and `out − V·a = c`, then the ReLU rows of each hidden
+    /// neuron by category — active `a = z`, inactive none (`a` is fixed to
+    /// 0), unstable the facets `a ≥ z` and `a − s·z ≤ −s·l` with a dyadic
+    /// slope `s`.
     ///
     /// Returns the problem and its objective sweep: minimise each output,
     /// then minimise and maximise each pre-activation.
@@ -794,7 +547,6 @@ mod tests {
         let (x_lo, x_hi) = (vec![-1.0; n_in], vec![1.0; n_in]);
         let (mut a_lo, mut a_hi) = (vec![0.0; hidden], vec![0.0; hidden]);
         let mut relu_rows = Vec::new();
-        let zero_row = vec![0.0; total];
         for i in 0..hidden {
             let (lo, hi) = interval(&w[i * n_in..(i + 1) * n_in], b[i], &x_lo, &x_hi);
             let (zv, av) = (z_off + i, a_off + i);
@@ -815,13 +567,10 @@ mod tests {
                     eq[av] = 1.0;
                     eq[zv] = -1.0;
                     relu_rows.push((eq, Relation::Eq, 0.0));
-                    relu_rows.push((zero_row.clone(), Relation::Le, 0.0));
                 }
                 1 => {
                     // Inactive (or split negative): a = 0.
                     p.set_bounds(zv, lo.min(0.0), hi.min(0.0));
-                    relu_rows.push((zero_row.clone(), Relation::Le, 0.0));
-                    relu_rows.push((zero_row.clone(), Relation::Le, 0.0));
                 }
                 _ => {
                     // Unstable: the two triangle facets over [lo, hi].
@@ -868,28 +617,19 @@ mod tests {
         (p, sweep)
     }
 
-    /// Solves `sweep` in order, each objective warm-started from the last
-    /// optimal basis (cold until one exists), as `LpVerifier` does.
+    /// Solves `sweep` in order, each objective cold, as `LpVerifier` does.
     fn solve_sweep(
         p: &mut Problem,
         sweep: &[Vec<f64>],
-        cold: impl Fn(&Problem) -> Solution,
-        warm_solve: impl Fn(&Problem, &WarmStart) -> Solution,
+        solve: impl Fn(&Problem) -> Solution,
     ) -> Vec<Solution> {
-        let mut warm: Option<WarmStart> = None;
-        let mut out = Vec::new();
-        for obj in sweep {
-            p.set_objective(obj);
-            let sol = match &warm {
-                Some(w) => warm_solve(p, w),
-                None => cold(p),
-            };
-            if sol.status == Status::Optimal && sol.warm.is_some() {
-                warm = sol.warm.clone();
-            }
-            out.push(sol);
-        }
-        out
+        sweep
+            .iter()
+            .map(|obj| {
+                p.set_objective(obj);
+                solve(p)
+            })
+            .collect()
     }
 
     proptest! {
@@ -928,64 +668,24 @@ mod tests {
                 dense.pivots
             );
         }
-
-        /// Warm-started resolves agree the same way: snapshot an optimal basis
-        /// with each engine, perturb a bound, and resolve warm.
-        #[test]
-        fn warm_engines_agree_after_bound_tightening(
-            n in 2usize..=4,
-            sense_raw in 0u8..=1,
-            objective_raw in vec(-16i32..=16, 4),
-            rows_raw in vec((vec(-16i32..=16, 4), 0u8..=2, -32i32..=32), 0..=4),
-            tighten_var in 0usize..4,
-            tighten_amt in 1i32..=8,
-        ) {
-            let mut p = build_lp(n, sense_raw, &objective_raw, &rows_raw);
-            let dense0 = p.solve_dense().unwrap();
-            let revised0 = p.solve().unwrap();
-            prop_assert_eq!(dense0.status, revised0.status);
-            let (Some(dw), Some(rw)) = (dense0.warm, revised0.warm) else {
-                // No snapshot (non-optimal, or an artificial was left basic):
-                // nothing to warm-start.
-                return Ok(());
-            };
-            let j = tighten_var % n;
-            let hi = 2.0 - f64::from(tighten_amt) / 4.0;
-            p.set_bounds(j, -2.0, hi);
-            let dense = p.solve_warm_dense(&dw).unwrap();
-            let revised = p.solve_warm(&rw).unwrap();
-            prop_assert_eq!(dense.status, revised.status);
-            if dense.status == Status::Optimal {
-                prop_assert_eq!(
-                    dense.objective.to_bits(),
-                    revised.objective.to_bits(),
-                    "warm objectives differ: dense {} vs revised {}",
-                    dense.objective,
-                    revised.objective
-                );
-                for (a, b) in dense.x.iter().zip(&revised.x) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(),
-                        "warm vertices differ: dense {:?} vs revised {:?}", dense.x, revised.x);
-                }
-            }
-        }
-
     }
 
-    /// Triangle-shaped LPs solved as warm-chained objective sweeps. Every
-    /// solve of every chain has the same status and warm/cold path on both
-    /// engines and a bit-identical optimum, and both engines walk the same
-    /// pivot path on all but a sliver of the solves.
+    /// Triangle-shaped LPs solved as objective sweeps. Every solve of every
+    /// sweep has the same status on both engines and a bit-identical
+    /// optimum, and both engines walk the same pivot path on all but a
+    /// sliver of the solves.
     ///
     /// The sliver is exact Dantzig ties: when two entering candidates have
     /// reduced costs of exactly equal magnitude, the keep-first rule decides,
     /// and the dense tableau's round-off can shave the earlier candidate's
     /// magnitude (`0.6249999999999993` against an exact `0.625`), so the
-    /// engines enter different variables and reach the same optimum along
-    /// paths of different length. Over 5000 generated problems (27,582
-    /// solves) this happened on 19 solves, always with identical status and
-    /// optimum bits. The property therefore pins pivot counts in aggregate —
-    /// at most 1% of solves may differ — and everything else per solve.
+    /// engines enter different variables and reach the optimum along paths
+    /// of different length. Over 5000 generated problems (27,582 solves)
+    /// this happened on 37 solves. Two of them, the first in problem 1025,
+    /// stopped at different vertices of a non-unique optimum, with equal
+    /// objective bits; the 1000 problems run here have none. The property
+    /// therefore pins pivot counts in aggregate — at most 1% of solves may
+    /// differ — and everything else per solve.
     #[test]
     fn engines_agree_on_triangle_lp_sweeps() {
         let strategy = (
@@ -1000,23 +700,12 @@ mod tests {
         let (mut solves, mut diverged) = (0usize, 0usize);
         let outcome = runner.run(&strategy, |(n_in, hidden, n_out, w_raw, b_raw, neurons)| {
             let (mut p, sweep) = build_triangle_lp(n_in, hidden, n_out, &w_raw, &b_raw, &neurons);
-            let revised = solve_sweep(
-                &mut p,
-                &sweep,
-                |p| p.solve().unwrap(),
-                |p, w| p.solve_warm(w).unwrap(),
-            );
-            let dense = solve_sweep(
-                &mut p,
-                &sweep,
-                |p| p.solve_dense().unwrap(),
-                |p, w| p.solve_warm_dense(w).unwrap(),
-            );
+            let revised = solve_sweep(&mut p, &sweep, |p| p.solve().unwrap());
+            let dense = solve_sweep(&mut p, &sweep, |p| p.solve_dense().unwrap());
             for (k, (r, d)) in revised.iter().zip(&dense).enumerate() {
                 solves += 1;
                 diverged += usize::from(r.pivots != d.pivots);
                 prop_assert_eq!(r.status, d.status, "solve {}: status", k);
-                prop_assert_eq!(r.warmed, d.warmed, "solve {}: warm path", k);
                 if r.status == Status::Optimal {
                     prop_assert_eq!(
                         r.objective.to_bits(),

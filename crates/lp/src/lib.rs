@@ -16,9 +16,12 @@
 //! ends a cycling solve with [`SolveError::IterationLimit`];
 //! `abonn-bound`'s LP verifier then falls back to its DeepPoly bound.
 //!
-//! [`Problem::solve`] and [`Problem::solve_warm`] run a revised simplex
-//! over a product-form basis inverse. The dense tableau it replaced is
-//! compiled only into this crate's tests, as their equivalence oracle.
+//! [`Problem::solve`], the only solve entry point, runs a revised simplex
+//! over a product-form basis inverse from the two-phase cold start. The
+//! optimal solution it returns is extracted canonically from the terminal
+//! vertex, so it does not depend on the pivot path. The dense tableau it
+//! replaced is compiled only into this crate's tests, as their
+//! equivalence oracle.
 //!
 //! # Examples
 //!
@@ -43,4 +46,4 @@ mod dense;
 mod revised;
 mod simplex;
 
-pub use simplex::{Problem, Relation, Sense, Solution, SolveError, Status, WarmStart};
+pub use simplex::{Problem, Relation, Sense, Solution, SolveError, Status};

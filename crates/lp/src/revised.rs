@@ -1,17 +1,14 @@
 //! Revised simplex: the dense tableau's pivot rules on a factorized basis.
 //!
 //! [`Revised`] mirrors the dense tableau's decision procedure — the same
-//! entering rule, ratio test, tolerances, Bland fallback, two-phase
-//! structure, and warm-basis install/repair — but never materialises the
-//! pivoted `m × total` tableau. It keeps the original constraint columns sparse
-//! and an explicit `m × m` basis inverse updated by product-form (eta)
-//! steps, so one basis change costs `O(m · (m + nnz))` cell writes instead
-//! of the dense row sweep's `O(m · total)` — the saving the
-//! [`Solution::pivot_cells`] counter tracks. On `abonn-bound`'s triangle
-//! LPs (where `m ≈ 2 · total`: one equality row per pre-activation plus
-//! three facet rows per hidden neuron) that is a ~40% per-pivot cut; in
-//! the wide regime (`total ≫ m`, the `lp/pivot_revised` bench) the gap
-//! grows with `total / m`.
+//! entering rule, ratio test, tolerances, Bland fallback and two-phase
+//! structure — but never materialises the pivoted `m × total` tableau.
+//! It keeps the original constraint columns sparse and an explicit
+//! `m × m` basis inverse updated by product-form (eta) steps, so one basis
+//! change costs `O(m · (m + nnz))` cell writes instead of the dense row
+//! sweep's `O(m · total)` — the saving the [`Solution::pivot_cells`]
+//! counter tracks. It grows with `total / m`, as in the wide regime
+//! (`total ≫ m`) of the `lp/pivot_revised` bench.
 //!
 //! Determinism: both engines stop at an optimal *vertex*, and the
 //! canonical extraction (`vertex_values` in `simplex.rs`) is a pure
@@ -19,16 +16,15 @@
 //! uniquely-optimal LP therefore return bit-identical solutions even
 //! though their intermediate arithmetic differs; only the call counters
 //! (`pivots`, `pivot_cells`) may diverge, and those never reach persisted
-//! reports. [`Problem::solve`] and [`Problem::solve_warm`] run this
-//! engine; the dense tableau survives only as the `cfg(test)` oracle in
-//! `dense.rs`, whose unit tests compare the two.
+//! reports. [`Problem::solve`] runs this engine; the dense tableau
+//! survives only as the `cfg(test)` oracle in `dense.rs`, whose unit
+//! tests compare the two.
 //!
 //! [`Solution::pivot_cells`]: crate::Solution::pivot_cells
 //! [`Problem::solve`]: crate::Problem::solve
-//! [`Problem::solve_warm`]: crate::Problem::solve_warm
 
 use crate::simplex::{
-    slack_bounds, Problem, RatioOutcome, Rest, Sense, SolveError, Status, VarState, WarmStart,
+    slack_bounds, Problem, RatioOutcome, Rest, Sense, SolveError, Status, TerminalBasis, VarState,
     FEAS_TOL, PIVOT_TOL,
 };
 
@@ -39,7 +35,7 @@ pub(crate) struct Revised {
     /// `(row, value)` pairs in ascending row order, column `j` occupying
     /// `col_entries[col_start[j]..col_start[j + 1]]`. Structural columns
     /// come first (`0..n`), then slack units (`n..n + m`), then any
-    /// artificials (see `build`/`build_warm` for their columns). One flat
+    /// artificials (see `build` for their columns). One flat
     /// allocation instead of a `Vec` per column: the per-iteration pricing
     /// sweep walks `col_entries` contiguously.
     col_entries: Vec<(usize, f64)>,
@@ -133,25 +129,6 @@ fn csr_rows(p: &Problem) -> (Vec<(usize, f64)>, Vec<usize>) {
     (row_entries, row_start)
 }
 
-/// Per-variable bound/cost vectors extended over the slack block — the
-/// shared preamble of `build` and `build_warm`, identical to the dense
-/// builders.
-fn extended_bounds(p: &Problem) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let mut lower = p.lower.clone();
-    let mut upper = p.upper.clone();
-    let mut cost: Vec<f64> = match p.sense {
-        Sense::Minimize => p.objective.clone(),
-        Sense::Maximize => p.objective.iter().map(|c| -c).collect(),
-    };
-    for rel in &p.relations {
-        let (lo, hi) = slack_bounds(*rel);
-        lower.push(lo);
-        upper.push(hi);
-        cost.push(0.0);
-    }
-    (lower, upper, cost)
-}
-
 impl Revised {
     /// Cold start: the same initial placement, slack-vs-artificial
     /// decision, and residual arithmetic as the dense build, with its
@@ -161,7 +138,20 @@ impl Revised {
         let m = p.rows.len();
         let n = p.n;
         let total_known = n + m;
-        let (mut lower, mut upper, mut cost) = extended_bounds(p);
+        // Bounds and costs extended over the slack block, as the dense
+        // build extends them.
+        let mut lower = p.lower.clone();
+        let mut upper = p.upper.clone();
+        let mut cost: Vec<f64> = match p.sense {
+            Sense::Minimize => p.objective.clone(),
+            Sense::Maximize => p.objective.iter().map(|c| -c).collect(),
+        };
+        for rel in &p.relations {
+            let (lo, hi) = slack_bounds(*rel);
+            lower.push(lo);
+            upper.push(hi);
+            cost.push(0.0);
+        }
 
         let mut state = Vec::with_capacity(total_known);
         let mut x = vec![0.0; total_known];
@@ -264,212 +254,6 @@ impl Revised {
             pivot_cells: 0,
             eta: Vec::new(),
         }
-    }
-
-    /// Warm start around a previously captured basis. The basis is
-    /// factorized by Gauss–Jordan on `[B | I]` with the *same* partial
-    /// pivot rule (and the same arithmetic on the basis columns) as the
-    /// dense tableau install, so a basis is recoverable here exactly when
-    /// it is there — but the elimination sweeps `2m` columns instead of
-    /// the dense install's `n + m`. Returns `None` on shape mismatch,
-    /// duplicate basis entries, or a singular basis column.
-    pub(crate) fn build_warm(p: &Problem, warm: &WarmStart) -> Option<Self> {
-        let m = p.rows.len();
-        let n = p.n;
-        let total_known = n + m;
-        if warm.n != n || warm.m != m || warm.basis.len() != m || warm.rests.len() != total_known {
-            return None;
-        }
-        let mut is_basic = vec![false; total_known];
-        for &b in &warm.basis {
-            if b >= total_known || is_basic[b] {
-                return None;
-            }
-            is_basic[b] = true;
-        }
-        let (mut lower, mut upper, mut cost) = extended_bounds(p);
-
-        let (mut col_entries, mut col_start) = csc_columns(p);
-        let (row_entries, row_start) = csr_rows(p);
-
-        // Factorize the saved basis: columns in snapshot order, pivot rows
-        // by partial pivoting over unassigned rows (ties take the smallest
-        // index). The basis columns see the same row operations as in the
-        // dense install, so pivot choices — and the singularity verdict —
-        // match it decision for decision.
-        let mut bmat = vec![0.0; m * m]; // row-major scratch, B in snapshot column order
-        for (k, &b) in warm.basis.iter().enumerate() {
-            for &(i, v) in &col_entries[col_start[b]..col_start[b + 1]] {
-                bmat[i * m + k] = v;
-            }
-        }
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            binv[i * m + i] = 1.0;
-        }
-        let mut basis = vec![usize::MAX; m];
-        let mut row_taken = vec![false; m];
-        let mut pivot_b = vec![0.0; m];
-        let mut pivot_inv = vec![0.0; m];
-        for (k, &b) in warm.basis.iter().enumerate() {
-            let mut best_row = usize::MAX;
-            let mut best = PIVOT_TOL;
-            for i in 0..m {
-                if !row_taken[i] && bmat[i * m + k].abs() > best {
-                    best = bmat[i * m + k].abs();
-                    best_row = i;
-                }
-            }
-            if best_row == usize::MAX {
-                return None; // singular basis column
-            }
-            let i = best_row;
-            row_taken[i] = true;
-            basis[i] = b;
-            // Columns before `k` of `bmat` are never read again (the pivot
-            // search and the factors below only look at column `k`), so the
-            // sweeps cover `k..m` only; `binv` rows stay full-width.
-            let inv = 1.0 / bmat[i * m + k];
-            for v in &mut bmat[i * m + k..(i + 1) * m] {
-                *v *= inv;
-            }
-            for v in &mut binv[i * m..(i + 1) * m] {
-                *v *= inv;
-            }
-            pivot_b[k..m].copy_from_slice(&bmat[i * m + k..(i + 1) * m]);
-            pivot_inv.copy_from_slice(&binv[i * m..(i + 1) * m]);
-            for i2 in 0..m {
-                if i2 == i {
-                    continue;
-                }
-                let factor = bmat[i2 * m + k];
-                if factor == 0.0 {
-                    continue;
-                }
-                for (v, &q) in bmat[i2 * m + k..(i2 + 1) * m].iter_mut().zip(&pivot_b[k..m]) {
-                    *v -= factor * q;
-                }
-                for (v, &q) in binv[i2 * m..(i2 + 1) * m].iter_mut().zip(&pivot_inv) {
-                    *v -= factor * q;
-                }
-            }
-        }
-
-        // Nonbasic variables rest where the snapshot recorded them, with
-        // the dense install's demotion rules for no-longer-finite sides.
-        let mut state = vec![VarState::AtLower; total_known];
-        let mut x = vec![0.0; total_known];
-        for j in 0..total_known {
-            if is_basic[j] {
-                continue;
-            }
-            state[j] = match warm.rests[j] {
-                Rest::Lower if lower[j].is_finite() => VarState::AtLower,
-                Rest::Upper if upper[j].is_finite() => VarState::AtUpper,
-                Rest::Lower if upper[j].is_finite() => VarState::AtUpper,
-                Rest::Upper if lower[j].is_finite() => VarState::AtLower,
-                _ => VarState::FreeZero,
-            };
-            x[j] = match state[j] {
-                VarState::AtLower => lower[j],
-                VarState::AtUpper => upper[j],
-                _ => 0.0,
-            };
-        }
-        // Basic values: x_B = B⁻¹ · (rhs − N · x_N).
-        let mut r = p.rhs.clone();
-        for (i, ri) in r.iter_mut().enumerate() {
-            let mut dot = 0.0;
-            for (j, &xj) in x[..n].iter().enumerate() {
-                if !is_basic[j] {
-                    dot += p.rows[i][j] * xj;
-                }
-            }
-            let sj = n + i;
-            if !is_basic[sj] {
-                dot += x[sj];
-            }
-            *ri -= dot;
-        }
-        for (i, &b) in basis.iter().enumerate() {
-            let mut v = 0.0;
-            for (k, &rk) in r.iter().enumerate() {
-                v += binv[i * m + k] * rk;
-            }
-            x[b] = v;
-            state[b] = VarState::Basic(i);
-        }
-
-        // Primal-feasibility repair, exactly as in the dense install: snap
-        // a violated basic variable to its bound and let an artificial
-        // absorb the residual.
-        let mut artificial_rows: Vec<(usize, f64)> = Vec::new();
-        for (i, &b) in basis.iter().enumerate() {
-            let viol_low = lower[b].is_finite() && x[b] < lower[b] - FEAS_TOL;
-            let viol_high = upper[b].is_finite() && x[b] > upper[b] + FEAS_TOL;
-            if !viol_low && !viol_high {
-                continue;
-            }
-            let bound = if viol_low { lower[b] } else { upper[b] };
-            let rest = x[b] - bound;
-            x[b] = bound;
-            state[b] = if viol_low {
-                VarState::AtLower
-            } else {
-                VarState::AtUpper
-            };
-            artificial_rows.push((i, rest));
-        }
-
-        let first_artificial = total_known;
-        let total = total_known + artificial_rows.len();
-        lower.resize(total, 0.0);
-        upper.resize(total, f64::INFINITY);
-        x.resize(total, 0.0);
-        state.resize(total, VarState::AtLower);
-        cost.resize(total, 0.0);
-        for (k, &(row, rest)) in artificial_rows.iter().enumerate() {
-            let aj = first_artificial + k;
-            let displaced = basis[row];
-            let sign = if rest < 0.0 { -1.0 } else { 1.0 };
-            if rest < 0.0 {
-                for v in &mut binv[row * m..(row + 1) * m] {
-                    *v = -*v;
-                }
-            }
-            // Original-space column of the displaced basic variable,
-            // signed: `binv` maps it to the repaired row's unit column
-            // (the literal `e_row` the dense install writes).
-            let (from, to) = (col_start[displaced], col_start[displaced + 1]);
-            for e in from..to {
-                let (i, v) = col_entries[e];
-                col_entries.push((i, sign * v));
-            }
-            col_start.push(col_entries.len());
-            x[aj] = rest.abs();
-            state[aj] = VarState::Basic(row);
-            basis[row] = aj;
-        }
-
-        Some(Revised {
-            col_entries,
-            col_start,
-            row_entries,
-            row_start,
-            binv,
-            m,
-            x,
-            lower,
-            upper,
-            state,
-            basis,
-            cost,
-            n_structural: n,
-            first_artificial,
-            pivots: 0,
-            pivot_cells: 0,
-            eta: Vec::new(),
-        })
     }
 
     /// Terminal variable values (structural, slack, artificials).
@@ -776,9 +560,9 @@ impl Revised {
         };
     }
 
-    /// Captures the current basis as a [`WarmStart`] — the dense snapshot
-    /// rule: `None` while an artificial is still basic.
-    pub(crate) fn warm_snapshot(&self) -> Option<WarmStart> {
+    /// The current basis as a [`TerminalBasis`] — the dense engine's rule:
+    /// `None` while an artificial is still basic.
+    pub(crate) fn terminal_basis(&self) -> Option<TerminalBasis> {
         let mut basis = Vec::with_capacity(self.m);
         for &b in &self.basis {
             if b >= self.first_artificial {
@@ -794,12 +578,7 @@ impl Revised {
                 VarState::AtLower | VarState::Basic(_) => Rest::Lower,
             });
         }
-        Some(WarmStart {
-            n: self.n_structural,
-            m: self.m,
-            basis,
-            rests,
-        })
+        Some(TerminalBasis { basis, rests })
     }
 }
 
@@ -860,36 +639,5 @@ mod tests {
             revised.pivot_cells,
             dense.pivot_cells
         );
-    }
-
-    #[test]
-    fn warm_revised_matches_cold_revised_bit_for_bit() {
-        let p = classic();
-        let cold = p.solve().unwrap();
-        let warm = p
-            .solve_warm(cold.warm.as_ref().unwrap())
-            .unwrap();
-        assert!(warm.warmed);
-        assert_eq!(warm.pivots, 0, "re-optimising the optimal basis is free");
-        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        for (a, b) in warm.x.iter().zip(&cold.x) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_revised_repairs_a_perturbed_basis() {
-        let mut p = Problem::new(2, Sense::Minimize);
-        p.set_objective(&[-1.0, -2.0]);
-        p.set_bounds(0, 0.0, 3.0);
-        p.set_bounds(1, 0.0, 3.0);
-        p.add_row(&[1.0, 1.0], Relation::Le, 4.0);
-        let ws = p.solve().unwrap().warm.unwrap();
-        p.set_bounds(1, 0.0, 1.5);
-        let cold = p.solve().unwrap();
-        let warm = p.solve_warm(&ws).unwrap();
-        assert!(warm.warmed);
-        assert_eq!(warm.status, cold.status);
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
     }
 }

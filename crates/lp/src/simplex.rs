@@ -89,17 +89,9 @@ pub struct Solution {
     /// updates for the revised path. Like `pivots`, a call-based counter —
     /// the per-pivot work metric the revised simplex reduces.
     pub pivot_cells: usize,
-    /// `true` when the solve started from an installed [`WarmStart`] basis
-    /// (`false` for cold solves and for warm solves that fell back to the
-    /// two-phase path because the basis was unrecoverable).
-    pub warmed: bool,
-    /// Snapshot of the optimal basis, for warm-starting a related solve
-    /// via [`Problem::solve_warm`]. `None` unless `status` is
-    /// [`Status::Optimal`] with a basis free of artificial variables.
-    pub warm: Option<WarmStart>,
 }
 
-/// Where a nonbasic variable rests in a [`WarmStart`] snapshot.
+/// Where a nonbasic variable rests in a [`TerminalBasis`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Rest {
     Lower,
@@ -107,18 +99,11 @@ pub(crate) enum Rest {
     Free,
 }
 
-/// An optimal simplex basis captured from a solved [`Problem`], usable to
-/// warm-start the solve of a perturbed problem with the same shape
-/// (variable count and row count).
-///
-/// The snapshot is opaque: it records which variable is basic in each row
-/// and the rest bound of every nonbasic variable, nothing tied to the
-/// numeric tableau, so it stays valid after the problem's bounds, row
-/// coefficients, or objective change.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStart {
-    pub(crate) n: usize,
-    pub(crate) m: usize,
+/// The basis an optimal solve stopped in: which variable is basic in each
+/// row and the rest bound of every nonbasic variable. Read only by the
+/// basis fallback of the canonical extraction ([`canonical_values`]).
+#[derive(Debug)]
+pub(crate) struct TerminalBasis {
     /// Basic variable per row: structural `0..n`, slack `n..n + m`.
     pub(crate) basis: Vec<usize>,
     /// Rest side of every structural and slack variable (entries for basic
@@ -179,18 +164,6 @@ impl Problem {
         }
     }
 
-    /// Number of structural variables.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
-    /// Number of constraint rows.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Sets the objective coefficient vector.
     ///
     /// # Panics
@@ -225,7 +198,8 @@ impl Problem {
     }
 
     /// Solves the problem with the revised-simplex engine (sparse
-    /// columns, product-form basis inverse; see `revised.rs`).
+    /// columns, product-form basis inverse; see `revised.rs`), from the
+    /// two-phase cold start.
     ///
     /// # Errors
     ///
@@ -238,58 +212,11 @@ impl Problem {
         let status = r.run()?;
         Ok(self.extract_parts(
             status,
-            false,
             r.terminal_x(),
-            || r.warm_snapshot(),
+            || r.terminal_basis(),
             r.pivots(),
             r.pivot_cells(),
         ))
-    }
-
-    /// Solves the problem starting from a previously captured basis.
-    ///
-    /// The basis is installed by re-deriving the pivoted tableau from the
-    /// *current* problem data (so bound and row perturbations since the
-    /// snapshot are honoured), primal feasibility is repaired by moving any
-    /// out-of-bounds basic variable to its violated bound with an
-    /// artificial absorbing the residual, and the usual phase-1/phase-2
-    /// iteration finishes the job. When the basis is unrecoverable (shape
-    /// mismatch, duplicate or numerically singular basis columns, or an
-    /// iteration-limit stall), the solve falls back to the cold two-phase
-    /// path; the returned [`Solution::warmed`] flag records which path ran.
-    ///
-    /// A warm solve reaches the same [`Status`] and optimal objective as a
-    /// cold [`solve`](Problem::solve); because both extract the final
-    /// solution canonically from the terminal *vertex* (see
-    /// [`vertex_values`]) — not from the pivot path or even the terminal
-    /// basis — they return bit-identical solutions whenever they stop at
-    /// the same optimal vertex, degenerate or not (always the case for a
-    /// unique optimum).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Problem::solve).
-    pub fn solve_warm(&self, warm: &WarmStart) -> Result<Solution, SolveError> {
-        self.validate()?;
-        if let Some(mut r) = crate::revised::Revised::build_warm(self, warm) {
-            match r.run() {
-                Ok(status) => {
-                    return Ok(self.extract_parts(
-                        status,
-                        true,
-                        r.terminal_x(),
-                        || r.warm_snapshot(),
-                        r.pivots(),
-                        r.pivot_cells(),
-                    ))
-                }
-                // A stall from a pathological warm basis is recoverable:
-                // retry from scratch below.
-                Err(SolveError::IterationLimit) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.solve()
     }
 
     /// Builds the `Solution` for a finished solve of either engine.
@@ -298,13 +225,13 @@ impl Problem {
     /// fallback) so the result is a pure function of `(problem, vertex)`
     /// rather than of the pivot path — or the engine — that found it.
     /// `terminal_x` holds the terminal variable values (structural, slack,
-    /// then any artificials); `snapshot` is consulted only on optimality.
+    /// then any artificials); `basis` is consulted only when the vertex
+    /// extraction fails.
     pub(crate) fn extract_parts(
         &self,
         status: Status,
-        warmed: bool,
         terminal_x: &[f64],
-        snapshot: impl FnOnce() -> Option<WarmStart>,
+        basis: impl FnOnce() -> Option<TerminalBasis>,
         pivots: usize,
         pivot_cells: usize,
     ) -> Solution {
@@ -315,13 +242,10 @@ impl Problem {
                 objective: 0.0,
                 pivots,
                 pivot_cells,
-                warmed,
-                warm: None,
             };
         }
-        let warm = snapshot();
         let canonical = vertex_values(self, terminal_x)
-            .or_else(|| warm.as_ref().and_then(|w| canonical_values(self, w)));
+            .or_else(|| basis().and_then(|b| canonical_values(self, &b)));
         let x = match &canonical {
             Some(full) => full[..self.n].to_vec(),
             None => terminal_x[..self.n].to_vec(),
@@ -336,8 +260,6 @@ impl Problem {
             objective,
             pivots,
             pivot_cells,
-            warmed,
-            warm,
         }
     }
 
@@ -391,7 +313,7 @@ pub(crate) fn slack_bounds(rel: Relation) -> (f64, f64) {
 ///
 /// At a vertex, every variable is either tight at one of its bounds or
 /// determined by the equality rows. Degenerate vertices admit many bases —
-/// a warm and a cold solve routinely stop at the *same* vertex through
+/// the dense and the revised engine can stop at the *same* vertex through
 /// *different* bases, and any basis-dependent extraction would then differ
 /// in the last bits. This extraction instead (1) classifies each variable
 /// by which bound its terminal value is tight against (`FEAS_TOL`,
@@ -532,12 +454,12 @@ fn vertex_values(p: &Problem, terminal: &[f64]) -> Option<Vec<f64>> {
 ///
 /// Returns `None` when the basis matrix is numerically singular (the
 /// caller then falls back to the tableau-accumulated values).
-fn canonical_values(p: &Problem, warm: &WarmStart) -> Option<Vec<f64>> {
+fn canonical_values(p: &Problem, terminal: &TerminalBasis) -> Option<Vec<f64>> {
     let n = p.n;
     let m = p.rows.len();
     let total = n + m;
     let mut is_basic = vec![false; total];
-    for &b in &warm.basis {
+    for &b in &terminal.basis {
         is_basic[b] = true;
     }
     let mut x = vec![0.0; total];
@@ -550,7 +472,7 @@ fn canonical_values(p: &Problem, warm: &WarmStart) -> Option<Vec<f64>> {
         } else {
             slack_bounds(p.relations[j - n])
         };
-        x[j] = match warm.rests[j] {
+        x[j] = match terminal.rests[j] {
             Rest::Lower if lo.is_finite() => lo,
             Rest::Upper if hi.is_finite() => hi,
             Rest::Lower if hi.is_finite() => hi,
@@ -798,145 +720,6 @@ mod tests {
         let s = p.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 2.0);
-    }
-
-    #[test]
-    fn warm_start_reproduces_cold_solve_bit_for_bit() {
-        // Same problem warm-started from its own optimal basis: zero
-        // repair work, identical terminal basis, so the canonical
-        // extraction must agree to the bit.
-        let mut p = Problem::new(2, Sense::Maximize);
-        p.set_objective(&[3.0, 5.0]);
-        p.set_bounds(0, 0.0, f64::INFINITY);
-        p.set_bounds(1, 0.0, f64::INFINITY);
-        p.add_row(&[1.0, 0.0], Relation::Le, 4.0);
-        p.add_row(&[0.0, 2.0], Relation::Le, 12.0);
-        p.add_row(&[3.0, 2.0], Relation::Le, 18.0);
-        let cold = p.solve().unwrap();
-        let warm = p.solve_warm(cold.warm.as_ref().unwrap()).unwrap();
-        assert!(warm.warmed);
-        assert_eq!(warm.status, Status::Optimal);
-        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        for (a, b) in warm.x.iter().zip(&cold.x) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Re-optimising from the optimal basis needs no pivots at all.
-        assert_eq!(warm.pivots, 0);
-        assert!(cold.pivots > 0);
-    }
-
-    #[test]
-    fn warm_start_after_bound_tightening_matches_cold() {
-        let mut p = Problem::new(2, Sense::Minimize);
-        p.set_objective(&[-1.0, -2.0]);
-        p.set_bounds(0, 0.0, 3.0);
-        p.set_bounds(1, 0.0, 3.0);
-        p.add_row(&[1.0, 1.0], Relation::Le, 4.0);
-        let base = p.solve().unwrap();
-        let ws = base.warm.clone().unwrap();
-        // Tighten a bound so the old optimal vertex becomes infeasible;
-        // the repair path must land on the same optimum as a cold solve.
-        p.set_bounds(1, 0.0, 1.5);
-        let cold = p.solve().unwrap();
-        let warm = p.solve_warm(&ws).unwrap();
-        assert!(warm.warmed);
-        assert_eq!(warm.status, cold.status);
-        assert_close(warm.objective, cold.objective);
-        assert_close(warm.objective, -(2.5 + 2.0 * 1.5));
-    }
-
-    #[test]
-    fn warm_start_after_objective_change_matches_cold() {
-        let mut p = Problem::new(2, Sense::Minimize);
-        p.set_objective(&[1.0, 0.0]);
-        p.set_bounds(0, -1.0, 2.0);
-        p.set_bounds(1, -1.0, 2.0);
-        p.add_row(&[1.0, 1.0], Relation::Ge, 0.5);
-        let first = p.solve().unwrap();
-        let ws = first.warm.clone().unwrap();
-        p.set_objective(&[0.0, 1.0]);
-        let cold = p.solve().unwrap();
-        let warm = p.solve_warm(&ws).unwrap();
-        assert!(warm.warmed);
-        assert_eq!(warm.status, Status::Optimal);
-        assert_close(warm.objective, cold.objective);
-    }
-
-    #[test]
-    fn warm_start_detects_infeasible_after_perturbation() {
-        let mut p = Problem::new(1, Sense::Minimize);
-        p.set_objective(&[1.0]);
-        p.set_bounds(0, 0.0, 5.0);
-        p.add_row(&[1.0], Relation::Ge, 1.0);
-        let ws = p.solve().unwrap().warm.unwrap();
-        p.set_bounds(0, 0.0, 0.5);
-        let warm = p.solve_warm(&ws).unwrap();
-        assert_eq!(warm.status, Status::Infeasible);
-        assert_eq!(p.solve().unwrap().status, Status::Infeasible);
-    }
-
-    #[test]
-    fn warm_start_shape_mismatch_falls_back_to_cold() {
-        let mut small = Problem::new(1, Sense::Minimize);
-        small.set_objective(&[1.0]);
-        small.set_bounds(0, 0.0, 1.0);
-        small.add_row(&[1.0], Relation::Le, 1.0);
-        let ws = small.solve().unwrap().warm.unwrap();
-
-        let mut other = Problem::new(2, Sense::Minimize);
-        other.set_objective(&[2.0, 3.0]);
-        other.set_bounds(0, 0.0, f64::INFINITY);
-        other.set_bounds(1, 0.0, f64::INFINITY);
-        other.add_row(&[1.0, 1.0], Relation::Ge, 4.0);
-        let warm = other.solve_warm(&ws).unwrap();
-        assert!(!warm.warmed, "mismatched basis must fall back to phase 1");
-        assert_eq!(warm.status, Status::Optimal);
-        assert_close(warm.objective, 8.0);
-    }
-
-    #[test]
-    fn warm_start_singular_basis_falls_back_to_cold() {
-        // Capture a basis where x0 is basic, then zero x0's column so the
-        // basis matrix becomes singular: install must fail and the cold
-        // fallback must still find the optimum of the modified problem.
-        let mut p = Problem::new(2, Sense::Minimize);
-        p.set_objective(&[-1.0, 0.0]);
-        p.set_bounds(0, 0.0, f64::INFINITY);
-        p.set_bounds(1, 0.0, 1.0);
-        p.add_row(&[1.0, 1.0], Relation::Le, 2.0);
-        let sol = p.solve().unwrap();
-        let ws = sol.warm.unwrap();
-        assert!((sol.x[0] - 2.0).abs() < 1e-6, "x0 should be basic at 2");
-
-        let mut q = Problem::new(2, Sense::Minimize);
-        q.set_objective(&[0.0, -1.0]);
-        q.set_bounds(0, 0.0, 1.0);
-        q.set_bounds(1, 0.0, 1.0);
-        q.add_row(&[0.0, 0.0], Relation::Le, 2.0);
-        let warm = q.solve_warm(&ws).unwrap();
-        assert!(!warm.warmed, "singular basis column must fall back");
-        assert_eq!(warm.status, Status::Optimal);
-        assert_close(warm.objective, -1.0);
-    }
-
-    #[test]
-    fn solve_reports_pivots_and_warm_basis() {
-        let mut p = Problem::new(2, Sense::Maximize);
-        p.set_objective(&[1.0, 1.0]);
-        p.set_bounds(0, 0.0, 1.0);
-        p.set_bounds(1, 0.0, 1.0);
-        p.add_row(&[1.0, 1.0], Relation::Le, 1.0);
-        let s = p.solve().unwrap();
-        assert_eq!(s.status, Status::Optimal);
-        assert!(s.warm.is_some());
-        assert!(!s.warmed);
-        // Non-optimal statuses carry no basis snapshot.
-        let mut inf = Problem::new(1, Sense::Minimize);
-        inf.set_bounds(0, 0.0, 1.0);
-        inf.add_row(&[1.0], Relation::Ge, 2.0);
-        let s = inf.solve().unwrap();
-        assert_eq!(s.status, Status::Infeasible);
-        assert!(s.warm.is_none());
     }
 
     /// Brute-force reference for 2-variable LPs over a fine grid.

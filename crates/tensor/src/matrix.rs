@@ -234,11 +234,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrows the backing row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consumes the matrix, returning the backing row-major storage.
     #[must_use]
     pub fn into_vec(self) -> Vec<f64> {

@@ -61,11 +61,7 @@ mkdir -p target/experiments
 rm -f target/experiments/BENCH_lp.json target/experiments/BENCH_tensor.json \
     target/experiments/BENCH_backsub.json
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_lp.json" \
-    cargo bench -q -p abonn-lp --bench simplex_warm
-ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_lp.json" \
     cargo bench -q -p abonn-lp --bench revised
-ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_lp.json" \
-    cargo bench -q -p abonn-bound --bench triangle_lp
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_tensor.json" \
     cargo bench -q -p abonn-tensor --bench blocked
 ABONN_BENCH_JSON="$PWD/target/experiments/BENCH_backsub.json" \
