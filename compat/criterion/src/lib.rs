@@ -51,7 +51,11 @@ impl Default for Criterion {
 
 impl Criterion {
     /// Registers and immediately runs one benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: impl AsRef<str>, f: F) -> &mut Self {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        name: impl AsRef<str>,
+        f: F,
+    ) -> &mut Self {
         run_benchmark(self.measure, name.as_ref(), f);
         self
     }
@@ -81,12 +85,12 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Registers and immediately runs one benchmark in the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: impl AsRef<str>, f: F) -> &mut Self {
-        run_benchmark(
-            self.measure,
-            &format!("{}/{}", self.name, name.as_ref()),
-            f,
-        );
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        name: impl AsRef<str>,
+        f: F,
+    ) -> &mut Self {
+        run_benchmark(self.measure, &format!("{}/{}", self.name, name.as_ref()), f);
         self
     }
 
@@ -116,7 +120,10 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(measure: bool, name: &str, mut f: F) {
         f(&mut b);
         if b.elapsed >= target || iters >= 1 << 24 {
             let per_iter = b.elapsed.as_nanos() / u128::from(iters.max(1));
-            println!("bench {name:<50} {:>12} ns/iter ({iters} iterations)", per_iter);
+            println!(
+                "bench {name:<50} {:>12} ns/iter ({iters} iterations)",
+                per_iter
+            );
             append_json_record(name, per_iter, iters);
             return;
         }
@@ -145,7 +152,11 @@ fn append_json_record(name: &str, ns_per_iter: u128, iters: u64) {
         }
     }
     use std::io::Write;
-    if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
+    if let Ok(mut file) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+    {
         let _ = writeln!(
             file,
             "{{\"bench\":\"{escaped}\",\"ns_per_iter\":{ns_per_iter},\"iters\":{iters}}}"
@@ -203,6 +214,8 @@ mod tests {
         std::env::remove_var("ABONN_BENCH_JSON");
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        assert!(text.contains("{\"bench\":\"unit/\\\"quoted\\\"\",\"ns_per_iter\":1234,\"iters\":8}"));
+        assert!(
+            text.contains("{\"bench\":\"unit/\\\"quoted\\\"\",\"ns_per_iter\":1234,\"iters\":8}")
+        );
     }
 }

@@ -417,7 +417,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError(format!("expected array, got {}", other.type_name()))),
+            other => Err(DeError(format!(
+                "expected array, got {}",
+                other.type_name()
+            ))),
         }
     }
 }

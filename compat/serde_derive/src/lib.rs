@@ -48,7 +48,9 @@ enum VariantKind {
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_input(input) {
-        Ok(item) => gen_serialize(&item).parse().expect("generated Serialize impl parses"),
+        Ok(item) => gen_serialize(&item)
+            .parse()
+            .expect("generated Serialize impl parses"),
         Err(msg) => compile_error(&msg),
     }
 }

@@ -308,9 +308,7 @@ pub fn margin_pgd(
 ) -> Option<Vec<f64>> {
     assert_eq!(lo.len(), margin_net.input_dim(), "margin_pgd: box mismatch");
     assert_eq!(hi.len(), margin_net.input_dim(), "margin_pgd: box mismatch");
-    let violated = |x: &[f64]| -> bool {
-        margin_net.forward(x).into_iter().any(|m| m <= 0.0)
-    };
+    let violated = |x: &[f64]| -> bool { margin_net.forward(x).into_iter().any(|m| m <= 0.0) };
     let mut rng = SmallRng::seed_from_u64(config.seed);
     for restart in 0..=config.restarts {
         let mut x: Vec<f64> = if restart == 0 {

@@ -123,11 +123,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            eprintln!(
-                "checked {} #{}",
-                prepared.kind.paper_name(),
-                instance.id
-            );
+            eprintln!("checked {} #{}", prepared.kind.paper_name(), instance.id);
         }
     }
     println!(

@@ -53,15 +53,17 @@ fn parse_args() -> Result<Options, String> {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--threads" => {
-                opts.config.threads =
-                    value()?.parse().map_err(|e| format!("bad --threads: {e}"))?;
+                opts.config.threads = value()?
+                    .parse()
+                    .map_err(|e| format!("bad --threads: {e}"))?;
             }
             "--batch" => {
                 opts.config.batch = value()?.parse().map_err(|e| format!("bad --batch: {e}"))?;
             }
             "--max-calls" => {
-                opts.config.max_calls =
-                    value()?.parse().map_err(|e| format!("bad --max-calls: {e}"))?;
+                opts.config.max_calls = value()?
+                    .parse()
+                    .map_err(|e| format!("bad --max-calls: {e}"))?;
             }
             "--default-calls" => {
                 opts.config.default_calls = value()?

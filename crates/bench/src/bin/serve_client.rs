@@ -39,13 +39,11 @@ fn parse_args() -> Result<(String, String), String> {
 }
 
 fn run(addr: &str, file: &str) -> Result<(), String> {
-    let session =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let session = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     // Blank request lines are ignored by the daemon; everything else —
     // including garbage — draws exactly one response line.
     let expected = session.lines().filter(|l| !l.trim().is_empty()).count();
-    let stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;
@@ -58,9 +56,7 @@ fn run(addr: &str, file: &str) -> Result<(), String> {
                 .write_all(b"\n")
                 .map_err(|e| format!("send failed: {e}"))?;
         }
-        writer
-            .flush()
-            .map_err(|e| format!("send failed: {e}"))?;
+        writer.flush().map_err(|e| format!("send failed: {e}"))?;
         // Half-close so the daemon sees EOF and ends the connection
         // once its responses are flushed.
         writer
@@ -87,7 +83,8 @@ fn run(addr: &str, file: &str) -> Result<(), String> {
             .map_err(|e| format!("stdout write failed: {e}"))?;
         received += 1;
     }
-    out.flush().map_err(|e| format!("stdout flush failed: {e}"))?;
+    out.flush()
+        .map_err(|e| format!("stdout flush failed: {e}"))?;
     sender
         .join()
         .map_err(|_| "sender thread panicked".to_string())??;

@@ -14,8 +14,7 @@
 //! to `--certificate`; `portfolio` builds none, so it rejects the flag.
 
 use abonn_core::{
-    AbonnVerifier, BabBaseline, Budget, CrownStyle, Portfolio, RobustnessProblem, Verdict,
-    Verifier,
+    AbonnVerifier, BabBaseline, Budget, CrownStyle, Portfolio, RobustnessProblem, Verdict, Verifier,
 };
 use abonn_nn::io as nn_io;
 use std::path::PathBuf;
@@ -49,7 +48,11 @@ fn parse_args() -> Result<Options, String> {
             "--verifier" => opts.verifier = value()?,
             "--calls" => opts.calls = value()?.parse().map_err(|e| format!("bad --calls: {e}"))?,
             "--seconds" => {
-                opts.seconds = Some(value()?.parse().map_err(|e| format!("bad --seconds: {e}"))?)
+                opts.seconds = Some(
+                    value()?
+                        .parse()
+                        .map_err(|e| format!("bad --seconds: {e}"))?,
+                )
             }
             "--certificate" => opts.certificate = Some(PathBuf::from(value()?)),
             "--help" | "-h" => return Err(USAGE.into()),

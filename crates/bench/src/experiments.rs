@@ -81,7 +81,12 @@ pub fn rq1_records(args: &Args) -> Vec<InstanceRecord> {
     eprintln!("  preparing models (training, deterministic in the seed)...");
     let models = prepare_all(args.scale, args.seed, &args.out_dir);
     let pool = Arc::new(WorkerPool::new(args.threads));
-    let records = run_grid(&models, &Approach::rq1_lineup(), &args.scale.budget(), &pool);
+    let records = run_grid(
+        &models,
+        &Approach::rq1_lineup(),
+        &args.scale.budget(),
+        &pool,
+    );
     save_records(&cache, &records).expect("persist rq1 records");
     records
 }

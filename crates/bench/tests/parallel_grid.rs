@@ -37,8 +37,16 @@ fn grid_records_and_reports_are_identical_across_thread_counts() {
         assert_eq!(a.approach, b.approach);
         assert_eq!(a.instance_id, b.instance_id);
         assert_eq!(a.epsilon, b.epsilon);
-        assert_eq!(a.verdict, b.verdict, "verdict diverged on {} #{}", a.model, a.instance_id);
-        assert_eq!(a.appver_calls, b.appver_calls, "calls diverged on #{}", a.instance_id);
+        assert_eq!(
+            a.verdict, b.verdict,
+            "verdict diverged on {} #{}",
+            a.model, a.instance_id
+        );
+        assert_eq!(
+            a.appver_calls, b.appver_calls,
+            "calls diverged on #{}",
+            a.instance_id
+        );
         assert_eq!(a.nodes_visited, b.nodes_visited);
         assert_eq!(a.tree_size, b.tree_size);
         assert_eq!(a.max_depth, b.max_depth);

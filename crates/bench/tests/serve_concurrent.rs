@@ -28,12 +28,7 @@ fn client_net(tweak: f64) -> Network {
         Shape::Flat(2),
         vec![
             Layer::dense(
-                Matrix::from_rows(&[
-                    &[1.0, 0.5],
-                    &[-0.5, 1.0],
-                    &[0.8, -1.0],
-                    &[-1.0, -0.3],
-                ]),
+                Matrix::from_rows(&[&[1.0, 0.5], &[-0.5, 1.0], &[0.8, -1.0], &[-1.0, -0.3]]),
                 vec![0.1 + tweak, -0.2, tweak, 0.3],
             ),
             Layer::relu(),
@@ -147,9 +142,7 @@ fn tcp_session(addr: &str, session: &str) -> String {
         let mut stream = stream;
         stream.write_all(payload.as_bytes()).expect("session sent");
         stream.flush().expect("session flushed");
-        stream
-            .shutdown(Shutdown::Write)
-            .expect("write half closes");
+        stream.shutdown(Shutdown::Write).expect("write half closes");
     });
     let mut out = String::new();
     reader.read_to_string(&mut out).expect("responses read");
@@ -183,10 +176,7 @@ fn concurrent_clients_match_their_solo_replays() {
     for threads in ["1", "4"] {
         for batch in ["1", "8"] {
             let args = ["--threads", threads, "--batch", batch];
-            let solo: Vec<String> = sessions
-                .iter()
-                .map(|s| solo_replay(s, &args))
-                .collect();
+            let solo: Vec<String> = sessions.iter().map(|s| solo_replay(s, &args)).collect();
             let daemon = spawn_daemon(&args);
             let got: Vec<String> = std::thread::scope(|scope| {
                 let handles: Vec<_> = sessions

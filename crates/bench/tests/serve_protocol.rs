@@ -23,12 +23,7 @@ fn demo_net() -> Network {
         Shape::Flat(2),
         vec![
             Layer::dense(
-                Matrix::from_rows(&[
-                    &[1.0, 0.5],
-                    &[-0.5, 1.0],
-                    &[0.8, -1.0],
-                    &[-1.0, -0.3],
-                ]),
+                Matrix::from_rows(&[&[1.0, 0.5], &[-0.5, 1.0], &[0.8, -1.0], &[-1.0, -0.3]]),
                 vec![0.1, -0.2, 0.0, 0.3],
             ),
             Layer::relu(),

@@ -254,7 +254,8 @@ mod tests {
         // check both the empty-prefix path and a genuine one-layer prefix
         // taken from the same split set.
         let from_empty = Ibp::propagate_from(&net, &region, &splits, &[]).expect("feasible");
-        let from_one = Ibp::propagate_from(&net, &region, &splits, &scratch[..1]).expect("feasible");
+        let from_one =
+            Ibp::propagate_from(&net, &region, &splits, &scratch[..1]).expect("feasible");
         for (a, b) in scratch.iter().zip(&from_empty) {
             assert_eq!(a, b);
         }

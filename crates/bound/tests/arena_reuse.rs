@@ -125,7 +125,10 @@ fn arena_survives_infeasible_early_exit() {
         })
         .expect("fixture must have a stable-active neuron");
     let bad = dp.analyze(&net, &region, &SplitSet::new().with(active, SplitSign::Neg));
-    assert!(bad.infeasible, "clamping an active neuron off must be infeasible");
+    assert!(
+        bad.infeasible,
+        "clamping an active neuron off must be infeasible"
+    );
     assert_eq!(bad.p_hat, f64::INFINITY);
 
     let after = analysis_bits(&dp.analyze(&net, &region, &splits));

@@ -93,11 +93,7 @@ fn check_chain(dp: &DeepPoly, net: &CanonicalNetwork, dim: usize, choices: &[(us
     let region = unit_box(dim);
     let mut splits = SplitSet::new();
     let root = dp.analyze_cached(net, &region, &splits, None);
-    assert_bits_eq(
-        &dp.analyze(net, &region, &splits),
-        &root.analysis,
-        "root",
-    );
+    assert_bits_eq(&dp.analyze(net, &region, &splits), &root.analysis, "root");
     assert_eq!(root.stats.layers_reused, 0, "root has nothing to reuse");
     let mut parent = root.prefix;
     let mut analysis = root.analysis;
@@ -107,7 +103,11 @@ fn check_chain(dp: &DeepPoly, net: &CanonicalNetwork, dim: usize, choices: &[(us
             break;
         }
         let neuron = unstable[pick % unstable.len()];
-        let sign = if pos == 0 { SplitSign::Pos } else { SplitSign::Neg };
+        let sign = if pos == 0 {
+            SplitSign::Pos
+        } else {
+            SplitSign::Neg
+        };
         splits = splits.with(neuron, sign);
         let cached = dp.analyze_cached(net, &region, &splits, parent.as_ref());
         let scratch = dp.analyze(net, &region, &splits);
@@ -156,7 +156,10 @@ fn sibling_and_stale_prefixes_stay_bit_identical() {
     let dp = DeepPoly::new();
     let root = dp.analyze_cached(&net, &region, &SplitSet::new(), None);
     let unstable = root.analysis.unstable_neurons(&SplitSet::new());
-    assert!(!unstable.is_empty(), "seed 7 must give branching candidates");
+    assert!(
+        !unstable.is_empty(),
+        "seed 7 must give branching candidates"
+    );
     let neuron = *unstable.last().unwrap();
 
     let pos = SplitSet::new().with(neuron, SplitSign::Pos);
@@ -181,8 +184,14 @@ fn sibling_and_stale_prefixes_stay_bit_identical() {
     // Full hit: same splits, same prefix — zero recomputation.
     let repeat = dp.analyze_cached(&net, &region, &pos, pos_cached.prefix.as_ref());
     assert_bits_eq(&pos_cached.analysis, &repeat.analysis, "full hit");
-    assert_eq!(repeat.stats.layers_recomputed, 0, "full hit recomputes nothing");
-    assert_eq!(repeat.stats.backsub_steps, 0, "full hit runs no back-substitution");
+    assert_eq!(
+        repeat.stats.layers_recomputed, 0,
+        "full hit recomputes nothing"
+    );
+    assert_eq!(
+        repeat.stats.backsub_steps, 0,
+        "full hit runs no back-substitution"
+    );
 }
 
 /// The acceptance criterion: on a depth-≥3 chain of deep splits, cached
@@ -203,7 +212,11 @@ fn deep_split_chain_cuts_backsub_steps_by_thirty_percent() {
         .filter(|n| n.layer == 6)
         .take(3)
         .collect();
-    assert_eq!(deep.len(), 3, "seed 11 must give 3 unstable neurons at layer 6");
+    assert_eq!(
+        deep.len(),
+        3,
+        "seed 11 must give 3 unstable neurons at layer 6"
+    );
 
     let mut cached = BoundComputeStats::default();
     let mut scratch = BoundComputeStats::default();

@@ -243,7 +243,10 @@ fn audit(
                     }
                 }
             }
-            Err(LeafError::NotVerified { margin, lp_calls: _ }) => {
+            Err(LeafError::NotVerified {
+                margin,
+                lp_calls: _,
+            }) => {
                 return Err(AuditError::LeafNotVerified {
                     splits: splits.clone(),
                     margin,
@@ -354,7 +357,9 @@ fn cover_rec(
                 let side: Vec<(usize, Vec<(NeuronId, SplitSign)>)> = active
                     .iter()
                     .filter(|(_, rest)| {
-                        !rest.iter().any(|&(n, s)| n == neuron && s == phase.flipped())
+                        !rest
+                            .iter()
+                            .any(|&(n, s)| n == neuron && s == phase.flipped())
                     })
                     .map(|(idx, rest)| {
                         (
@@ -439,10 +444,7 @@ mod tests {
         // Both leaves record the Pos phase: the Pos region is covered
         // twice and the Neg region not at all; overlap is found first.
         let a = n(0, 0);
-        let sets = vec![
-            vec![(a, SplitSign::Pos)],
-            vec![(a, SplitSign::Pos)],
-        ];
+        let sets = vec![vec![(a, SplitSign::Pos)], vec![(a, SplitSign::Pos)]];
         assert!(matches!(
             exact_cover(&sets),
             Err(AuditError::Overlap { .. })
@@ -472,8 +474,16 @@ mod tests {
         let sets = vec![
             vec![(a, SplitSign::Pos)],
             vec![(a, SplitSign::Neg), (b, SplitSign::Pos)],
-            vec![(a, SplitSign::Neg), (b, SplitSign::Neg), (c, SplitSign::Pos)],
-            vec![(a, SplitSign::Neg), (b, SplitSign::Neg), (c, SplitSign::Neg)],
+            vec![
+                (a, SplitSign::Neg),
+                (b, SplitSign::Neg),
+                (c, SplitSign::Pos),
+            ],
+            vec![
+                (a, SplitSign::Neg),
+                (b, SplitSign::Neg),
+                (c, SplitSign::Neg),
+            ],
         ];
         exact_cover(&sets).unwrap();
     }

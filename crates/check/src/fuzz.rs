@@ -412,7 +412,10 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, FuzzFailure> {
         if ra.result.verdict != rb.result.verdict {
             return Err(fail(
                 FailureKind::VerdictDisagreement,
-                format!("{} vs {}: thread count changed the verdict", ra.name, rb.name),
+                format!(
+                    "{} vs {}: thread count changed the verdict",
+                    ra.name, rb.name
+                ),
             ));
         }
     }
@@ -430,13 +433,19 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, FuzzFailure> {
         if ra.result.verdict != rb.result.verdict {
             return Err(fail(
                 FailureKind::VerdictDisagreement,
-                format!("{} vs {}: bound cache changed the verdict", ra.name, rb.name),
+                format!(
+                    "{} vs {}: bound cache changed the verdict",
+                    ra.name, rb.name
+                ),
             ));
         }
         if ra.certificate != rb.certificate {
             return Err(fail(
                 FailureKind::CertificateRejected,
-                format!("{} vs {}: bound cache changed the certificate", ra.name, rb.name),
+                format!(
+                    "{} vs {}: bound cache changed the certificate",
+                    ra.name, rb.name
+                ),
             ));
         }
     }

@@ -173,9 +173,7 @@ fn stage_bound(
         coeffs[prev(j)] = w;
     }
     lp.set_objective(&coeffs);
-    let sol = lp
-        .solve()
-        .map_err(|e| LeafError::Solver(e.to_string()))?;
+    let sol = lp.solve().map_err(|e| LeafError::Solver(e.to_string()))?;
     match sol.status {
         Status::Optimal => Ok(LpBound::Value(sol.objective + target.bias[row])),
         Status::Infeasible => Ok(LpBound::Vacuous),

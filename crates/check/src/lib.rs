@@ -44,8 +44,9 @@ pub mod replay;
 pub use audit::{
     audit_certificate, audit_partial, audit_structure, AuditError, AuditReport, StructureReport,
 };
-pub use fuzz::{generate_case, minimize, run_campaign, run_case, CampaignOutcome, FuzzCase,
-    FuzzFailure};
+pub use fuzz::{
+    generate_case, minimize, run_campaign, run_case, CampaignOutcome, FuzzCase, FuzzFailure,
+};
 pub use interval::{propagate, IntervalBounds};
 pub use leaf::{check_leaf, LeafError, LeafOutcome, LeafStage};
 pub use replay::{replay_witness, ReplayError};

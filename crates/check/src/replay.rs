@@ -45,11 +45,17 @@ impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::DimMismatch { got, expected } => {
-                write!(f, "witness has {got} coordinates, network expects {expected}")
+                write!(
+                    f,
+                    "witness has {got} coordinates, network expects {expected}"
+                )
             }
             ReplayError::PropertyMismatch(msg) => write!(f, "property mismatch: {msg}"),
             ReplayError::OutsideRegion { index, value } => {
-                write!(f, "witness coordinate {index} = {value} is outside the input box")
+                write!(
+                    f,
+                    "witness coordinate {index} = {value} is outside the input box"
+                )
             }
             ReplayError::NotViolating => {
                 write!(f, "forward pass does not violate the property")

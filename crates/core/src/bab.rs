@@ -41,7 +41,11 @@ impl ProtoNode {
 /// Assembles the proof tree rooted at `idx`. Unresolved sub-problems
 /// become [`ProofNode::Open`] obligations; every terminal records the
 /// split set accumulated along its branch path as provenance.
-pub(crate) fn assemble_certificate(protos: &[ProtoNode], idx: usize, splits: &SplitSet) -> ProofNode {
+pub(crate) fn assemble_certificate(
+    protos: &[ProtoNode],
+    idx: usize,
+    splits: &SplitSet,
+) -> ProofNode {
     match protos[idx].branch {
         Some((neuron, pos, neg)) => ProofNode::Branch {
             neuron,

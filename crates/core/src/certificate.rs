@@ -477,8 +477,14 @@ mod tests {
             pos: Box::new(ProofNode::leaf(vec![(a, SplitSign::Pos)])),
             neg: Box::new(ProofNode::Branch {
                 neuron: b,
-                pos: Box::new(ProofNode::leaf(vec![(a, SplitSign::Neg), (b, SplitSign::Pos)])),
-                neg: Box::new(ProofNode::leaf(vec![(a, SplitSign::Neg), (b, SplitSign::Neg)])),
+                pos: Box::new(ProofNode::leaf(vec![
+                    (a, SplitSign::Neg),
+                    (b, SplitSign::Pos),
+                ])),
+                neg: Box::new(ProofNode::leaf(vec![
+                    (a, SplitSign::Neg),
+                    (b, SplitSign::Neg),
+                ])),
             }),
         });
         assert_eq!(cert.num_leaves(), 3);

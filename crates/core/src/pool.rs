@@ -196,7 +196,9 @@ impl WorkerPool {
         assert!(threads >= 1, "WorkerPool::new: pool must have >= 1 thread");
         let worker_count = threads - 1;
         let shared = Arc::new(Shared {
-            queues: (0..worker_count.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queues: (0..worker_count.max(1))
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             next_queue: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             signal: Condvar::new(),
@@ -459,6 +461,9 @@ mod tests {
         // With 3 workers and 64 sleeping tasks at least one lands off the
         // caller (single-core machines still satisfy this: workers exist).
         // lint: allow(relaxed-atomics, test-only read of the counter above; map already joined every task so the value is final)
-        assert!(hits.load(Ordering::Relaxed) > 0, "no worker ever ran a task");
+        assert!(
+            hits.load(Ordering::Relaxed) > 0,
+            "no worker ever ran a task"
+        );
     }
 }

@@ -206,7 +206,10 @@ mod tests {
         let portfolio = Portfolio::standard();
         let budget = Budget::with_appver_calls(600);
         let robust = RobustnessProblem::new(&net, vec![0.8, 0.2], 0, 0.02).unwrap();
-        assert_eq!(portfolio.verify(&robust, &budget).verdict, Verdict::Verified);
+        assert_eq!(
+            portfolio.verify(&robust, &budget).verdict,
+            Verdict::Verified
+        );
         let fragile = RobustnessProblem::new(&net, vec![0.55, 0.45], 0, 0.2).unwrap();
         assert!(matches!(
             portfolio.verify(&fragile, &budget).verdict,

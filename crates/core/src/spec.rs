@@ -139,8 +139,8 @@ impl RobustnessProblem {
                 "constraint rows and offsets must be non-empty and equal-length".into(),
             ));
         }
-        let canon = CanonicalNetwork::from_network(net)
-            .map_err(|e| SpecError::Lowering(e.to_string()))?;
+        let canon =
+            CanonicalNetwork::from_network(net).map_err(|e| SpecError::Lowering(e.to_string()))?;
         let margin_net = canon.with_output_transform(c, d);
         let input = region.center();
         let epsilon = region
@@ -221,8 +221,8 @@ impl RobustnessProblem {
         // Wire-supplied boxes can be empty (contradictory bounds); the
         // InputBox constructor treats that as a caller bug and panics, so
         // reject it here where "caller" means an untrusted client.
-        if let Some(i) = (0..property.num_inputs())
-            .find(|&i| property.input_lo[i] > property.input_hi[i])
+        if let Some(i) =
+            (0..property.num_inputs()).find(|&i| property.input_lo[i] > property.input_hi[i])
         {
             return Err(SpecError::BadProperty(format!(
                 "empty input box: lo[{i}] = {} > hi[{i}] = {}",
@@ -509,8 +509,7 @@ mod tests {
         // Safety: logit 2 stays below 0.7 on the box (i.e. 0.7 − y2 > 0).
         let c = Matrix::from_rows(&[&[0.0, 0.0, -1.0]]);
         let region = InputBox::new(vec![0.2, 0.2], vec![0.4, 0.4]);
-        let p =
-            RobustnessProblem::from_output_constraints(&net, region, &c, &[0.7]).unwrap();
+        let p = RobustnessProblem::from_output_constraints(&net, region, &c, &[0.7]).unwrap();
         assert_eq!(p.label(), None);
         assert_eq!(p.margin_net().output_dim(), 1);
         // y2 = -x0 - x1 + 0.6 ≤ 0.6 - 0.4 = 0.2 < 0.7 on the box: margin

@@ -187,7 +187,10 @@ fn branching_instance_reuses_parent_layers() {
             "probe: instance must branch, took {} calls",
             stats.appver_calls
         );
-        assert!(stats.cache_layers_reused > 0, "no parent layers were reused");
+        assert!(
+            stats.cache_layers_reused > 0,
+            "no parent layers were reused"
+        );
         assert!(
             stats.backsub_steps < stats.appver_calls * full_backsub,
             "{} steps is not below the {}-call x {}-step scratch cost",

@@ -139,7 +139,11 @@ fn timeout_mid_expansion_yields_partial_certificate_and_healthy_pool() {
     let full = AbonnVerifier::default()
         .with_pool(Arc::clone(&pool))
         .verify(&problem, &Budget::with_appver_calls(10_000));
-    assert_eq!(full.verdict, Verdict::Verified, "probe: instance must be robust");
+    assert_eq!(
+        full.verdict,
+        Verdict::Verified,
+        "probe: instance must be robust"
+    );
     assert!(
         full.stats.appver_calls > 3,
         "probe: instance must need branching, took {} calls (verdict {:?})",
@@ -150,9 +154,16 @@ fn timeout_mid_expansion_yields_partial_certificate_and_healthy_pool() {
     let verifier = AbonnVerifier::default().with_pool(Arc::clone(&pool));
     let (result, certificate) =
         verifier.verify_with_certificate(&problem, &Budget::with_appver_calls(3));
-    assert_eq!(result.verdict, Verdict::Timeout, "budget of 3 calls must time out");
+    assert_eq!(
+        result.verdict,
+        Verdict::Timeout,
+        "budget of 3 calls must time out"
+    );
     let cert = certificate.expect("timeout must still yield a partial certificate");
-    assert!(!cert.is_complete(), "a timed-out proof has open obligations");
+    assert!(
+        !cert.is_complete(),
+        "a timed-out proof has open obligations"
+    );
     assert!(cert.num_open() >= 1);
     assert_eq!(
         cert.num_open() > 0,

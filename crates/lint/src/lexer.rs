@@ -75,36 +75,34 @@ pub fn classify(text: &str) -> Vec<SourceLine> {
                         i += 1;
                     }
                 }
-                State::Str { raw_hashes } => {
-                    match raw_hashes {
-                        None => {
-                            if chars[i] == '\\' {
-                                code.push_str("  ");
-                                i += 2;
-                            } else if chars[i] == '"' {
-                                code.push('"');
-                                i += 1;
-                                state = State::Code;
-                            } else {
-                                code.push(' ');
-                                i += 1;
-                            }
-                        }
-                        Some(h) => {
-                            if chars[i] == '"' && closes_raw(&chars, i, h) {
-                                code.push('"');
-                                for _ in 0..h {
-                                    code.push('#');
-                                }
-                                i += 1 + h;
-                                state = State::Code;
-                            } else {
-                                code.push(' ');
-                                i += 1;
-                            }
+                State::Str { raw_hashes } => match raw_hashes {
+                    None => {
+                        if chars[i] == '\\' {
+                            code.push_str("  ");
+                            i += 2;
+                        } else if chars[i] == '"' {
+                            code.push('"');
+                            i += 1;
+                            state = State::Code;
+                        } else {
+                            code.push(' ');
+                            i += 1;
                         }
                     }
-                }
+                    Some(h) => {
+                        if chars[i] == '"' && closes_raw(&chars, i, h) {
+                            code.push('"');
+                            for _ in 0..h {
+                                code.push('#');
+                            }
+                            i += 1 + h;
+                            state = State::Code;
+                        } else {
+                            code.push(' ');
+                            i += 1;
+                        }
+                    }
+                },
                 State::Code => {
                     let c = chars[i];
                     if c == '/' && chars.get(i + 1) == Some(&'/') {
@@ -122,7 +120,9 @@ pub fn classify(text: &str) -> Vec<SourceLine> {
                         }
                         code.push('"');
                         i += prefix + 1;
-                        state = State::Str { raw_hashes: Some(h) };
+                        state = State::Str {
+                            raw_hashes: Some(h),
+                        };
                     } else if c == '"' {
                         code.push('"');
                         i += 1;

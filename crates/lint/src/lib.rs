@@ -399,7 +399,10 @@ mod tests {
 
     #[test]
     fn markers_require_reasons() {
-        let out = lint_source("crates/core/src/x.rs", "// lint: allow(relaxed-atomics)\nlet a = 1;\n");
+        let out = lint_source(
+            "crates/core/src/x.rs",
+            "// lint: allow(relaxed-atomics)\nlet a = 1;\n",
+        );
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, SUPPRESSION_SYNTAX);
     }

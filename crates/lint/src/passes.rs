@@ -476,11 +476,7 @@ mod tests {
     use crate::lexer::classify;
     use crate::syntax::index;
 
-    fn run(
-        path: &str,
-        src: &str,
-        pass: fn(&SourceFile<'_>, &mut Vec<Finding>),
-    ) -> Vec<Finding> {
+    fn run(path: &str, src: &str, pass: fn(&SourceFile<'_>, &mut Vec<Finding>)) -> Vec<Finding> {
         let lines = classify(src);
         let syntax = index(&lines);
         let file = SourceFile {

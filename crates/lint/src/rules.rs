@@ -72,10 +72,13 @@ impl Rule {
     #[must_use]
     pub fn in_scope(&self, path: &str) -> bool {
         self.scopes.is_empty()
-            || self
-                .scopes
-                .iter()
-                .any(|s| if s.ends_with(".rs") { path == *s } else { path.starts_with(s) })
+            || self.scopes.iter().any(|s| {
+                if s.ends_with(".rs") {
+                    path == *s
+                } else {
+                    path.starts_with(s)
+                }
+            })
     }
 
     /// Runs the rule over `file`, appending findings.
@@ -184,8 +187,9 @@ fn field_name(code: &str) -> Option<&str> {
         // `pub`, `pub(crate)`, `pub(super)`, ... — but not `publish_at`.
         if !r.starts_with(|c: char| is_ident(c)) {
             rest = r.trim_start();
-            if let Some(close) =
-                rest.strip_prefix('(').and_then(|r| r.find(')').map(|i| &r[i + 1..]))
+            if let Some(close) = rest
+                .strip_prefix('(')
+                .and_then(|r| r.find(')').map(|i| &r[i + 1..]))
             {
                 rest = close.trim_start();
             }

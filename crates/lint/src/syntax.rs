@@ -142,10 +142,10 @@ pub struct FileIndex {
 }
 
 const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else",
-    "enum", "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match",
-    "mod", "move", "mut", "pub", "ref", "return", "static", "struct", "super", "trait",
-    "true", "type", "union", "unsafe", "use", "where", "while",
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "true", "type", "union",
+    "unsafe", "use", "where", "while",
 ];
 
 /// Is `s` a Rust keyword (the subset relevant to this index)?
@@ -384,7 +384,10 @@ pub fn index(lines: &[SourceLine]) -> FileIndex {
                             pending_scoped.extend(param_bindings(&tokens, j + 1, end));
                         }
                     }
-                    pending = Some(PendingItem { kind, is_test: test });
+                    pending = Some(PendingItem {
+                        kind,
+                        is_test: test,
+                    });
                     i += 1;
                 }
                 "let" => {
@@ -532,7 +535,10 @@ fn parse_let(tokens: &[Token], at: usize, condition: bool) -> (Option<Binding>, 
                 if ty_start.is_none()
                     && !is_keyword(&t.text)
                     && t.text != "_"
-                    && t.text.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
+                    && t.text
+                        .chars()
+                        .next()
+                        .is_some_and(|c| c.is_lowercase() || c == '_')
                     && !tokens.get(j + 1).is_some_and(|n| n.is_punct('!'))
                     && !(tokens.get(j + 1).is_some_and(|n| n.is_punct(':'))
                         && tokens.get(j + 2).is_some_and(|n| n.is_punct(':'))) =>
@@ -593,9 +599,7 @@ fn param_bindings(tokens: &[Token], start: usize, end: usize) -> Vec<Binding> {
     let mut j = start;
     while j <= end {
         let at_end = j == end;
-        let is_sep = !at_end
-            && tokens[j].is_punct(',')
-            && depth == 0;
+        let is_sep = !at_end && tokens[j].is_punct(',') && depth == 0;
         if !at_end {
             match tokens[j].kind {
                 TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('<') => {
@@ -649,7 +653,10 @@ fn param_binding(tokens: &[Token], start: usize, end: usize) -> Option<Binding> 
             t.kind == TokenKind::Ident
                 && !is_keyword(&t.text)
                 && t.text != "_"
-                && t.text.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
+                && t.text
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_lowercase() || c == '_')
         })
         .map(|t| t.text.clone())
         .collect();
@@ -933,10 +940,15 @@ mod tests {
         let f = idx("fn f() { let xs: Vec<f64> = build(); xs.len(); }");
         let b = f.bindings.iter().find(|b| b.names == ["xs"]).unwrap();
         let ty = b.ty.expect("typed");
-        let ty_txt: Vec<&str> = f.tokens[ty.0..ty.1].iter().map(|t| t.text.as_str()).collect();
+        let ty_txt: Vec<&str> = f.tokens[ty.0..ty.1]
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect();
         assert!(ty_txt.contains(&"Vec"), "{ty_txt:?}");
-        let init_txt: Vec<&str> =
-            f.tokens[b.init.0..b.init.1].iter().map(|t| t.text.as_str()).collect();
+        let init_txt: Vec<&str> = f.tokens[b.init.0..b.init.1]
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect();
         assert!(init_txt.contains(&"build"), "{init_txt:?}");
     }
 
@@ -965,8 +977,10 @@ mod tests {
         let f = idx("fn f() { let x = a(); { let x = b(); x.use_(); } }");
         let use_at = f.tokens.iter().position(|t| t.is_ident("use_")).unwrap();
         let b = f.binding_for("x", use_at).unwrap();
-        let init: Vec<&str> =
-            f.tokens[b.init.0..b.init.1].iter().map(|t| t.text.as_str()).collect();
+        let init: Vec<&str> = f.tokens[b.init.0..b.init.1]
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect();
         assert_eq!(init, ["b", "(", ")"]);
     }
 

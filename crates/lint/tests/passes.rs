@@ -10,7 +10,11 @@ use abonn_lint::rules::Severity;
 fn expect_rules(path: &str, src: &str, rules: &[&str]) {
     let out = lint_source(path, src);
     let got: Vec<&str> = out.findings.iter().map(|f| f.rule.as_str()).collect();
-    assert_eq!(got, rules, "findings for {path}:\n{src}\n{:#?}", out.findings);
+    assert_eq!(
+        got, rules,
+        "findings for {path}:\n{src}\n{:#?}",
+        out.findings
+    );
 }
 
 fn expect_clean(path: &str, src: &str) {

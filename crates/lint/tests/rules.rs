@@ -12,7 +12,11 @@ use abonn_lint::lint_source;
 fn expect_findings(path: &str, src: &str, rules: &[&str]) {
     let out = lint_source(path, src);
     let got: Vec<&str> = out.findings.iter().map(|f| f.rule.as_str()).collect();
-    assert_eq!(got, rules, "findings for {path}:\n{src}\n{:#?}", out.findings);
+    assert_eq!(
+        got, rules,
+        "findings for {path}:\n{src}\n{:#?}",
+        out.findings
+    );
 }
 
 /// Asserts `src` at `path` is fully clean (no findings, no suppressions).

@@ -533,7 +533,8 @@ impl Revised {
             *v *= inv;
         }
         self.eta.clear();
-        self.eta.extend_from_slice(&self.binv[row * m..(row + 1) * m]);
+        self.eta
+            .extend_from_slice(&self.binv[row * m..(row + 1) * m]);
         let mut updated_rows = 0usize;
         for (i, &factor) in w.iter().enumerate().take(m) {
             if i == row || factor == 0.0 {

@@ -209,7 +209,8 @@ impl AvgPool2d {
     /// input exactly.
     #[must_use]
     pub fn output_hw(&self, h: usize, w: usize) -> Option<(usize, usize)> {
-        (h.is_multiple_of(self.k) && w.is_multiple_of(self.k) && h > 0 && w > 0).then(|| (h / self.k, w / self.k))
+        (h.is_multiple_of(self.k) && w.is_multiple_of(self.k) && h > 0 && w > 0)
+            .then(|| (h / self.k, w / self.k))
     }
 }
 

@@ -662,8 +662,12 @@ mod tests {
         let net = random_conv_net(71);
         let canon = CanonicalNetwork::from_network(&net).unwrap();
         let mut rng = SmallRng::seed_from_u64(72);
-        let x: Vec<f64> = (0..canon.input_dim()).map(|_| rng.gen_range(-0.9..0.9)).collect();
-        let coeffs: Vec<f64> = (0..canon.output_dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let x: Vec<f64> = (0..canon.input_dim())
+            .map(|_| rng.gen_range(-0.9..0.9))
+            .collect();
+        let coeffs: Vec<f64> = (0..canon.output_dim())
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
         let g = canon.input_gradient(&x, &coeffs);
         let eps = 1e-5;
         let f = |x: &[f64]| -> f64 {

@@ -173,8 +173,7 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
         let problem = RobustnessProblem::from_vnnlib_prelowered(&network, &canon, &adjusted)
             .expect("generated case is well-formed");
         let budget = Budget::with_appver_calls(case.budget_calls);
-        let (batch, _) =
-            AbonnVerifier::default().verify_with_certificate(&problem, &budget);
+        let (batch, _) = AbonnVerifier::default().verify_with_certificate(&problem, &budget);
         match batch.verdict {
             Verdict::Verified => outcome.verified += 1,
             Verdict::Falsified(_) => outcome.falsified += 1,
@@ -208,17 +207,14 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
             ));
             continue;
         }
-        if let (Verdict::Falsified(batch_w), Some(served_w)) =
-            (&batch.verdict, &first.witness)
-        {
+        if let (Verdict::Falsified(batch_w), Some(served_w)) = (&batch.verdict, &first.witness) {
             if batch_w != served_w {
                 fail(format!(
                     "served witness {served_w:?} != batch witness {batch_w:?}"
                 ));
             }
         }
-        if first.store != "miss" && first.store != "exact" && !first.store.starts_with("reuse")
-        {
+        if first.store != "miss" && first.store != "exact" && !first.store.starts_with("reuse") {
             fail(format!("unexpected store tag '{}'", first.store));
         }
         if first.store != "miss" {
@@ -322,13 +318,12 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
         // Cross-check the reused answer against a fresh engine run at the
         // dominated radius. A fresh Timeout is compatible with anything —
         // the store knows a conclusive answer the budget couldn't re-find.
-        let dominated_adjusted =
-            apply_epsilon_override(&parsed, &case.input, dominated_eps);
+        let dominated_adjusted = apply_epsilon_override(&parsed, &case.input, dominated_eps);
         let dominated_problem =
             RobustnessProblem::from_vnnlib_prelowered(&network, &canon, &dominated_adjusted)
                 .expect("dominated case is well-formed");
-        let (fresh, _) = AbonnVerifier::default()
-            .verify_with_certificate(&dominated_problem, &budget);
+        let (fresh, _) =
+            AbonnVerifier::default().verify_with_certificate(&dominated_problem, &budget);
         if !matches!(fresh.verdict, Verdict::Timeout)
             && verdict_name(&fresh.verdict) != third.verdict
         {
@@ -342,9 +337,7 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
         // Cross-center probe: a query at a *shifted* center whose clamped
         // ball contains the cached witness must be answered from the
         // cohort index with zero engine calls.
-        if let (Verdict::Falsified(_), Some(cached)) =
-            (&batch.verdict, first.witness.clone())
-        {
+        if let (Verdict::Falsified(_), Some(cached)) = (&batch.verdict, first.witness.clone()) {
             let shifted: Vec<f64> = case
                 .input
                 .iter()
@@ -358,10 +351,14 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
                 .map(|(w, c)| (w - c).abs())
                 .fold(0.0_f64, f64::max)
                 + 0.01;
-            let probe_text =
-                abonn_vnnlib::write_robustness(&shifted, radius, case.label, classes);
-            let probe_line =
-                request_line(&model_json, &probe_text, &shifted, radius, case.budget_calls);
+            let probe_text = abonn_vnnlib::write_robustness(&shifted, radius, case.label, classes);
+            let probe_line = request_line(
+                &model_json,
+                &probe_text,
+                &shifted,
+                radius,
+                case.budget_calls,
+            );
             let probe = match server.handle_line(&probe_line).map(|r| parse_response(&r)) {
                 Some(Ok(r)) => r,
                 other => {
@@ -383,8 +380,7 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
             outcome.cross_hits += 1;
             // The serve layer replayed before answering; replay once more
             // here so the harness does not take its word for it.
-            let probe_parsed =
-                abonn_vnnlib::parse(&probe_text).expect("writer output parses");
+            let probe_parsed = abonn_vnnlib::parse(&probe_text).expect("writer output parses");
             let probe_adjusted = apply_epsilon_override(&probe_parsed, &shifted, radius);
             if let Err(e) = replay_witness(&network, &probe_adjusted, &cached) {
                 fail(format!("cross-served witness fails replay: {e}"));

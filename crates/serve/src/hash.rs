@@ -212,11 +212,23 @@ mod tests {
             base,
             robustness_family_key(1, 0, &[1, 2], &[0.5, 0.5], "cfg")
         );
-        assert_ne!(base, robustness_family_key(2, 0, &[1, 2], &[0.5, 0.5], "cfg"));
-        assert_ne!(base, robustness_family_key(1, 1, &[1, 2], &[0.5, 0.5], "cfg"));
+        assert_ne!(
+            base,
+            robustness_family_key(2, 0, &[1, 2], &[0.5, 0.5], "cfg")
+        );
+        assert_ne!(
+            base,
+            robustness_family_key(1, 1, &[1, 2], &[0.5, 0.5], "cfg")
+        );
         assert_ne!(base, robustness_family_key(1, 0, &[2], &[0.5, 0.5], "cfg"));
-        assert_ne!(base, robustness_family_key(1, 0, &[1, 2], &[0.5, 0.6], "cfg"));
-        assert_ne!(base, robustness_family_key(1, 0, &[1, 2], &[0.5, 0.5], "cfg2"));
+        assert_ne!(
+            base,
+            robustness_family_key(1, 0, &[1, 2], &[0.5, 0.6], "cfg")
+        );
+        assert_ne!(
+            base,
+            robustness_family_key(1, 0, &[1, 2], &[0.5, 0.5], "cfg2")
+        );
     }
 
     #[test]
@@ -240,12 +252,18 @@ mod tests {
     #[test]
     fn exact_keys_cover_box_and_violation() {
         let p = |text: &str| parse(text).unwrap();
-        let a = p("(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(declare-const Y_1 Real)\n\
-                   (assert (>= X_0 0.0))\n(assert (<= X_0 1.0))\n(assert (<= Y_0 Y_1))");
-        let b = p("(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(declare-const Y_1 Real)\n\
-                   (assert (>= X_0 0.0))\n(assert (<= X_0 0.5))\n(assert (<= Y_0 Y_1))");
-        let c = p("(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(declare-const Y_1 Real)\n\
-                   (assert (>= X_0 0.0))\n(assert (<= X_0 1.0))\n(assert (>= Y_0 Y_1))");
+        let a = p(
+            "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(declare-const Y_1 Real)\n\
+                   (assert (>= X_0 0.0))\n(assert (<= X_0 1.0))\n(assert (<= Y_0 Y_1))",
+        );
+        let b = p(
+            "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(declare-const Y_1 Real)\n\
+                   (assert (>= X_0 0.0))\n(assert (<= X_0 0.5))\n(assert (<= Y_0 Y_1))",
+        );
+        let c = p(
+            "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(declare-const Y_1 Real)\n\
+                   (assert (>= X_0 0.0))\n(assert (<= X_0 1.0))\n(assert (>= Y_0 Y_1))",
+        );
         let k = |prop| exact_property_key(7, prop, "cfg");
         assert_ne!(k(&a), k(&b), "box must be keyed");
         assert_ne!(k(&a), k(&c), "violation must be keyed");

@@ -138,7 +138,12 @@ fn floats_value(xs: &[f64]) -> Value {
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn get_u64(v: &Value, key: &str) -> Result<u64, SnapshotError> {
@@ -161,7 +166,9 @@ fn get_finite_f64(v: &Value, key: &str) -> Result<f64, SnapshotError> {
             if f.is_finite() {
                 Ok(f)
             } else {
-                Err(SnapshotError::Invalid(format!("field '{key}' is not finite")))
+                Err(SnapshotError::Invalid(format!(
+                    "field '{key}' is not finite"
+                )))
             }
         }
         _ => Err(SnapshotError::Invalid(format!(
@@ -228,10 +235,7 @@ impl ResultStore {
                     .collect();
                 obj(vec![
                     ("key", u64_value(*key)),
-                    (
-                        "cohort",
-                        state.meta.cohort.map_or(Value::Null, u64_value),
-                    ),
+                    ("cohort", state.meta.cohort.map_or(Value::Null, u64_value)),
                     (
                         "center",
                         state
@@ -281,8 +285,7 @@ impl ResultStore {
                       over Value has no error path, so the expect is unreachable; rewriting \
                       snapshot rendering around an impossible error obscures the format code"
         )]
-        let canonical =
-            serde_json::to_string(&payload).expect("snapshot payload serialises");
+        let canonical = serde_json::to_string(&payload).expect("snapshot payload serialises");
         let checksum = format!("{:016x}", hash_bytes(canonical.as_bytes()));
         let doc = obj(vec![
             ("format", Value::String(SNAPSHOT_FORMAT.into())),
@@ -315,8 +318,7 @@ impl ResultStore {
         path: &Path,
         capacity: Option<usize>,
     ) -> Result<(Self, LoadReport), SnapshotError> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
         Self::from_snapshot_str(&text, capacity)
     }
 
@@ -363,8 +365,7 @@ impl ResultStore {
             reason = "from_snapshot_str re-serialises a Value that serde_json itself just parsed; \
                       round-tripping a parsed Value cannot fail, the expect is unreachable"
         )]
-        let canonical =
-            serde_json::to_string(payload).expect("parsed value re-serialises");
+        let canonical = serde_json::to_string(payload).expect("parsed value re-serialises");
         let computed = format!("{:016x}", hash_bytes(canonical.as_bytes()));
         if recorded != computed {
             return Err(SnapshotError::Checksum);
@@ -383,18 +384,19 @@ impl ResultStore {
         store.restore_clocks(clock, next_seq);
         for family in get_array(payload, "families")? {
             let key = get_u64(family, "key")?;
-            let cohort = match family.get("cohort") {
-                Some(Value::Null) | None => None,
-                Some(Value::Number(n)) => Some(n.as_u64().ok_or_else(|| {
-                    SnapshotError::Invalid("family cohort is not a u64".into())
-                })?),
-                Some(other) => {
-                    return Err(SnapshotError::Invalid(format!(
-                        "family cohort must be a number or null, got {}",
-                        other.type_name()
-                    )))
-                }
-            };
+            let cohort =
+                match family.get("cohort") {
+                    Some(Value::Null) | None => None,
+                    Some(Value::Number(n)) => Some(n.as_u64().ok_or_else(|| {
+                        SnapshotError::Invalid("family cohort is not a u64".into())
+                    })?),
+                    Some(other) => {
+                        return Err(SnapshotError::Invalid(format!(
+                            "family cohort must be a number or null, got {}",
+                            other.type_name()
+                        )))
+                    }
+                };
             let center = match family.get("center") {
                 Some(Value::Null) | None => None,
                 Some(v) => Some(finite_floats(v, "family center")?),
@@ -413,10 +415,9 @@ impl ResultStore {
                         let cert_value = entry.get("certificate").ok_or_else(|| {
                             SnapshotError::Invalid("unsat entry lacks a certificate".into())
                         })?;
-                        let certificate =
-                            Certificate::from_value(cert_value).map_err(|e| {
-                                SnapshotError::Invalid(format!("certificate does not decode: {e}"))
-                            })?;
+                        let certificate = Certificate::from_value(cert_value).map_err(|e| {
+                            SnapshotError::Invalid(format!("certificate does not decode: {e}"))
+                        })?;
                         audit_structure(&certificate).map_err(|e| {
                             SnapshotError::Invalid(format!(
                                 "certificate fails structural audit: {e}"
@@ -433,9 +434,7 @@ impl ResultStore {
                         }
                     }
                     other => {
-                        return Err(SnapshotError::Invalid(format!(
-                            "unknown verdict '{other}'"
-                        )))
+                        return Err(SnapshotError::Invalid(format!("unknown verdict '{other}'")))
                     }
                 };
                 let needs_reaudit = matches!(verdict, CachedVerdict::Unsat { .. });

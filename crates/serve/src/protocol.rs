@@ -152,8 +152,7 @@ fn finite_number(v: &Value, field: &str) -> Result<f64, String> {
 /// JSON, non-object top level, unknown/duplicate/missing fields, wrong
 /// types, or out-of-domain values.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    let value: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
     let Value::Object(entries) = value else {
         return Err(format!(
             "request must be a JSON object, got {}",
@@ -248,11 +247,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             "calls" => match val {
                 Value::Number(n) => match n.as_u64() {
                     Some(c) => calls = Some(c as usize),
-                    None => {
-                        return Err(
-                            "field 'calls' must be a non-negative integer".to_string()
-                        )
-                    }
+                    None => return Err("field 'calls' must be a non-negative integer".to_string()),
                 },
                 other => {
                     return Err(format!(
@@ -293,7 +288,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })))
         }
         Some("stats") => {
-            if model.is_some() || property.is_some() || epsilon.is_some() || center.is_some()
+            if model.is_some()
+                || property.is_some()
+                || epsilon.is_some()
+                || center.is_some()
                 || calls.is_some()
             {
                 return Err("'stats' takes no query fields".into());
@@ -311,8 +309,7 @@ mod tests {
 
     #[test]
     fn minimal_verify_parses() {
-        let req = parse_request(r#"{"cmd":"verify","model":"m.json","property":"(p)"}"#)
-            .unwrap();
+        let req = parse_request(r#"{"cmd":"verify","model":"m.json","property":"(p)"}"#).unwrap();
         let Request::Verify(v) = req else {
             panic!("expected verify")
         };

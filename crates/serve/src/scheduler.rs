@@ -184,9 +184,7 @@ impl Server {
                         Err(msg) => Planned::Ready(error_line(&req.id, &msg)),
                         Ok((model, plan)) => {
                             let conflict = pending_families.contains(&plan.family)
-                                || plan
-                                    .cohort
-                                    .is_some_and(|c| pending_cohorts.contains(&c));
+                                || plan.cohort.is_some_and(|c| pending_cohorts.contains(&c));
                             let evictable_hit = in_flight > 0
                                 && self.store.may_evict(in_flight)
                                 && self
@@ -367,11 +365,8 @@ impl Server {
                     // admit_slices returns one slice per input; an empty
                     // vector would be an admission bug, answered as an
                     // error rather than a daemon panic.
-                    let admitted = Budget::admit_slices(
-                        &[job.requested],
-                        self.config.max_calls,
-                    )
-                    .pop();
+                    let admitted =
+                        Budget::admit_slices(&[job.requested], self.config.max_calls).pop();
                     let Some((budget, clamped)) = admitted else {
                         return error_line(&q.req.id, "budget admission produced no slice");
                     };
@@ -398,12 +393,7 @@ mod tests {
             Shape::Flat(2),
             vec![
                 Layer::dense(
-                    Matrix::from_rows(&[
-                        &[1.0, 0.5],
-                        &[-0.5, 1.0],
-                        &[0.8, -1.0],
-                        &[-1.0, -0.3],
-                    ]),
+                    Matrix::from_rows(&[&[1.0, 0.5], &[-0.5, 1.0], &[0.8, -1.0], &[-1.0, -0.3]]),
                     vec![0.1, -0.2, 0.0, 0.3],
                 ),
                 Layer::relu(),
@@ -527,14 +517,17 @@ mod tests {
             batch: 8,
             ..ServerConfig::default()
         });
-        let batched_out: Vec<String> =
-            batched.handle_batch(&refs).into_iter().flatten().collect();
+        let batched_out: Vec<String> = batched.handle_batch(&refs).into_iter().flatten().collect();
         let mut sequential = Server::new(ServerConfig::default());
         let sequential_out: Vec<String> = lines
             .iter()
             .filter_map(|l| sequential.handle_line(l))
             .collect();
         assert_eq!(batched_out, sequential_out);
-        assert!(batched_out[1].contains("\"queries\":1"), "got: {}", batched_out[1]);
+        assert!(
+            batched_out[1].contains("\"queries\":1"),
+            "got: {}",
+            batched_out[1]
+        );
     }
 }

@@ -251,8 +251,9 @@ impl Server {
 
     fn resolve_model(&mut self, model: &ModelRef) -> Result<(u64, Arc<LoweredModel>), String> {
         let network = match model {
-            ModelRef::Inline(text) => abonn_nn::io::from_json(text)
-                .map_err(|e| format!("invalid model: {e}"))?,
+            ModelRef::Inline(text) => {
+                abonn_nn::io::from_json(text).map_err(|e| format!("invalid model: {e}"))?
+            }
             ModelRef::Named(name) => {
                 if name.contains('/') || name.contains('\\') || name.contains("..") {
                     return Err(format!("invalid model name '{name}'"));
@@ -266,7 +267,9 @@ impl Server {
                     .map_err(|e| format!("unknown model '{name}': {e}"))?
             }
         };
-        self.models.admit(network).map_err(|e| format!("model does not lower: {e}"))
+        self.models
+            .admit(network)
+            .map_err(|e| format!("model does not lower: {e}"))
     }
 
     fn plan_query(
@@ -294,9 +297,7 @@ impl Server {
             });
         };
         let Some((label, adversarial)) = property.as_robustness() else {
-            return Err(
-                "epsilon override requires a classification-robustness property".into(),
-            );
+            return Err("epsilon override requires a classification-robustness property".into());
         };
         let center = match &req.center {
             Some(c) => {
@@ -325,8 +326,7 @@ impl Server {
                 "center coordinate {i} = {c} is outside the [0, 1] input domain"
             ));
         }
-        let family =
-            robustness_family_key(model_hash, label, &adversarial, &center, ENGINE_CONFIG);
+        let family = robustness_family_key(model_hash, label, &adversarial, &center, ENGINE_CONFIG);
         let cohort = robustness_cohort_key(model_hash, label, &adversarial, ENGINE_CONFIG);
         Ok(QueryPlan {
             family,
@@ -455,10 +455,7 @@ impl Server {
                     Some(Err(e)) => {
                         // A fresh certificate failing its own audit is an
                         // engine bug; surface it rather than caching it.
-                        return error_line(
-                            &req.id,
-                            &format!("certificate failed audit: {e}"),
-                        );
+                        return error_line(&req.id, &format!("certificate failed audit: {e}"));
                     }
                     Some(Ok(())) => audited = true,
                     None => {}
@@ -507,10 +504,7 @@ impl Server {
     }
 
     pub(crate) fn stats_response(&self, id: &Value) -> String {
-        let mut fields = vec![
-            ("id", id.clone()),
-            ("status", Value::String("ok".into())),
-        ];
+        let mut fields = vec![("id", id.clone()), ("status", Value::String("ok".into()))];
         fields.extend(self.stats_fields());
         render(&fields)
     }
@@ -561,10 +555,7 @@ impl Server {
 /// Reads one wave of raw lines: the first blocks, further lines are
 /// taken greedily — only while already buffered on the reader — up to
 /// `limit`. Returns `None` at EOF.
-fn read_wave<R: Read>(
-    input: &mut BufReader<R>,
-    limit: usize,
-) -> io::Result<Option<Vec<Vec<u8>>>> {
+fn read_wave<R: Read>(input: &mut BufReader<R>, limit: usize) -> io::Result<Option<Vec<Vec<u8>>>> {
     use io::BufRead as _;
     let mut raw_lines: Vec<Vec<u8>> = Vec::new();
     let mut buf = Vec::new();
@@ -622,12 +613,7 @@ mod tests {
             Shape::Flat(2),
             vec![
                 Layer::dense(
-                    Matrix::from_rows(&[
-                        &[1.0, 0.5],
-                        &[-0.5, 1.0],
-                        &[0.8, -1.0],
-                        &[-1.0, -0.3],
-                    ]),
+                    Matrix::from_rows(&[&[1.0, 0.5], &[-0.5, 1.0], &[0.8, -1.0], &[-1.0, -0.3]]),
                     vec![0.1, -0.2, 0.0, 0.3],
                 ),
                 Layer::relu(),
@@ -749,7 +735,10 @@ mod tests {
             second.contains("\"store\":\"reuse-cross\""),
             "got: {second}"
         );
-        assert!(second.contains("\"verdict\":\"falsified\""), "got: {second}");
+        assert!(
+            second.contains("\"verdict\":\"falsified\""),
+            "got: {second}"
+        );
         assert!(second.contains("\"appver_calls\":0"), "got: {second}");
         assert!(second.contains("\"source_eps\""), "got: {second}");
         let stats = server.handle_line(r#"{"id":9,"cmd":"stats"}"#).unwrap();

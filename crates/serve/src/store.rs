@@ -554,7 +554,11 @@ impl ResultStore {
         Ok(())
     }
 
-    pub(crate) fn restore_witness(&mut self, cohort: u64, witness: WitnessRef) -> Result<(), String> {
+    pub(crate) fn restore_witness(
+        &mut self,
+        cohort: u64,
+        witness: WitnessRef,
+    ) -> Result<(), String> {
         let Some(state) = self.families.get(&witness.family) else {
             return Err(format!(
                 "witness ref points at missing family {}",
@@ -694,7 +698,13 @@ mod tests {
         assert!(s.lookup(2, 0.1, None, None).is_none());
         let c = s.counters();
         assert_eq!(
-            (c.exact_hits, c.reuse_unsat, c.reuse_sat, c.misses, c.inserts),
+            (
+                c.exact_hits,
+                c.reuse_unsat,
+                c.reuse_sat,
+                c.misses,
+                c.inserts
+            ),
             (1, 1, 0, 2, 1)
         );
         assert_eq!(s.num_families(), 1);
@@ -762,9 +772,15 @@ mod tests {
         // Touch family 1 so family 2 is least recent.
         assert!(s.lookup(1, 0.1, None, None).is_some());
         s.insert(3, 0.1, &m, unsat());
-        assert!(s.peek(1, 0.1, None, None).is_some(), "recently used survives");
+        assert!(
+            s.peek(1, 0.1, None, None).is_some(),
+            "recently used survives"
+        );
         assert!(s.peek(2, 0.1, None, None).is_none(), "LRU family evicted");
-        assert!(s.peek(3, 0.1, None, None).is_some(), "inserted family survives");
+        assert!(
+            s.peek(3, 0.1, None, None).is_some(),
+            "inserted family survives"
+        );
         let c = s.counters();
         assert_eq!((c.evicted_families, c.evicted_entries), (1, 1));
     }

@@ -158,13 +158,21 @@ proptest! {
 fn victim_is_the_least_recent_family_with_key_tiebreak() {
     let mut store = ResultStore::with_capacity(Some(3));
     for idx in 0..3 {
-        store.insert(family_key(idx), slot_eps(0), &FamilyMeta::default(), unsat());
+        store.insert(
+            family_key(idx),
+            slot_eps(0),
+            &FamilyMeta::default(),
+            unsat(),
+        );
     }
     // Touch family 0: families 1 and 2 are now the stalest, and between
     // equally-stale candidates the smaller key loses.
     store.lookup(family_key(0), PROBE_EPS, None, None);
     store.insert(family_key(3), slot_eps(0), &FamilyMeta::default(), unsat());
-    assert!(store.peek(family_key(1), PROBE_EPS, None, None).is_none(), "family 1 evicted");
+    assert!(
+        store.peek(family_key(1), PROBE_EPS, None, None).is_none(),
+        "family 1 evicted"
+    );
     assert!(store.peek(family_key(0), PROBE_EPS, None, None).is_some());
     assert!(store.peek(family_key(2), PROBE_EPS, None, None).is_some());
     assert!(store.peek(family_key(3), PROBE_EPS, None, None).is_some());
@@ -178,7 +186,12 @@ fn pinned_family_survives_an_insert_flood() {
     store.insert(family_key(0), slot_eps(0), &FamilyMeta::default(), unsat());
     store.pin(family_key(0));
     for idx in 1..20 {
-        store.insert(family_key(idx), slot_eps(0), &FamilyMeta::default(), unsat());
+        store.insert(
+            family_key(idx),
+            slot_eps(0),
+            &FamilyMeta::default(),
+            unsat(),
+        );
         assert!(
             store.peek(family_key(0), PROBE_EPS, None, None).is_some(),
             "pinned family dropped at flood step {idx}"
@@ -194,7 +207,12 @@ fn pinned_family_survives_an_insert_flood() {
 fn an_insert_never_evicts_its_own_family() {
     let mut store = ResultStore::with_capacity(Some(1));
     for slot in 0..4 {
-        store.insert(family_key(0), slot_eps(slot), &FamilyMeta::default(), unsat());
+        store.insert(
+            family_key(0),
+            slot_eps(slot),
+            &FamilyMeta::default(),
+            unsat(),
+        );
     }
     // The only family is the one being inserted into: over capacity but
     // untouchable, so everything stays.

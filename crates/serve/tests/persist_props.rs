@@ -30,7 +30,10 @@ fn family_key(idx: u8) -> u64 {
 fn family_meta(idx: u8) -> FamilyMeta {
     FamilyMeta {
         cohort: Some(u64::from(idx / 2)),
-        center: Some(vec![0.1 + 0.08 * f64::from(idx), 0.9 - 0.08 * f64::from(idx)]),
+        center: Some(vec![
+            0.1 + 0.08 * f64::from(idx),
+            0.9 - 0.08 * f64::from(idx),
+        ]),
     }
 }
 
@@ -47,15 +50,14 @@ fn build_store(ops: &[Op]) -> ResultStore {
         let idx = idx % 8;
         let meta = family_meta(idx);
         if action % 3 == 0 {
-            let verdict = if sat_flag == 1 { sat(vec![wx, wy]) } else { unsat() };
+            let verdict = if sat_flag == 1 {
+                sat(vec![wx, wy])
+            } else {
+                unsat()
+            };
             store.insert(family_key(idx), eps, &meta, verdict);
         } else {
-            store.lookup(
-                family_key(idx),
-                eps,
-                meta.cohort,
-                meta.center.as_deref(),
-            );
+            store.lookup(family_key(idx), eps, meta.cohort, meta.center.as_deref());
         }
     }
     store
@@ -68,12 +70,7 @@ fn probe_answers(store: &ResultStore) -> Vec<Option<(&'static str, u64, f64)>> {
         let meta = family_meta(idx % 8);
         for step in 0..8 {
             let eps = 0.05 + 0.125 * f64::from(step);
-            let hit = store.peek(
-                family_key(idx),
-                eps,
-                meta.cohort,
-                meta.center.as_deref(),
-            );
+            let hit = store.peek(family_key(idx), eps, meta.cohort, meta.center.as_deref());
             // `needs_reaudit` is deliberately *not* compared: loading
             // marks every UNSAT entry for re-audit.
             answers.push(hit.map(|h| (h.kind.as_str(), h.family, h.entry.epsilon)));
@@ -164,7 +161,10 @@ fn version_bump_is_a_structured_version_error() {
     let mut store = ResultStore::new();
     store.insert(family_key(0), 0.25, &family_meta(0), unsat());
     let text = store.snapshot_string();
-    assert!(text.contains("\"version\":1"), "snapshot layout changed: {text}");
+    assert!(
+        text.contains("\"version\":1"),
+        "snapshot layout changed: {text}"
+    );
     let bumped = text.replace("\"version\":1", "\"version\":99");
     match ResultStore::from_snapshot_str(&bumped, None) {
         Err(SnapshotError::Version { found }) => assert_eq!(found, 99),

@@ -20,9 +20,7 @@ fn unsat() -> CachedVerdict {
 }
 
 fn sat() -> CachedVerdict {
-    CachedVerdict::Sat {
-        witness: vec![0.0],
-    }
+    CachedVerdict::Sat { witness: vec![0.0] }
 }
 
 fn is_unsat(v: &CachedVerdict) -> bool {

@@ -774,7 +774,9 @@ mod tests {
     /// Test matrix with natural zeros sprinkled in (the formula hits 0.0
     /// whenever the hash lands on 6), so the zero-skip paths are hit.
     fn seeded(rows: usize, cols: usize, salt: usize) -> Matrix {
-        Matrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3 + salt) % 13) as f64 - 6.0)
+        Matrix::from_fn(rows, cols, |i, j| {
+            ((i * 7 + j * 3 + salt) % 13) as f64 - 6.0
+        })
     }
 
     /// The rolled masked fused-affine loop the block-sparse kernel
@@ -894,7 +896,11 @@ mod tests {
         a.fused_affine_into_runs(&w, &bias, &mut got_c, &mut got, &runs);
         assert_bits_eq(&got, &want);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got_c), bits(&want_c), "consts, {m}x{k}x{n} runs {runs:?}");
+        assert_eq!(
+            bits(&got_c),
+            bits(&want_c),
+            "consts, {m}x{k}x{n} runs {runs:?}"
+        );
     }
 
     #[test]

@@ -50,6 +50,6 @@ mod sexpr;
 mod writer;
 
 pub use parser::{parse, parse_bytes, ParseError};
-pub use sexpr::MAX_DEPTH;
 pub use property::{LinearTerm, OutputAtom, Property, Relation};
+pub use sexpr::MAX_DEPTH;
 pub use writer::{write_property, write_robustness};

@@ -189,8 +189,7 @@ pub fn parse(text: &str) -> Result<Property, ParseError> {
 ///
 /// [`ParseError::NotUtf8`] for non-UTF-8 bytes, otherwise as [`parse`].
 pub fn parse_bytes(bytes: &[u8]) -> Result<Property, ParseError> {
-    let text =
-        std::str::from_utf8(bytes).map_err(|e| ParseError::NotUtf8(e.valid_up_to()))?;
+    let text = std::str::from_utf8(bytes).map_err(|e| ParseError::NotUtf8(e.valid_up_to()))?;
     parse_checked(text)
 }
 

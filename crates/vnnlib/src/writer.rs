@@ -69,7 +69,11 @@ fn atom_to_sexpr(a: &OutputAtom) -> String {
         Relation::Le => "<=",
         Relation::Ge => ">=",
     };
-    format!("({rel} {} {})", term_to_sexpr(&a.lhs), term_to_sexpr(&a.rhs))
+    format!(
+        "({rel} {} {})",
+        term_to_sexpr(&a.lhs),
+        term_to_sexpr(&a.rhs)
+    )
 }
 
 /// Writes an arbitrary parsed [`Property`] back to VNN-LIB text.

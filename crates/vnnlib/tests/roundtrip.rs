@@ -86,15 +86,30 @@ fn malformed_inputs_error_without_panicking() {
         ("(declare-const X_0 Real", "unclosed declaration"),
         ("(declare-const X_0)", "missing sort"),
         ("(declare-const Z_0 Real)", "unknown variable family"),
-        ("(declare-const X_0 Real)\n(assert (>= X_1 0.0))", "undeclared input"),
-        ("(declare-const X_0 Real)\n(assert (>= X_0 banana))", "non-numeric literal"),
-        ("(declare-const X_0 Real)\n(assert (>= X_0))", "missing operand"),
-        ("(declare-const X_0 Real)\n(assert (?? X_0 0.0))", "unknown operator"),
+        (
+            "(declare-const X_0 Real)\n(assert (>= X_1 0.0))",
+            "undeclared input",
+        ),
+        (
+            "(declare-const X_0 Real)\n(assert (>= X_0 banana))",
+            "non-numeric literal",
+        ),
+        (
+            "(declare-const X_0 Real)\n(assert (>= X_0))",
+            "missing operand",
+        ),
+        (
+            "(declare-const X_0 Real)\n(assert (?? X_0 0.0))",
+            "unknown operator",
+        ),
         (
             "(declare-const X_0 Real)\n(declare-const Y_0 Real)\n(assert (or (and)))\n",
             "empty conjunct",
         ),
-        ("(declare-const X_0 Real)\n(assert (>= Y_0 0.0))", "undeclared output"),
+        (
+            "(declare-const X_0 Real)\n(assert (>= Y_0 0.0))",
+            "undeclared output",
+        ),
         ("\u{0}\u{1}\u{2}", "binary garbage"),
         ("(((((((((((", "deep unclosed nesting"),
         (")", "stray close paren"),

@@ -79,7 +79,10 @@ fn stray_tokens_and_truncations_error_cleanly() {
 fn absurd_numerals_do_not_panic() {
     // Overflows to infinity: the box is then incomplete, not a crash.
     let text = "(declare-const X_0 Real)\n(assert (>= X_0 -1e999999))\n(assert (<= X_0 1e999999))";
-    assert!(matches!(parse(text), Err(ParseError::IncompleteInputBox(0))));
+    assert!(matches!(
+        parse(text),
+        Err(ParseError::IncompleteInputBox(0))
+    ));
     // NaN-looking atoms are not numerals in this subset.
     assert!(parse("(assert (<= X_0 NaN))").is_err());
 }

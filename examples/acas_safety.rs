@@ -12,9 +12,7 @@
 //! ```
 
 use abonn_repro::bound::InputBox;
-use abonn_repro::core::{
-    AbonnVerifier, BabBaseline, Budget, RobustnessProblem, Verdict, Verifier,
-};
+use abonn_repro::core::{AbonnVerifier, BabBaseline, Budget, RobustnessProblem, Verdict, Verifier};
 use abonn_repro::nn::{init, train, Layer, Network, Shape};
 use abonn_repro::tensor::Matrix;
 use rand::rngs::SmallRng;

@@ -63,7 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "witness classifies as {} instead of {}",
                 network.classify(witness),
-                vulnerable.label().expect("robustness problems carry a label")
+                vulnerable
+                    .label()
+                    .expect("robustness problems carry a label")
             );
         }
         v => println!("vulnerable instance: unexpected verdict {v:?}"),

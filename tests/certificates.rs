@@ -46,13 +46,19 @@ fn verified_mnist_instances_yield_checkable_certificates() {
                 checked += 1;
             }
             Verdict::Falsified(_) => {
-                assert!(certificate.is_none(), "falsified runs carry a witness, not a proof");
+                assert!(
+                    certificate.is_none(),
+                    "falsified runs carry a witness, not a proof"
+                );
             }
             Verdict::Timeout => {
                 // Timeouts yield a *partial* certificate: well-formed, but
                 // with open obligations, so it must not check.
                 let cert = certificate.expect("timed-out run must produce a partial certificate");
-                assert!(!cert.is_complete(), "timeout certificate cannot be complete");
+                assert!(
+                    !cert.is_complete(),
+                    "timeout certificate cannot be complete"
+                );
                 assert!(cert.num_open() >= 1);
                 assert!(
                     cert.check(&problem, &checker()).is_err(),

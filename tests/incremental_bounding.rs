@@ -109,7 +109,11 @@ fn cached_chain_saves_thirty_percent_of_backsub_steps() {
         .filter(|n| n.layer == 6)
         .take(3)
         .collect();
-    assert_eq!(deep.len(), 3, "seed must give 3 unstable neurons at layer 6");
+    assert_eq!(
+        deep.len(),
+        3,
+        "seed must give 3 unstable neurons at layer 6"
+    );
 
     let mut cached = BoundComputeStats::default();
     let mut scratch = BoundComputeStats::default();

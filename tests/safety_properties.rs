@@ -62,7 +62,11 @@ fn safety_property_falsifies_with_a_margin_witness() {
             assert!(p.validate_witness(&w));
             // The witness must genuinely violate y0 > 0.3.
             let y = net.forward(&w);
-            assert!(y[0] <= 0.3 + 1e-9, "witness does not violate: y0 = {}", y[0]);
+            assert!(
+                y[0] <= 0.3 + 1e-9,
+                "witness does not violate: y0 = {}",
+                y[0]
+            );
         }
         v => panic!("expected falsification, got {v:?}"),
     }

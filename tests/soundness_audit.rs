@@ -85,9 +85,8 @@ fn timed_out_engines_emit_exactly_covering_open_obligations() {
                 Verdict::Verified => {
                     let cert = certificate
                         .unwrap_or_else(|| panic!("{name}@{calls}: verified without certificate"));
-                    audit_certificate(&cert, &problem).unwrap_or_else(|e| {
-                        panic!("{name}@{calls}: certificate rejected: {e}")
-                    });
+                    audit_certificate(&cert, &problem)
+                        .unwrap_or_else(|e| panic!("{name}@{calls}: certificate rejected: {e}"));
                 }
                 Verdict::Falsified(_) => {
                     panic!("{name}@{calls}: robust gate instance was falsified")
@@ -111,9 +110,9 @@ fn rewritten_open_obligation_is_rejected() {
     let problem = gate_instance();
     let g1 = NeuronId::new(0, 0); // gate x0 + x1 - 1
     let g2 = NeuronId::new(0, 1); // gate x0 + x1 - 0.9
-    // Honest shape: the g1-positive side is fully split on g2 (one real
-    // leaf, one empty since g1 ≥ 0 contradicts g2 ≤ 0); the g1-negative
-    // side is still open.
+                                  // Honest shape: the g1-positive side is fully split on g2 (one real
+                                  // leaf, one empty since g1 ≥ 0 contradicts g2 ≤ 0); the g1-negative
+                                  // side is still open.
     let pos_side = |s1: SplitSign| ProofNode::Branch {
         neuron: g2,
         pos: Box::new(ProofNode::leaf(vec![(g1, s1), (g2, SplitSign::Pos)])),
@@ -145,9 +144,11 @@ fn rewritten_open_obligation_is_rejected() {
         neg: Box::new(ProofNode::open(vec![(g1, SplitSign::Pos)])),
     });
     match audit_partial(&corrupted, &problem) {
-        Err(AuditError::SplitMismatch { .. }
-        | AuditError::NonCovering { .. }
-        | AuditError::Overlap { .. }) => {}
+        Err(
+            AuditError::SplitMismatch { .. }
+            | AuditError::NonCovering { .. }
+            | AuditError::Overlap { .. },
+        ) => {}
         other => panic!("expected rejection, got {other:?}"),
     }
 }
@@ -163,8 +164,8 @@ fn flipped_phase_in_engine_certificate_is_rejected() {
     let cert = certificate.expect("verified run emits a certificate");
     audit_certificate(&cert, &problem).expect("honest certificate checks");
     let flipped = Certificate::new(flip(cert.root()));
-    let err = audit_certificate(&flipped, &problem)
-        .expect_err("flipped certificate must be rejected");
+    let err =
+        audit_certificate(&flipped, &problem).expect_err("flipped certificate must be rejected");
     assert!(
         matches!(err, AuditError::SplitMismatch { .. }),
         "expected a split mismatch, got {err:?}"
