@@ -26,6 +26,7 @@
 
 use abonn_serve::{persist, ResultStore, Server, ServerConfig};
 use std::io::{BufReader, Write as _};
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -124,18 +125,43 @@ fn serve_tcp(
     addr: &str,
     store_path: Option<&PathBuf>,
 ) -> std::io::Result<()> {
-    let listener = std::net::TcpListener::bind(addr)?;
+    let listener = TcpListener::bind(addr)?;
     eprintln!("listening on {} (Ctrl-C to stop)", listener.local_addr()?);
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let peer = stream.peer_addr()?;
+    accept_loop(listener.incoming(), &server, store_path);
+    Ok(())
+}
+
+/// Serves each accepted connection on its own thread until `incoming`
+/// ends. A failed accept (EMFILE, ECONNABORTED, ...) or a peer that
+/// resets before its address is read costs only that connection: it is
+/// logged and the loop goes on.
+fn accept_loop(
+    incoming: impl Iterator<Item = std::io::Result<TcpStream>>,
+    server: &Arc<Mutex<Server>>,
+    store_path: Option<&PathBuf>,
+) {
+    for stream in incoming {
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                eprintln!("accept failed: {e}");
+                continue;
+            }
+        };
+        let peer = match stream.peer_addr() {
+            Ok(peer) => peer,
+            Err(e) => {
+                eprintln!("connection dropped before it was served: {e}");
+                continue;
+            }
+        };
         eprintln!("connection from {peer}");
         // The store and model cache persist across connections and are
         // shared between concurrent clients: proofs established for one
         // client answer every other client's dominated queries. Each
         // connection gets its own thread; the server lock is held per
         // request wave, never while a connection is idle.
-        let server = Arc::clone(&server);
+        let server = Arc::clone(server);
         let store_path = store_path.cloned();
         std::thread::spawn(move || {
             let mut reader = match stream.try_clone() {
@@ -164,7 +190,6 @@ fn serve_tcp(
             }
         });
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -201,8 +226,9 @@ fn main() -> ExitCode {
         Some(addr) => {
             let shared = Arc::new(Mutex::new(server));
             let r = serve_tcp(Arc::clone(&shared), addr, opts.store_path.as_ref());
-            // The accept loop only returns on listener errors; stats and
-            // snapshots for the TCP path are written per connection.
+            // `serve_tcp` returns only when the listener cannot be set
+            // up: a failed accept is logged and skipped. Snapshots for
+            // the TCP path are written per connection.
             if let Some(path) = &opts.store_stats {
                 let mut stats = None;
                 match shared.lock() {
@@ -237,5 +263,45 @@ fn main() -> ExitCode {
             eprintln!("I/O error: {e}");
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead as _, ErrorKind};
+    use std::net::Shutdown;
+
+    #[test]
+    fn a_failed_accept_does_not_end_the_accept_loop() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            // A loop that gave up would leave this read waiting forever.
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+                .unwrap();
+            stream.write_all(b"{\"id\":1,\"cmd\":\"stats\"}\n").unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            let mut reply = String::new();
+            BufReader::new(stream).read_line(&mut reply).unwrap();
+            reply
+        });
+        // A transient accept error comes first (EMFILE reads the same),
+        // then the real client's connection.
+        let incoming = [
+            Err(std::io::Error::from(ErrorKind::ConnectionAborted)),
+            Err(std::io::Error::from_raw_os_error(24)),
+        ]
+        .into_iter()
+        .chain(listener.incoming().take(1));
+        let server = Arc::new(Mutex::new(Server::new(ServerConfig::default())));
+        accept_loop(incoming, &server, None);
+        let reply = client.join().unwrap();
+        assert!(
+            reply.starts_with("{\"id\":1,\"status\":\"ok\""),
+            "the client after the failed accepts must be answered, got {reply:?}"
+        );
     }
 }

@@ -461,9 +461,7 @@ mod tests {
         // With 3 workers and 64 sleeping tasks at least one lands off the
         // caller (single-core machines still satisfy this: workers exist).
         // lint: allow(relaxed-atomics, test-only read of the counter above; map already joined every task so the value is final)
-        assert!(
-            hits.load(Ordering::Relaxed) > 0,
-            "no worker ever ran a task"
-        );
+        let hits = hits.load(Ordering::Relaxed);
+        assert!(hits > 0, "no worker ever ran a task");
     }
 }

@@ -35,12 +35,15 @@ const WIRE_PATH_DENY: &str = "#![deny(
 )]
 ";
 
-/// Request decode, scheduling, response encode, persistence, the
-/// VNN-LIB crate fed with client bytes, and the tensor hot kernels.
+/// Request decode (and the JSON parser under it), scheduling, model
+/// resolution, response encode, persistence, the VNN-LIB crate fed with
+/// client bytes, and the tensor hot kernels.
 const WIRE_PATH_FILES: &[&str] = &[
+    "compat/serde_json/src/lib.rs",
     "crates/serve/src/protocol.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/scheduler.rs",
+    "crates/serve/src/model_cache.rs",
     "crates/serve/src/persist.rs",
     "crates/vnnlib/src/lib.rs",
     "crates/tensor/src/kernels.rs",

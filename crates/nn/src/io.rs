@@ -141,6 +141,44 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_literals_are_rejected() {
+        // `1e400` parses to an infinity: a weight or bias spelled that way
+        // must fail to load, in dense and conv layers alike.
+        let dense = Network::new(
+            Shape::Flat(2),
+            vec![Layer::dense(Matrix::identity(2), vec![0.5, 0.25])],
+        )
+        .unwrap();
+        let json = to_json(&dense).unwrap();
+        for bad in [
+            json.replacen("1.0", "1e400", 1),
+            json.replacen("0.25", "-1e400", 1),
+        ] {
+            assert_ne!(bad, json);
+            let err = from_json(&bad).unwrap_err().to_string();
+            assert!(err.contains("is not finite"), "{err}");
+        }
+        let conv = Conv2d::new(1, 1, 2, 2, 1, 0, vec![0.5; 4], vec![0.125]);
+        let net = Network::new(
+            Shape::Image { c: 1, h: 3, w: 3 },
+            vec![Layer::Conv2d(conv), Layer::flatten()],
+        )
+        .unwrap();
+        let json = to_json(&net).unwrap();
+        for bad in [
+            json.replacen("0.5", "1e400", 1),
+            json.replacen("0.125", "1e999", 1),
+        ] {
+            assert_ne!(bad, json);
+            let err = from_json(&bad).unwrap_err().to_string();
+            assert!(
+                err.contains("conv layer") && err.contains("is not finite"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn missing_file_is_an_io_error() {
         let err = load_network(Path::new("/nonexistent/abonn.json")).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);

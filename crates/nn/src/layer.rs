@@ -395,6 +395,19 @@ pub(crate) fn avg_pool_forward(
     out
 }
 
+/// Rejects a non-finite weight or bias. JSON has no literal for infinity
+/// or NaN, but a literal out of `f64` range such as `1e400` parses to an
+/// infinity, and no bound or certificate is sound over one.
+fn check_finite(layer: &str, weight: &[f64], bias: &[f64]) -> Result<(), String> {
+    if let Some(i) = weight.iter().position(|w| !w.is_finite()) {
+        return Err(format!("{layer}: weight {i} is not finite"));
+    }
+    if let Some(i) = bias.iter().position(|b| !b.is_finite()) {
+        return Err(format!("{layer}: bias {i} is not finite"));
+    }
+    Ok(())
+}
+
 /// Serialised form of [`Dense`]; deserialisation re-validates invariants.
 #[derive(Deserialize)]
 struct DenseRepr {
@@ -413,6 +426,7 @@ impl TryFrom<DenseRepr> for Dense {
                 r.weight.rows()
             ));
         }
+        check_finite("dense layer", r.weight.as_slice(), &r.bias)?;
         Ok(Dense {
             weight: r.weight,
             bias: r.bias,
@@ -446,6 +460,7 @@ impl TryFrom<Conv2dRepr> for Conv2d {
         if r.bias.len() != r.out_c {
             return Err("conv layer: bias length mismatch".into());
         }
+        check_finite("conv layer", &r.weight, &r.bias)?;
         Ok(Conv2d {
             in_c: r.in_c,
             out_c: r.out_c,

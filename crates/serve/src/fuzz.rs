@@ -119,7 +119,7 @@ fn verdict_name(v: &Verdict) -> &'static str {
     }
 }
 
-fn request_line(
+pub(crate) fn request_line(
     model_json: &str,
     property: &str,
     center: &[f64],

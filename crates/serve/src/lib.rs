@@ -10,6 +10,7 @@
 //!
 //! * [`protocol`] — strict wire parsing: every malformed input is a
 //!   structured error line, never a panic and never a silent default.
+//!   Each line is read once; an inline model arrives as its raw text.
 //! * [`hash`] — FNV-1a content hashing for store keys: machine- and
 //!   process-independent, bit-exact on floats.
 //! * [`store`] — the result store. Queries differing only in ε share a
@@ -17,7 +18,8 @@
 //!   witnesses dominate upward (clamped L∞ balls nest), so a dominated
 //!   query is answered with zero engine calls.
 //! * [`model_cache`] — deterministic LRU of models lowered to canonical
-//!   form once per content hash.
+//!   form once per content hash; a model text an entry already keeps is
+//!   served without being parsed again.
 //! * [`server`] — the daemon: wave-based query processing with
 //!   intra-query parallelism via the engine's `WorkerPool`, call-only
 //!   budgets with admission-control clamping, and responses whose bytes
@@ -41,6 +43,8 @@ pub mod hash;
 pub mod model_cache;
 pub mod persist;
 pub mod protocol;
+#[cfg(test)]
+mod request_oracle;
 pub mod scheduler;
 pub mod server;
 pub mod store;

@@ -18,16 +18,24 @@
 //! the peer is untrusted and a typo'd field name silently ignored would
 //! change what was verified.
 //!
+//! Each line is read once. An inline `model` object, which makes up
+//! nearly all of a request's bytes, is checked by the same grammar as the
+//! rest of the line but not built: [`ModelRef::Inline`] carries its exact
+//! text, which the model cache compares byte for byte before it parses
+//! anything (see [`crate::model_cache`]). A line is accepted or rejected,
+//! with the same message, exactly when a full parse of it would be.
+//!
 //! Responses are built as insertion-ordered [`Value::Object`]s with a
 //! fixed field order, so the byte stream is identical across thread
 //! counts and machines.
 
-use serde_json::{Number, Value};
+use serde_json::{Document, Member, Number, Value};
 
 /// How a request names its model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelRef {
-    /// The network JSON inlined in the request.
+    /// The network JSON inlined in the request: the exact text of the
+    /// `model` object as the client sent it.
     Inline(String),
     /// A file name resolved against the server's model directory.
     Named(String),
@@ -152,12 +160,22 @@ fn finite_number(v: &Value, field: &str) -> Result<f64, String> {
 /// JSON, non-object top level, unknown/duplicate/missing fields, wrong
 /// types, or out-of-domain values.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    let Value::Object(entries) = value else {
-        return Err(format!(
-            "request must be a JSON object, got {}",
-            value.type_name()
-        ));
+    let document = serde_json::from_str_keeping_raw(line, "model")
+        .map_err(|e| format!("invalid JSON: {e}"))?;
+    request_from_document(document)
+}
+
+/// Validates a read request line field by field. An object under
+/// `model` arrives as its raw text and becomes [`ModelRef::Inline`].
+pub(crate) fn request_from_document(document: Document<'_>) -> Result<Request, String> {
+    let members = match document {
+        Document::Object(members) => members,
+        Document::Other(value) => {
+            return Err(format!(
+                "request must be a JSON object, got {}",
+                value.type_name()
+            ))
+        }
     };
 
     let mut id = Value::Null;
@@ -170,10 +188,19 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut audit = false;
     let mut seen: Vec<String> = Vec::new();
 
-    for (key, val) in entries {
+    for (key, member) in members {
         if seen.contains(&key) {
             return Err(format!("duplicate field '{key}'"));
         }
+        let val = match member {
+            Member::Value(val) => val,
+            Member::Raw(text) => {
+                // Only an object under `model` is kept raw.
+                model = Some(ModelRef::Inline(text.to_owned()));
+                seen.push(key);
+                continue;
+            }
+        };
         match key.as_str() {
             "id" => match val {
                 Value::Null | Value::Number(_) | Value::String(_) => id = val,
@@ -199,11 +226,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         return Err("field 'model' must not be empty".into());
                     }
                     model = Some(ModelRef::Named(name));
-                }
-                obj @ Value::Object(_) => {
-                    let text = serde_json::to_string(&obj)
-                        .map_err(|e| format!("field 'model' does not serialise: {e}"))?;
-                    model = Some(ModelRef::Inline(text));
                 }
                 other => {
                     return Err(format!(

@@ -249,11 +249,14 @@ impl Server {
         Ok((model, plan))
     }
 
+    /// Resolves a request's model to its JSON text, then to the cached
+    /// lowering: a text a model-cache entry keeps is served without being
+    /// parsed, any other is parsed and admitted (see
+    /// [`crate::model_cache`]).
     fn resolve_model(&mut self, model: &ModelRef) -> Result<(u64, Arc<LoweredModel>), String> {
-        let network = match model {
-            ModelRef::Inline(text) => {
-                abonn_nn::io::from_json(text).map_err(|e| format!("invalid model: {e}"))?
-            }
+        let file;
+        let text = match model {
+            ModelRef::Inline(text) => text,
             ModelRef::Named(name) => {
                 if name.contains('/') || name.contains('\\') || name.contains("..") {
                     return Err(format!("invalid model name '{name}'"));
@@ -263,12 +266,20 @@ impl Server {
                         "unknown model '{name}': no model directory configured"
                     ));
                 };
-                abonn_nn::io::load_network(&dir.join(name))
-                    .map_err(|e| format!("unknown model '{name}': {e}"))?
+                file = std::fs::read_to_string(dir.join(name))
+                    .map_err(|e| format!("unknown model '{name}': {e}"))?;
+                &file
             }
         };
+        if let Some(resolved) = self.models.resolve_text(text) {
+            return Ok(resolved);
+        }
+        let network = abonn_nn::io::from_json(text).map_err(|e| match model {
+            ModelRef::Inline(_) => format!("invalid model: {e}"),
+            ModelRef::Named(name) => format!("unknown model '{name}': {e}"),
+        })?;
         self.models
-            .admit(network)
+            .admit(network, text)
             .map_err(|e| format!("model does not lower: {e}"))
     }
 

@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Repository CI: tier-1 build + tests, a 2-thread smoke run of every
-# experiment binary, and two byte-for-byte checks of its RQ1 records:
-# against the committed golden, and against a fresh 1-thread run.
+# Repository CI: a rustfmt check, tier-1 build + tests, a 2-thread smoke
+# run of every experiment binary, and two byte-for-byte checks of its RQ1
+# records: against the committed golden, and against a fresh 1-thread run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== format: rustfmt must leave the root workspace unchanged =="
+# Covers every root workspace member (crates/*, compat/*, the umbrella
+# package); perfbench/ is a workspace of its own and is not checked.
+cargo fmt --check
 
 echo "== tier 1: release build =="
 cargo build --release
