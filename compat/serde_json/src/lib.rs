@@ -21,12 +21,28 @@
 //!
 //! The parser reads every client line the serve daemon receives, so it
 //! is linear in its input and every slice it takes is checked: strings
-//! are copied run by run between quotes and escapes.
+//! are copied run by run between quotes and escapes. It recurses once per
+//! nesting level, so nesting past [`RECURSION_LIMIT`] is an ordinary
+//! parse error rather than a stack overflow.
 
 pub use serde::{Number, Value};
 
 use serde::{write_json_number, write_json_string, DeError, Deserialize, Serialize};
 use std::fmt;
+
+/// Deepest array/object nesting the parser accepts; one more level fails
+/// with `recursion limit exceeded at byte N`, `N` the offset of the
+/// bracket that opens it.
+///
+/// The deepest document the workspace writes is a store snapshot holding
+/// a certificate whose branch path splits every ReLU of CIFAR-10_DEEP, 736
+/// neurons: two object levels per split (the externally tagged
+/// `ProofNode::Branch` and its fields), seven levels of snapshot frame
+/// above the root node and five inside the last leaf, 1,484 in all. The
+/// limit rounds that up to 1,536. A document nested that deep still
+/// parses on a 2 MiB thread, the stack a TCP connection thread of the
+/// serve daemon gets.
+pub const RECURSION_LIMIT: usize = 1536;
 
 /// A serialization or deserialization failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,6 +218,8 @@ pub fn from_str_keeping_raw<'a>(text: &'a str, raw_key: &str) -> Result<Document
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Value, Error> {
@@ -214,7 +232,11 @@ fn parse_value(text: &str) -> Result<Value, Error> {
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { text, pos: 0 }
+        Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn err(&self, msg: &str) -> Error {
@@ -328,8 +350,24 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads `open`, then comma-separated items, each read by `item`,
-    /// then `close`: the shared frame of arrays and objects.
+    /// then `close`: the shared frame of arrays and objects, and the only
+    /// place the parser recurses, so it alone counts the nesting depth.
     fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let read = self.seq_items(open, close, item);
+        self.depth -= 1;
+        read
+    }
+
+    fn seq_items(
         &mut self,
         open: u8,
         close: u8,
@@ -609,6 +647,70 @@ mod tests {
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<Vec<f64>>("{\"a\":1}").is_err());
+    }
+
+    /// `depth` nested arrays around `0` (objects when `objects`), each
+    /// object with the single key `a`.
+    fn nested(depth: usize, objects: bool) -> String {
+        let (open, close) = if objects {
+            ("{\"a\":", "}")
+        } else {
+            ("[", "]")
+        };
+        format!("{}0{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack of a serve connection.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_on_a_connection_stack() {
+        on_small_stack(|| {
+            for objects in [false, true] {
+                assert!(from_str::<Value>(&nested(RECURSION_LIMIT, objects)).is_ok());
+            }
+            let doc = format!("{{\"raw\":{}}}", nested(RECURSION_LIMIT - 1, true));
+            let Document::Object(members) = from_str_keeping_raw(&doc, "raw").unwrap() else {
+                panic!("an object document");
+            };
+            assert!(matches!(members[0].1, Member::Raw(_)));
+        });
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_ordinary_error() {
+        on_small_stack(|| {
+            // The bracket opening level `RECURSION_LIMIT + 1` is at byte
+            // `RECURSION_LIMIT * width`.
+            for (objects, width) in [(false, 1), (true, 5)] {
+                let err = from_str::<Value>(&nested(RECURSION_LIMIT + 1, objects)).unwrap_err();
+                let want = format!(
+                    "recursion limit exceeded at byte {}",
+                    RECURSION_LIMIT * width
+                );
+                assert_eq!(err.to_string(), want);
+            }
+            // The raw check stops where the building parser does.
+            let doc = format!("{{\"raw\":{}}}", nested(RECURSION_LIMIT, true));
+            let raw = from_str_keeping_raw(&doc, "raw").unwrap_err();
+            assert_eq!(raw, from_str::<Value>(&doc).unwrap_err());
+            let want = format!(
+                "recursion limit exceeded at byte {}",
+                7 + 5 * (RECURSION_LIMIT - 1)
+            );
+            assert_eq!(raw.to_string(), want);
+            // 300 KB of open brackets fail at the limit, not on the stack.
+            let flood = format!("{{\"cmd\":\"stats\",\"id\":{}", "[".repeat(300_000));
+            assert!(from_str::<Value>(&flood).is_err());
+            assert!(from_str_keeping_raw(&flood, "model").is_err());
+        });
     }
 
     #[test]

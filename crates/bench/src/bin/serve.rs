@@ -101,11 +101,13 @@ fn stats_text(server: &Server) -> String {
     serde_json::to_string_pretty(&server.stats_json()).expect("stats tree serialises")
 }
 
+/// Writes the counters atomically, like a snapshot: concurrent TCP
+/// connections may close at once, and a reader never sees a torn file.
 fn write_stats(json: &str, path: &Path) {
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    match std::fs::write(path, json.to_string() + "\n") {
+    match persist::write_snapshot_text(json, path) {
         Ok(()) => eprintln!("store counters written to {}", path.display()),
         Err(e) => eprintln!("cannot write {}: {e}", path.display()),
     }
@@ -120,25 +122,24 @@ fn save_store(text: &str, path: &Path) {
     }
 }
 
-fn serve_tcp(
-    server: Arc<Mutex<Server>>,
-    addr: &str,
-    store_path: Option<&PathBuf>,
-) -> std::io::Result<()> {
+/// Files the TCP daemon rewrites each time a connection closes.
+#[derive(Clone, Default)]
+struct Outputs {
+    store_path: Option<PathBuf>,
+    store_stats: Option<PathBuf>,
+}
+
+fn serve_tcp(server: Arc<Mutex<Server>>, addr: &str, outputs: &Outputs) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     eprintln!("listening on {} (Ctrl-C to stop)", listener.local_addr()?);
-    accept_loop(listener.incoming(), &server, store_path);
+    accept_loop(listener.incoming(), &server, outputs);
     Ok(())
 }
 
-/// Serves each accepted connection on its own thread until `incoming`
-/// ends. A failed accept (EMFILE, ECONNABORTED, ...) or a peer that
-/// resets before its address is read costs only that connection: it is
-/// logged and the loop goes on.
 fn accept_loop(
     incoming: impl Iterator<Item = std::io::Result<TcpStream>>,
     server: &Arc<Mutex<Server>>,
-    store_path: Option<&PathBuf>,
+    outputs: &Outputs,
 ) {
     for stream in incoming {
         let stream = match stream {
@@ -162,7 +163,7 @@ fn accept_loop(
         // connection gets its own thread; the server lock is held per
         // request wave, never while a connection is idle.
         let server = Arc::clone(server);
-        let store_path = store_path.cloned();
+        let outputs = outputs.clone();
         std::thread::spawn(move || {
             let mut reader = match stream.try_clone() {
                 Ok(s) => BufReader::new(s),
@@ -176,17 +177,23 @@ fn accept_loop(
                 Ok(()) => eprintln!("connection {peer} closed"),
                 Err(e) => eprintln!("connection {peer} ended with error: {e}"),
             }
-            if let Some(path) = &store_path {
-                // Render the snapshot under the lock, write the file
-                // after the guard drops: snapshot I/O must never stall
-                // the other connections' request waves.
-                let mut snapshot = None;
-                if let Ok(guard) = server.lock() {
-                    snapshot = Some(guard.store().snapshot_string());
-                }
-                if let Some(text) = snapshot {
-                    save_store(&text, path);
-                }
+            // Render the snapshot and the counters under the lock, write
+            // the files after the guard drops: file I/O must never stall
+            // the other connections' request waves. The daemon is stopped
+            // by a signal, so this is the last chance to write them.
+            let (mut snapshot, mut stats) = (None, None);
+            if let Ok(guard) = server.lock() {
+                snapshot = outputs
+                    .store_path
+                    .as_ref()
+                    .map(|_| guard.store().snapshot_string());
+                stats = outputs.store_stats.as_ref().map(|_| stats_text(&guard));
+            }
+            if let (Some(path), Some(text)) = (&outputs.store_path, snapshot) {
+                save_store(&text, path);
+            }
+            if let (Some(path), Some(json)) = (&outputs.store_stats, stats) {
+                write_stats(&json, path);
             }
         });
     }
@@ -224,22 +231,14 @@ fn main() -> ExitCode {
     }
     let result = match &opts.tcp {
         Some(addr) => {
-            let shared = Arc::new(Mutex::new(server));
-            let r = serve_tcp(Arc::clone(&shared), addr, opts.store_path.as_ref());
             // `serve_tcp` returns only when the listener cannot be set
-            // up: a failed accept is logged and skipped. Snapshots for
-            // the TCP path are written per connection.
-            if let Some(path) = &opts.store_stats {
-                let mut stats = None;
-                match shared.lock() {
-                    Ok(guard) => stats = Some(stats_text(&guard)),
-                    Err(_) => eprintln!("server lock poisoned; skipping final stats"),
-                }
-                if let Some(json) = stats {
-                    write_stats(&json, path);
-                }
-            }
-            r
+            // up: a failed accept is logged and skipped. The snapshot and
+            // the counters are written each time a connection closes.
+            let outputs = Outputs {
+                store_path: opts.store_path.clone(),
+                store_stats: opts.store_stats.clone(),
+            };
+            serve_tcp(Arc::new(Mutex::new(server)), addr, &outputs)
         }
         None => {
             let stdin = std::io::stdin();
@@ -297,7 +296,7 @@ mod tests {
         .into_iter()
         .chain(listener.incoming().take(1));
         let server = Arc::new(Mutex::new(Server::new(ServerConfig::default())));
-        accept_loop(incoming, &server, None);
+        accept_loop(incoming, &server, &Outputs::default());
         let reply = client.join().unwrap();
         assert!(
             reply.starts_with("{\"id\":1,\"status\":\"ok\""),

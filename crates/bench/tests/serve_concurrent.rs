@@ -219,6 +219,44 @@ fn serve_client_binary_relays_the_stream_faithfully() {
     assert_eq!(String::from_utf8(out.stdout).expect("UTF-8"), reference);
 }
 
+/// `--store-stats` on the TCP daemon is rewritten each time a connection
+/// closes: after one client, the file holds the counters of that client's
+/// closing `stats` reply.
+#[test]
+fn tcp_store_stats_follow_each_connection() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serve-tcp-store-stats.json");
+    let _ = std::fs::remove_file(&path);
+    let daemon = spawn_daemon(&["--threads", "1", "--store-stats", path.to_str().unwrap()]);
+    let session = client_session(0.43) + "{\"id\":9,\"cmd\":\"stats\"}\n";
+    let out = tcp_session(&daemon.addr, &session);
+    let reply: serde_json::Value =
+        serde_json::from_str(out.lines().last().expect("a stats reply")).expect("JSON reply");
+    let serde_json::Value::Object(fields) = reply else {
+        panic!("the stats reply is an object: {out}");
+    };
+    assert_eq!(
+        fields[..2],
+        [
+            ("id".to_string(), serde_json::json!(9)),
+            ("status".to_string(), serde_json::json!("ok")),
+        ]
+    );
+    let counters = serde_json::Value::Object(fields[2..].to_vec());
+    // The daemon writes the file after the connection closes; give it
+    // time to get there.
+    let mut text = String::new();
+    for _ in 0..200 {
+        if let Ok(t) = std::fs::read_to_string(&path) {
+            text = t;
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    let file: serde_json::Value = serde_json::from_str(&text).expect("counters file written");
+    assert_eq!(file, counters);
+    assert_eq!(file["queries"], serde_json::json!(5));
+}
+
 /// Regenerates the committed CI fixtures for the concurrent gate.
 #[test]
 fn regen_client_fixtures_when_requested() {

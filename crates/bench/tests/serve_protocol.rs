@@ -224,6 +224,26 @@ fn response_stream_is_byte_identical_across_thread_counts() {
     );
 }
 
+/// A line nested past the JSON parser's depth limit is an ordinary
+/// malformed request: the daemon answers it with a structured error and
+/// goes on to the next line instead of overflowing its stack.
+#[test]
+fn deeply_nested_line_is_an_error_not_a_crash() {
+    let flood = format!(r#"{{"cmd":"stats","id":{}"#, "[".repeat(300_000));
+    let input = format!("{flood}\n{{\"id\":2,\"cmd\":\"stats\"}}\n");
+    let out = run_session(&input, &["--threads", "1"]);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "one response per line:\n{out}");
+    assert_eq!(field(lines[0], "status"), Some("\"error\""), "{}", lines[0]);
+    assert!(
+        lines[0].contains("recursion limit exceeded"),
+        "{}",
+        lines[0]
+    );
+    assert_eq!(field(lines[1], "id"), Some("2"), "{}", lines[1]);
+    assert_eq!(field(lines[1], "status"), Some("\"ok\""), "{}", lines[1]);
+}
+
 #[test]
 fn store_stats_artifact_is_written() {
     let input = session_lines().join("\n") + "\n";

@@ -132,7 +132,7 @@ impl AppVer for BetaCrown {
         if splits.is_contradictory() {
             return Analysis::infeasible();
         }
-        let Some(base) = compute_bounds(net, region, splits, None) else {
+        let Some(base) = compute_bounds(net, region, splits) else {
             return Analysis::infeasible();
         };
         let out: &LayerBounds = base.bounds.last().expect("non-empty network");

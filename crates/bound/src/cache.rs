@@ -3,44 +3,55 @@
 //! A BaB child differs from its parent by exactly one additional ReLU
 //! split at some layer `L`. Pre-activation bounds and ReLU relaxations of
 //! layers strictly below `L` are a pure function of the network, the input
-//! region, and the splits on layers `< L` — all shared with the parent —
-//! so they are served from the parent's [`BoundPrefix`]. So is layer `L`'s
-//! back-substitution: its concretised bounds pass only through the
-//! relaxations below `L`. The child redoes only layer `L`'s IBP
-//! intersection, split clamp and relaxation under its own splits, then
-//! back-substitutes layers `L+1..K`. Every recomputed step runs the exact
-//! code path of a from-scratch pass (same kernels, same per-element
+//! region, the splits on layers `< L` and the lower slopes of the neurons
+//! unstable there — all shared with the parent when both ran under the
+//! same slopes — so they are served from the parent's [`BoundPrefix`]. So
+//! is layer `L`'s back-substitution: its concretised bounds pass only
+//! through the relaxations below `L`. The child redoes only layer `L`'s
+//! IBP intersection, split clamp and relaxation under its own splits,
+//! then back-substitutes layers `L+1..K`. Every recomputed step runs the
+//! exact code path of a from-scratch pass (same kernels, same per-element
 //! summation order), so cached and uncached results are bit-for-bit
 //! identical.
 //!
-//! The prefix stores no relaxations. Without an α override (the only case
-//! in which prefixes are built or served) a relaxation is a pure function
-//! of its post-clamp bounds and the relaxation mode, so the child rebuilds
-//! the shared ones from the prefix's `bounds` with the helper the loop
-//! uses.
+//! The same rule serves α-CROWN's slope passes, which share their splits
+//! and differ in slopes: a pass whose slopes first differ from the cached
+//! pass's at layer `L`, on a neuron unstable there, resumes at `L`.
+//!
+//! The prefix stores no relaxations. A relaxation is a pure function of
+//! its post-clamp bounds, its lower slope and the relaxation mode, so the
+//! query rebuilds the shared ones from the prefix's `bounds` with the
+//! helper the loop uses.
 
-use crate::deeppoly::RelaxMode;
+use crate::alpha::AlphaCrown;
+use crate::deeppoly::{AlphaAssignment, RelaxMode};
 use crate::types::{Analysis, LayerBounds, SplitSet};
 use abonn_tensor::Matrix;
 use std::sync::Arc;
 
-/// Everything a full bound computation produced, keyed by the split set it
-/// was computed under. Handed from parent to child as an `Arc`; opaque
-/// outside `abonn-bound`.
+/// Everything a full bound computation produced, keyed by the split set
+/// and the slope assignment it was computed under. Handed from parent to
+/// child as an `Arc`; opaque outside `abonn-bound`.
 #[derive(Debug, Clone)]
 pub struct BoundPrefix {
-    /// The split set the cached pass ran under (the cache key).
+    /// The split set the cached pass ran under.
     pub(crate) splits: SplitSet,
     /// Relaxation mode; a prefix is only reusable under the same mode.
     pub(crate) mode: RelaxMode,
+    /// Lower slopes the cached pass ran under; `None` for the mode's own.
+    pub(crate) alphas: Option<AlphaAssignment>,
+    /// The α-CROWN configuration whose whole analysis of `splits` this
+    /// prefix holds (its best pass): that configuration answers the same
+    /// split set again from it without a pass.
+    pub(crate) settled_by: Option<AlphaCrown>,
     /// Post-clamp interval-propagation bounds per stage.
     pub(crate) ibp: Vec<LayerBounds>,
     /// Post-clamp back-substituted bounds per stage; the shared stages'
     /// ReLU relaxations are rebuilt from these.
     pub(crate) bounds: Vec<LayerBounds>,
     /// Concretised back-substitution bounds per hidden stage, before the
-    /// IBP intersection and split clamp. A child whose splits first
-    /// diverge at stage `L` takes stage `L`'s entry as is.
+    /// IBP intersection and split clamp. A query resuming at stage `L`
+    /// takes stage `L`'s entry as is.
     pub(crate) backsub: Vec<LayerBounds>,
     /// Linear lower-bound coefficients of the output stage over the input.
     pub(crate) output_lower_coeffs: Matrix,
@@ -52,12 +63,13 @@ pub struct BoundPrefix {
 /// across thread counts and machines (see DESIGN.md §5b/§5c).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundComputeStats {
-    /// Layers whose back-substitution was served from a parent prefix:
-    /// every layer below the first diverging split layer `L`, plus `L`
-    /// itself (only its intersection, clamp and relaxation are redone).
+    /// Layers whose back-substitution was served from a prefix: every
+    /// layer below the resume layer `L` (the first diverging split or
+    /// slope), plus `L` itself (only its intersection, clamp and
+    /// relaxation are redone).
     pub layers_reused: usize,
     /// Layers back-substituted in this call: from the root, every layer;
-    /// from a parent prefix, layers `L+1..K`.
+    /// from a prefix, layers `L+1..K`.
     pub layers_recomputed: usize,
     /// Total back-substitution layer-steps executed (recomputing stage `k`
     /// costs `k` steps); the paper-level cost model for bounding work.

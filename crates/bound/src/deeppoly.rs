@@ -33,23 +33,20 @@ pub(crate) struct BoundsResult {
 /// Per-stage, per-neuron lower-relaxation slopes in `[0, 1]`.
 pub(crate) type AlphaAssignment = Vec<Vec<f64>>;
 
-/// Runs the backward-substitution analysis.
-///
-/// `alphas` overrides the lower-relaxation slope of unstable neurons; when
-/// `None` the DeepPoly adaptive slope is used. Returns `None` when a split
-/// constraint makes the region infeasible.
+/// Runs the backward-substitution analysis with the adaptive DeepPoly
+/// slopes, from scratch. Returns `None` when a split constraint makes the
+/// region infeasible.
 pub(crate) fn compute_bounds(
     net: &CanonicalNetwork,
     region: &InputBox,
     splits: &SplitSet,
-    alphas: Option<&AlphaAssignment>,
 ) -> Option<BoundsResult> {
     let mut stats = BoundComputeStats::default();
     compute_bounds_engine(
         net,
         region,
         splits,
-        alphas,
+        None,
         RelaxMode::Adaptive,
         None,
         false,
@@ -81,15 +78,20 @@ pub(crate) struct EngineOutput {
 
 /// The incremental bounding engine behind every DeepPoly-style pass.
 ///
-/// When `parent` holds a [`BoundPrefix`] produced under the same
-/// relaxation configuration, stages strictly below the first diverging
-/// split layer `L` are served from the cache, and so is stage `L`'s
+/// `alphas` overrides the lower-relaxation slope of unstable neurons; when
+/// `None` the mode's own slope is used. When `parent` holds a
+/// [`BoundPrefix`] produced under the same relaxation mode, the pass
+/// resumes at stage `L`, the earlier of the first diverging split layer
+/// and the first stage whose rebuilt relaxations differ from the cached
+/// pass's (its slopes differ on a neuron unstable in the cached bounds).
+/// Stages below `L` are served from the cache, and so is stage `L`'s
 /// back-substitution (it passes only through relaxations below `L`).
 /// Stage `L`'s IBP intersection, split clamp and relaxation, and every
 /// later stage, re-run the *exact* from-scratch loop body, so results are
-/// bit-for-bit identical to `parent = None`. `alphas` overrides disable
-/// reuse (the cached stages were relaxed without them). Work
-/// performed/avoided is accumulated into `stats`.
+/// bit-for-bit identical to `parent = None`. Interval propagation depends
+/// on the splits alone: it resumes at the first diverging split layer and
+/// is taken whole when the split sets are equal. Work performed/avoided
+/// is accumulated into `stats`.
 #[expect(
     clippy::too_many_arguments,
     reason = "the one engine behind every public bounding entry point; each argument is a \
@@ -106,20 +108,44 @@ pub(crate) fn compute_bounds_engine(
     stats: &mut BoundComputeStats,
 ) -> Option<EngineOutput> {
     let num_layers = net.num_layers();
-    // A parent prefix is only sound under the same relaxation mode, with
-    // no slope overrides, and when it covers the whole network.
-    let parent =
-        parent.filter(|p| alphas.is_none() && p.mode == mode && p.bounds.len() == num_layers);
+    // A parent prefix is only sound under the same relaxation mode and
+    // when it covers the whole network.
+    let parent = parent.filter(|p| p.mode == mode && p.bounds.len() == num_layers);
 
-    // First layer whose relaxation may differ from the cached pass. The
-    // output stage is always recomputed so `output_lower_coeffs` is
-    // rebuilt by the same code path regardless of where splits land.
-    let start = match parent {
-        None => 0,
-        Some(p) => match p.splits.first_divergence(splits) {
-            Some(layer) => layer.min(num_layers - 1),
-            None => {
-                // Identical split constraints: the cached pass answers
+    let mut bounds: Vec<LayerBounds> = Vec::with_capacity(num_layers);
+    let mut relaxations: Vec<Vec<ReluRelaxation>> = Vec::with_capacity(num_layers - 1);
+    let mut backsub: Vec<LayerBounds> = Vec::with_capacity(num_layers - 1);
+    // The resume stage's own back-substitution, when the parent has it
+    // (hidden stages only: the output stage is always recomputed, so
+    // `output_lower_coeffs` is rebuilt by the same code path).
+    let mut inherited = None;
+    let (start, ibp_bounds) = match parent {
+        None => (0, Ibp::propagate(net, region, splits)?),
+        Some(p) => {
+            let split_div = p.splits.first_divergence(splits);
+            // Stages below the first split divergence share their bounds
+            // with the cached pass; each also shares its relaxations
+            // unless a slope differs on a neuron unstable there. The
+            // other relaxation fields are functions of the bounds alone.
+            let limit = split_div.map_or(num_layers - 1, |d| d.min(num_layers - 1));
+            let same_slopes = alphas.is_none() && p.alphas.is_none();
+            for (k, b) in p.bounds[..limit].iter().enumerate() {
+                let relax = |s: usize, a: Option<&AlphaAssignment>| {
+                    relax_neuron(b.lower[s], b.upper[s], a.map(|a| a[k][s]), mode)
+                };
+                let row: Vec<ReluRelaxation> = (0..b.len()).map(|s| relax(s, alphas)).collect();
+                if !same_slopes
+                    && row.iter().enumerate().any(|(s, r)| {
+                        relax(s, p.alphas.as_ref()).lower_slope.to_bits() != r.lower_slope.to_bits()
+                    })
+                {
+                    break;
+                }
+                relaxations.push(row);
+            }
+            let start = relaxations.len();
+            if split_div.is_none() && start == num_layers - 1 {
+                // Same splits, same relaxations: the cached pass answers
                 // the whole query.
                 stats.layers_reused += num_layers;
                 return Some(EngineOutput {
@@ -130,33 +156,17 @@ pub(crate) fn compute_bounds_engine(
                     prefix: Some(Arc::clone(p)),
                 });
             }
-        },
+            let ibp_bounds = match split_div {
+                None => p.ibp.clone(),
+                Some(_) => Ibp::propagate_from(net, region, splits, &p.ibp[..limit])?,
+            };
+            bounds.extend_from_slice(&p.bounds[..start]);
+            backsub.extend_from_slice(&p.backsub[..start]);
+            inherited = p.backsub.get(start);
+            stats.layers_reused += start;
+            (start, ibp_bounds)
+        }
     };
-
-    let ibp_bounds = match parent {
-        Some(p) if start > 0 => Ibp::propagate_from(net, region, splits, &p.ibp[..start])?,
-        _ => Ibp::propagate(net, region, splits)?,
-    };
-
-    let mut bounds: Vec<LayerBounds> = Vec::with_capacity(num_layers);
-    let mut relaxations: Vec<Vec<ReluRelaxation>> = Vec::with_capacity(num_layers - 1);
-    let mut backsub: Vec<LayerBounds> = Vec::with_capacity(num_layers - 1);
-    // The split stage's own back-substitution, when the parent has it
-    // (hidden stages only: the output stage is always recomputed).
-    let mut inherited = None;
-    if let Some(p) = parent {
-        bounds.extend_from_slice(&p.bounds[..start]);
-        relaxations.extend(p.bounds[..start].iter().map(|b| {
-            b.lower
-                .iter()
-                .zip(&b.upper)
-                .map(|(&l, &u)| relax_neuron(l, u, None, mode))
-                .collect()
-        }));
-        backsub.extend_from_slice(&p.backsub[..start]);
-        inherited = p.backsub.get(start);
-        stats.layers_reused += start;
-    }
 
     // Leased, not allocated: the thread's arena holds every scratch
     // buffer back-substitution needs, sized once per network. The RAII
@@ -224,10 +234,12 @@ pub(crate) fn compute_bounds_engine(
     }
 
     let output_lower_coeffs = out_low.expect("loop always reaches the output stage");
-    let prefix = if want_prefix && alphas.is_none() {
+    let prefix = if want_prefix {
         Some(Arc::new(BoundPrefix {
             splits: splits.clone(),
             mode,
+            alphas: alphas.cloned(),
+            settled_by: None,
             ibp: ibp_bounds,
             bounds: bounds.clone(),
             backsub,
@@ -246,9 +258,10 @@ pub(crate) fn compute_bounds_engine(
 }
 
 /// The ReLU relaxation over post-clamp bounds `[l, u]`: lower slope
-/// `alpha` when overridden, else the mode's slope policy. Without an
-/// override it is a pure function of the bounds and the mode, which is
-/// what lets a [`BoundPrefix`] keep bounds instead of relaxations.
+/// `alpha` when overridden, else the mode's slope policy. It is a pure
+/// function of the bounds, the override and the mode, which is what lets
+/// a [`BoundPrefix`] keep bounds and its slope assignment instead of
+/// relaxations.
 fn relax_neuron(l: f64, u: f64, alpha: Option<f64>, mode: RelaxMode) -> ReluRelaxation {
     let alpha = match (alpha, mode) {
         (Some(a), _) => a.clamp(0.0, 1.0),

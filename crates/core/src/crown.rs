@@ -17,7 +17,7 @@ use crate::driver::{
 use crate::heuristics::{BranchContext, HeuristicKind};
 use crate::spec::RobustnessProblem;
 use abonn_attack::{margin_pgd, Pgd};
-use abonn_bound::{AlphaCrown, AppVer, SplitSet, SplitSign};
+use abonn_bound::{AlphaCrown, AppVer, BoundPrefix, SplitSet, SplitSign};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -31,6 +31,9 @@ struct Entry {
     p_hat: f64,
     seq: usize,
     splits: SplitSet,
+    /// The bound prefix of the sub-problem's own analysis, so the
+    /// re-analysis on popping runs no bound pass.
+    prefix: Option<Arc<BoundPrefix>>,
     /// Index into the proof-tree bookkeeping for certificate assembly.
     proto: usize,
 }
@@ -151,10 +154,17 @@ impl CrownStyle {
         let mut heap = BinaryHeap::new();
         let mut seq = 0usize;
 
-        clock.appver_calls += 1;
-        let root = self
-            .appver
-            .analyze(problem.margin_net(), problem.region(), &SplitSet::new());
+        // Every analysis threads a bound prefix: children resume from
+        // their parent's, and a popped node is re-analysed from its own.
+        let analyze = |splits: &SplitSet, prefix: Option<&Arc<BoundPrefix>>, clock: &mut Clock| {
+            clock.appver_calls += 1;
+            let cached =
+                self.appver
+                    .analyze_cached(problem.margin_net(), problem.region(), splits, prefix);
+            clock.bound_stats.absorb(&cached.stats);
+            (cached.analysis, cached.prefix)
+        };
+        let (root, root_prefix) = analyze(&SplitSet::new(), None, &mut clock);
         if root.verified() {
             protos[0].resolved = true;
             return (clock.finish(Verdict::Verified, 1, 1, 0), cert(&protos));
@@ -166,6 +176,7 @@ impl CrownStyle {
             p_hat: root.p_hat,
             seq,
             splits: SplitSet::new(),
+            prefix: root_prefix,
             proto: 0,
         });
 
@@ -179,13 +190,10 @@ impl CrownStyle {
             nodes_visited += 1;
             max_depth = max_depth.max(entry.splits.len());
 
-            // Re-analyze the popped node to branch on fresh bounds. (The
-            // queue stores only p̂ to keep memory flat, like batched
-            // frontier implementations.)
-            clock.appver_calls += 1;
-            let analysis =
-                self.appver
-                    .analyze(problem.margin_net(), problem.region(), &entry.splits);
+            // Re-analyze the popped node to branch on its bounds. From
+            // the entry's own prefix, α-CROWN and DeepPoly answer the
+            // query whole: the call is counted but runs no bound pass.
+            let (analysis, prefix) = analyze(&entry.splits, entry.prefix.as_ref(), &mut clock);
             if analysis.verified() {
                 protos[entry.proto].resolved = true;
                 continue;
@@ -217,10 +225,7 @@ impl CrownStyle {
             protos[entry.proto].branch = Some((neuron, pos_idx, pos_idx + 1));
             for (child_idx, sign) in [(pos_idx, SplitSign::Pos), (pos_idx + 1, SplitSign::Neg)] {
                 let child = entry.splits.with(neuron, sign);
-                clock.appver_calls += 1;
-                let child_analysis =
-                    self.appver
-                        .analyze(problem.margin_net(), problem.region(), &child);
+                let (child_analysis, child_prefix) = analyze(&child, prefix.as_ref(), &mut clock);
                 tree_size += 1;
                 if child_analysis.verified() {
                     protos[child_idx].resolved = true;
@@ -237,6 +242,7 @@ impl CrownStyle {
                     p_hat: child_analysis.p_hat,
                     seq,
                     splits: child,
+                    prefix: child_prefix,
                     proto: child_idx,
                 });
             }
@@ -395,6 +401,7 @@ mod tests {
                 p_hat: *p,
                 seq: i,
                 splits: SplitSet::new(),
+                prefix: None,
                 proto: 0,
             });
         }

@@ -563,6 +563,54 @@ mod tests {
         s
     }
 
+    /// The deepest snapshot the daemon writes holds a certificate that
+    /// branches on every ReLU of CIFAR-10_DEEP (736) along one path. It
+    /// nests within the JSON parser's limit, as that limit's derivation
+    /// counts, and parses on the 2 MiB stack of a TCP connection thread.
+    #[test]
+    fn deepest_snapshot_parses_on_a_connection_stack() {
+        use abonn_bound::{NeuronId, SplitSign};
+        const RELUS: usize = 736;
+        let mut node = ProofNode::leaf(vec![(NeuronId::new(0, 0), SplitSign::Pos)]);
+        for i in (0..RELUS).rev() {
+            node = ProofNode::Branch {
+                neuron: NeuronId::new(i / 256, i % 256),
+                pos: Box::new(node),
+                neg: Box::new(ProofNode::open(Vec::new())),
+            };
+        }
+        let mut store = ResultStore::new();
+        store.insert(
+            1,
+            0.1,
+            &FamilyMeta::default(),
+            CachedVerdict::Unsat {
+                certificate: Certificate::new(node),
+            },
+        );
+        let text = store.snapshot_string();
+        let (mut depth, mut deepest) = (0usize, 0usize);
+        for b in text.bytes() {
+            match b {
+                b'[' | b'{' => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                b']' | b'}' => depth -= 1,
+                _ => {}
+            }
+        }
+        assert_eq!(deepest, 7 + 2 * RELUS + 5);
+        assert!(deepest <= serde_json::RECURSION_LIMIT);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || serde_json::from_str::<Value>(&text).is_ok())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed);
+    }
+
     #[test]
     fn snapshot_round_trips() {
         let store = seeded_store();

@@ -4,17 +4,21 @@
 //! the counted back-substitution work on split chains.
 
 use abonn_bound::{
-    AppVer, BoundComputeStats, DeepPoly, FromScratch, InputBox, SplitSet, SplitSign,
+    AlphaCrown, Analysis, AppVer, BoundComputeStats, BoundPrefix, CachedAnalysis, DeepPoly,
+    FromScratch, InputBox, NeuronId, SplitSet, SplitSign,
 };
 use abonn_core::heuristics::HeuristicKind;
 use abonn_core::{
-    AbonnConfig, AbonnVerifier, BabBaseline, Budget, RobustnessProblem, Verdict, Verifier,
+    AbonnConfig, AbonnVerifier, BabBaseline, Budget, CrownStyle, RobustnessProblem, Verdict,
+    Verifier,
 };
+use abonn_data::suite::{calibrated_instances, SuiteConfig};
+use abonn_data::zoo::ModelKind;
 use abonn_nn::{AffinePair, CanonicalNetwork, Layer, Network, Shape};
 use abonn_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn random_canonical(seed: u64, dims: &[usize]) -> CanonicalNetwork {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -143,4 +147,96 @@ fn cached_chain_saves_thirty_percent_of_backsub_steps() {
         cached.backsub_steps,
         scratch.backsub_steps
     );
+}
+
+/// The split set and work counters of one `analyze_cached` call.
+type Call = (Vec<(NeuronId, SplitSign)>, BoundComputeStats);
+
+/// Forwards to a verifier and records every `analyze_cached` call.
+struct Recorder<V> {
+    inner: V,
+    calls: Mutex<Vec<Call>>,
+}
+
+impl<V: AppVer> AppVer for Recorder<V> {
+    fn analyze(&self, net: &CanonicalNetwork, region: &InputBox, splits: &SplitSet) -> Analysis {
+        self.inner.analyze(net, region, splits)
+    }
+
+    fn analyze_cached(
+        &self,
+        net: &CanonicalNetwork,
+        region: &InputBox,
+        splits: &SplitSet,
+        parent: Option<&Arc<BoundPrefix>>,
+    ) -> CachedAnalysis {
+        let cached = self.inner.analyze_cached(net, region, splits, parent);
+        let mut calls = self.calls.lock().expect("no test thread panicked");
+        calls.push((splits.iter().collect(), cached.stats));
+        cached
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// ab-CROWN threads α-CROWN prefixes through its queue, and that must not
+/// change the search: over `FromScratch` it reaches the same verdict,
+/// witness, certificate and search counters on branching MNIST
+/// instances. Every pop re-queries the node it pushed with that node's
+/// own prefix, so it must reuse all layers and run no bound pass.
+#[test]
+fn crown_style_search_matches_from_scratch_alpha_crown() {
+    let budget = Budget::with_appver_calls(100);
+    let mut branched = 0;
+    for kind in [ModelKind::MnistL2, ModelKind::MnistL4] {
+        let (net, _) = kind.trained_model(2025);
+        let config = SuiteConfig {
+            per_model: 8,
+            seed: 2025,
+        };
+        for instance in calibrated_instances(kind, &net, &config) {
+            let problem =
+                RobustnessProblem::new(&net, instance.input, instance.label, instance.epsilon)
+                    .expect("calibrated instances are valid problems");
+            let recorder = Arc::new(Recorder {
+                inner: AlphaCrown::default(),
+                calls: Mutex::new(Vec::new()),
+            });
+            let cached = CrownStyle::new(HeuristicKind::DeepSplit, recorder.clone());
+            let scratch = CrownStyle::new(
+                HeuristicKind::DeepSplit,
+                Arc::new(FromScratch(AlphaCrown::default())),
+            );
+            let (a, a_cert) = cached.verify_with_certificate(&problem, &budget);
+            let (b, b_cert) = scratch.verify_with_certificate(&problem, &budget);
+            let what = format!("{kind} instance {}", instance.id);
+            assert_eq!(a.verdict, b.verdict, "{what}: verdict or witness");
+            assert_eq!(a_cert, b_cert, "{what}: certificate");
+            assert_eq!(a.stats.appver_calls, b.stats.appver_calls, "{what}");
+            assert_eq!(a.stats.nodes_visited, b.stats.nodes_visited, "{what}");
+            assert_eq!(a.stats.tree_size, b.stats.tree_size, "{what}");
+            assert_eq!(a.stats.max_depth, b.stats.max_depth, "{what}");
+
+            let calls = recorder.calls.lock().expect("no test thread panicked");
+            let mut pops = 0;
+            for (i, (splits, stats)) in calls.iter().enumerate() {
+                if calls[..i].iter().any(|(earlier, _)| earlier == splits) {
+                    pops += 1;
+                    let whole = BoundComputeStats {
+                        layers_reused: problem.margin_net().num_layers(),
+                        ..BoundComputeStats::default()
+                    };
+                    assert_eq!(*stats, whole, "{what}: pop of {splits:?}");
+                }
+            }
+            if a.stats.appver_calls > 1 {
+                // The root was queued: every node visited was popped.
+                assert_eq!(pops, a.stats.nodes_visited, "{what}: every pop re-queries");
+            }
+            branched += usize::from(a.stats.tree_size > 1);
+        }
+    }
+    assert!(branched >= 3, "only {branched} instances branched");
 }
