@@ -117,7 +117,7 @@ pub mod collection {
     use super::{SmallRng, Strategy};
     use rand::Rng;
 
-    /// Number-of-elements specification for [`vec`]: an exact count or a
+    /// Number-of-elements specification for [`vec()`]: an exact count or a
     /// half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -150,7 +150,7 @@ pub mod collection {
         }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

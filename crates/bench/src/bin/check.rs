@@ -1,6 +1,6 @@
-//! Certificate audit over the benchmark suite: run the certificate-aware
-//! engines on the tier-1 instances and replay every emitted certificate
-//! through the independent checker in `abonn-check`.
+//! Certificate audit over the benchmark suite: run the engines on the
+//! tier-1 instances and replay every returned certificate through the
+//! independent checker in `abonn-check`.
 //!
 //! ```sh
 //! cargo run --release -p abonn-bench --bin check -- \
@@ -8,10 +8,10 @@
 //! ```
 //!
 //! For each `(model, instance)` pair of all five models the ABONN search
-//! and the BaB baseline run with certificate emission; `Verified` runs
-//! must pass the strict audit, `Timeout` runs must pass the partial audit
-//! (open leaves exactly covering the unexplored region). Any rejection is
-//! printed and the process exits 1.
+//! and the BaB baseline run; `Verified` runs must pass the strict audit,
+//! `Timeout` runs must pass the partial audit (open leaves exactly
+//! covering the unexplored region). Any rejection is printed and the
+//! process exits 1.
 //!
 //! The summary line splits the re-verified leaves by the stage that
 //! closed them: vacuous, interval, linear, box LP and refined LP. Most
@@ -22,7 +22,7 @@ use abonn_bench::scenario::{prepare_model_cached, PreparedModel};
 use abonn_bench::Args;
 use abonn_check::{audit_certificate, audit_partial, AuditReport};
 use abonn_core::{
-    AbonnVerifier, BabBaseline, Budget, Certificate, RobustnessProblem, RunResult, Verdict,
+    AbonnVerifier, BabBaseline, Budget, RobustnessProblem, RunResult, Verdict, Verifier,
 };
 use abonn_data::{ModelKind, VerificationInstance};
 use std::process::ExitCode;
@@ -32,7 +32,6 @@ fn audit_one(
     prepared: &PreparedModel,
     instance: &VerificationInstance,
     result: &RunResult,
-    certificate: Option<&Certificate>,
     problem: &RobustnessProblem,
 ) -> Result<Option<AuditReport>, String> {
     let verdict = match &result.verdict {
@@ -46,7 +45,7 @@ fn audit_one(
         prepared.kind.paper_name(),
         instance.id
     );
-    match (&result.verdict, certificate) {
+    match (&result.verdict, &result.certificate) {
         (Verdict::Verified, Some(cert)) => audit_certificate(cert, problem)
             .map(Some)
             .map_err(|e| format!("{label}: certificate rejected: {e}")),
@@ -87,24 +86,11 @@ fn main() -> ExitCode {
             )
             .expect("suite instances are valid specifications");
             let runs = [
-                (
-                    "abonn",
-                    AbonnVerifier::default().verify_with_certificate(&problem, &budget),
-                ),
-                (
-                    "bab",
-                    BabBaseline::default().verify_with_certificate(&problem, &budget),
-                ),
+                ("abonn", AbonnVerifier::default().verify(&problem, &budget)),
+                ("bab", BabBaseline::default().verify(&problem, &budget)),
             ];
-            for (name, (result, certificate)) in &runs {
-                match audit_one(
-                    name,
-                    prepared,
-                    instance,
-                    result,
-                    certificate.as_ref(),
-                    &problem,
-                ) {
+            for (name, result) in &runs {
+                match audit_one(name, prepared, instance, result, &problem) {
                     Ok(Some(report)) => {
                         audited += 1;
                         total.leaves += report.leaves;

@@ -10,8 +10,9 @@
 //!
 //! Prints `verified`, `falsified <witness…>`, or `timeout` on stdout and
 //! exits 0 (conclusive) or 2 (timeout); malformed inputs exit 1. A
-//! verified run of `abonn`, `bab` or `crown` writes its proof certificate
-//! to `--certificate`; `portfolio` builds none, so it rejects the flag.
+//! verified run of any engine, the portfolio included, writes its proof
+//! certificate to `--certificate`; `abonn-check`'s `audit_certificate`
+//! re-establishes it.
 
 use abonn_core::{
     AbonnVerifier, BabBaseline, Budget, CrownStyle, Portfolio, RobustnessProblem, Verdict, Verifier,
@@ -63,20 +64,14 @@ fn parse_args() -> Result<Options, String> {
         return Err(format!("--model and --property are required\n{USAGE}"));
     }
     match opts.verifier.as_str() {
-        "abonn" | "bab" | "crown" => {}
-        "portfolio" if opts.certificate.is_none() => {}
-        "portfolio" => {
-            return Err(format!(
-                "--certificate needs --verifier abonn, bab or crown\n{USAGE}"
-            ))
-        }
-        other => return Err(format!("unknown verifier '{other}'\n{USAGE}")),
+        "abonn" | "bab" | "crown" | "portfolio" => Ok(opts),
+        other => Err(format!("unknown verifier '{other}'\n{USAGE}")),
     }
-    Ok(opts)
 }
 
 const USAGE: &str = "usage: verify --model MODEL.json --property PROP.vnnlib \
-[--verifier abonn|bab|crown|portfolio] [--calls N] [--seconds S] [--certificate OUT.json]";
+[--verifier abonn|bab|crown|portfolio] [--calls N] [--seconds S] [--certificate OUT.json]
+  --certificate writes the proof of a verified run, whichever the verifier";
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
@@ -120,20 +115,20 @@ fn main() -> ExitCode {
         budget = budget.and_wall_limit(Duration::from_secs(s));
     }
 
-    // Every engine but the portfolio runs through its certificate-aware
-    // path, so --certificate works; `parse_args` accepted nothing else.
-    let (result, certificate) = match opts.verifier.as_str() {
-        "abonn" => AbonnVerifier::default().verify_with_certificate(&problem, &budget),
-        "bab" => BabBaseline::default().verify_with_certificate(&problem, &budget),
-        "crown" => CrownStyle::default().verify_with_certificate(&problem, &budget),
-        _ => (Portfolio::standard().verify(&problem, &budget), None),
+    // `parse_args` accepted no other engine name.
+    let verifier: Box<dyn Verifier> = match opts.verifier.as_str() {
+        "abonn" => Box::new(AbonnVerifier::default()),
+        "bab" => Box::new(BabBaseline::default()),
+        "crown" => Box::new(CrownStyle::default()),
+        _ => Box::new(Portfolio::standard()),
     };
+    let result = verifier.verify(&problem, &budget);
 
     eprintln!("stats: {}", result.stats);
     match result.verdict {
         Verdict::Verified => {
             println!("verified");
-            if let (Some(path), Some(cert)) = (&opts.certificate, certificate) {
+            if let (Some(path), Some(cert)) = (&opts.certificate, result.certificate) {
                 match serde_json::to_string(&cert)
                     .map_err(std::io::Error::other)
                     .and_then(|json| std::fs::write(path, json))

@@ -59,7 +59,7 @@ fn verify(dir: &Path, extra: &[&str]) -> Output {
 fn every_certifying_engine_writes_an_auditable_certificate() {
     let net = relu_compare_net();
     let problem = RobustnessProblem::new(&net, INPUT.to_vec(), LABEL, EPSILON).unwrap();
-    for engine in ["abonn", "bab", "crown"] {
+    for engine in ["abonn", "bab", "crown", "portfolio"] {
         let dir = instance_dir(engine);
         let cert_path = dir.join("out.json");
         let cert_arg = cert_path.to_str().expect("utf-8 temp path");
@@ -77,24 +77,14 @@ fn every_certifying_engine_writes_an_auditable_certificate() {
 }
 
 #[test]
-fn portfolio_certificates_and_unknown_engines_are_usage_errors() {
+fn unknown_engines_are_usage_errors() {
     // No model exists here: a usage error must come from argument
     // parsing, before any file is read.
     let missing =
         std::env::temp_dir().join(format!("abonn-verify-cli-none-{}", std::process::id()));
-    for args in [
-        &["--verifier", "portfolio", "--certificate", "out.json"][..],
-        &["--verifier", "beta"][..],
-    ] {
-        let out = verify(&missing, args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
-        assert!(out.stdout.is_empty(), "{args:?}: ran an engine");
-        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
-    }
-    // The portfolio itself still runs without --certificate.
-    let dir = instance_dir("portfolio");
-    let out = verify(&dir, &["--verifier", "portfolio"]);
-    assert!(out.status.success(), "{out:?}");
-    std::fs::remove_dir_all(&dir).expect("clean temp dir");
+    let out = verify(&missing, &["--verifier", "beta"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "ran an engine");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }

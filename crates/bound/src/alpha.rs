@@ -22,9 +22,7 @@
 //! whole.
 
 use crate::cache::{BoundComputeStats, BoundPrefix, CachedAnalysis};
-use crate::deeppoly::{
-    candidate_from, compute_bounds_engine, AlphaAssignment, BoundsResult, RelaxMode,
-};
+use crate::deeppoly::{compute_bounds_engine, AlphaAssignment, BoundsResult, RelaxMode};
 use crate::relax::ReluRelaxation;
 use crate::types::{Analysis, AppVer, InputBox, SplitSet};
 use abonn_nn::CanonicalNetwork;
@@ -95,18 +93,15 @@ fn p_hat_of(result: &BoundsResult) -> f64 {
 }
 
 /// The analysis of the pass a prefix holds.
-fn analysis_of(prefix: &BoundPrefix, region: &InputBox) -> Analysis {
+fn analysis_of(prefix: &BoundPrefix) -> Analysis {
     let result = BoundsResult {
         bounds: prefix.bounds.clone(),
-        output_lower_coeffs: prefix.output_lower_coeffs.clone(),
+        candidate: prefix.candidate.clone(),
     };
     let p_hat = p_hat_of(&result);
-    let candidate = (p_hat < 0.0)
-        .then(|| candidate_from(&result, region))
-        .flatten();
     Analysis {
         p_hat,
-        candidate,
+        candidate: result.candidate.filter(|_| p_hat < 0.0),
         bounds: result.bounds,
         infeasible: false,
     }
@@ -144,7 +139,7 @@ impl AlphaCrown {
             // prefix holds its best pass.
             stats.layers_reused += net.num_layers();
             return CachedAnalysis {
-                analysis: analysis_of(p, region),
+                analysis: analysis_of(p),
                 prefix: Some(Arc::clone(p)),
                 stats,
             };
@@ -242,7 +237,7 @@ impl AlphaCrown {
         let mut prefix = Arc::unwrap_or_clone(best.prefix);
         prefix.settled_by = Some(*self);
         CachedAnalysis {
-            analysis: analysis_of(&prefix, region),
+            analysis: analysis_of(&prefix),
             prefix: Some(Arc::new(prefix)),
             stats,
         }
@@ -363,9 +358,7 @@ mod tests {
                 consider(trial, &mut best, &mut best_p, &mut best_alpha);
             }
         }
-        let candidate = (best_p < 0.0)
-            .then(|| candidate_from(&best, region))
-            .flatten();
+        let candidate = best.candidate.filter(|_| best_p < 0.0);
         Analysis {
             p_hat: best_p,
             candidate,
@@ -548,10 +541,7 @@ mod tests {
                 let (out, stats) = bound(Some(&trial), Some(&prefix));
                 let (scratch, _) = bound(Some(&trial), None);
                 let [out, scratch] = [out, scratch].map(|o| o.prefix.expect("requested"));
-                assert!(same_bits(
-                    &analysis_of(&out, &region),
-                    &analysis_of(&scratch, &region)
-                ));
+                assert!(same_bits(&analysis_of(&out), &analysis_of(&scratch)));
                 if l < 0.0 && u > 0.0 {
                     flipped += 1;
                     assert_eq!(stats.layers_reused, layer + 1, "flip at {layer}:{idx}");

@@ -139,12 +139,9 @@ impl AppVer for BetaCrown {
         let dp_p_hat = out.lower.iter().cloned().fold(f64::INFINITY, f64::min);
         if splits.is_empty() || dp_p_hat > 0.0 {
             // Nothing to tighten: no split constraints, or already verified.
-            let candidate = (dp_p_hat < 0.0)
-                .then(|| crate::deeppoly::candidate_from(&base, region))
-                .flatten();
             return Analysis {
                 p_hat: dp_p_hat,
-                candidate,
+                candidate: base.candidate.filter(|_| dp_p_hat < 0.0),
                 bounds: base.bounds,
                 infeasible: false,
             };
@@ -215,7 +212,7 @@ impl AppVer for BetaCrown {
         bounds[last].lower[worst_row] = best.max(out.lower[worst_row]);
 
         let candidate = if p_hat < 0.0 {
-            best_candidate.or_else(|| crate::deeppoly::candidate_from(&base, region))
+            best_candidate.or(base.candidate)
         } else {
             None
         };

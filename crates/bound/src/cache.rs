@@ -26,7 +26,6 @@
 use crate::alpha::AlphaCrown;
 use crate::deeppoly::{AlphaAssignment, RelaxMode};
 use crate::types::{Analysis, LayerBounds, SplitSet};
-use abonn_tensor::Matrix;
 use std::sync::Arc;
 
 /// Everything a full bound computation produced, keyed by the split set
@@ -53,8 +52,9 @@ pub struct BoundPrefix {
     /// IBP intersection and split clamp. A query resuming at stage `L`
     /// takes stage `L`'s entry as is.
     pub(crate) backsub: Vec<LayerBounds>,
-    /// Linear lower-bound coefficients of the output stage over the input.
-    pub(crate) output_lower_coeffs: Matrix,
+    /// The candidate counterexample of the cached pass (see
+    /// `BoundsResult::candidate`).
+    pub(crate) candidate: Option<Vec<f64>>,
 }
 
 /// Machine-independent work counters for one or more bound computations.

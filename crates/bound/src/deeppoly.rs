@@ -18,16 +18,16 @@ use abonn_nn::CanonicalNetwork;
 use abonn_tensor::{lane_padded, Matrix};
 use std::sync::Arc;
 
-/// Intermediate result of a full bound computation, including everything
-/// needed to extract candidates and to re-run with different α slopes.
+/// Intermediate result of a full bound computation: the bounds, and the
+/// candidate counterexample they point at.
 #[derive(Debug, Clone)]
 pub(crate) struct BoundsResult {
     /// Pre-activation bounds per stage (post split-clamp).
     pub bounds: Vec<LayerBounds>,
-    /// Coefficients of the linear lower bound of the *output* stage over
-    /// the input (one row per output); used to extract the box corner that
-    /// minimises the relaxed output.
-    pub output_lower_coeffs: Matrix,
+    /// The input-box corner minimising the linear lower bound of the most
+    /// violated output row ([`worst_corner`]); `None` for an output with
+    /// no rows.
+    pub candidate: Option<Vec<f64>>,
 }
 
 /// Per-stage, per-neuron lower-relaxation slopes in `[0, 1]`.
@@ -116,8 +116,8 @@ pub(crate) fn compute_bounds_engine(
     let mut relaxations: Vec<Vec<ReluRelaxation>> = Vec::with_capacity(num_layers - 1);
     let mut backsub: Vec<LayerBounds> = Vec::with_capacity(num_layers - 1);
     // The resume stage's own back-substitution, when the parent has it
-    // (hidden stages only: the output stage is always recomputed, so
-    // `output_lower_coeffs` is rebuilt by the same code path).
+    // (hidden stages only: the output stage is always recomputed, so the
+    // candidate is rebuilt by the same code path).
     let mut inherited = None;
     let (start, ibp_bounds) = match parent {
         None => (0, Ibp::propagate(net, region, splits)?),
@@ -151,7 +151,7 @@ pub(crate) fn compute_bounds_engine(
                 return Some(EngineOutput {
                     result: BoundsResult {
                         bounds: p.bounds.clone(),
-                        output_lower_coeffs: p.output_lower_coeffs.clone(),
+                        candidate: p.candidate.clone(),
                     },
                     prefix: Some(Arc::clone(p)),
                 });
@@ -173,7 +173,7 @@ pub(crate) fn compute_bounds_engine(
     // lease also covers the infeasible `return None` below.
     let mut lease = ArenaLease::take();
     let scratch: &mut BoundArena = &mut lease;
-    let mut out_low: Option<Matrix> = None;
+    let mut candidate = None;
 
     for k in start..num_layers {
         let n = net.layers()[k].out_dim();
@@ -228,12 +228,11 @@ pub(crate) fn compute_bounds_engine(
             }
             relaxations.push(relax);
         } else {
-            out_low = Some(scratch.lo_a.clone());
+            candidate = worst_corner(&lo, &scratch.lo_a, region);
         }
         bounds.push(LayerBounds::new(lo, hi));
     }
 
-    let output_lower_coeffs = out_low.expect("loop always reaches the output stage");
     let prefix = if want_prefix {
         Some(Arc::new(BoundPrefix {
             splits: splits.clone(),
@@ -243,16 +242,13 @@ pub(crate) fn compute_bounds_engine(
             ibp: ibp_bounds,
             bounds: bounds.clone(),
             backsub,
-            output_lower_coeffs: output_lower_coeffs.clone(),
+            candidate: candidate.clone(),
         }))
     } else {
         None
     };
     Some(EngineOutput {
-        result: BoundsResult {
-            bounds,
-            output_lower_coeffs,
-        },
+        result: BoundsResult { bounds, candidate },
         prefix,
     })
 }
@@ -307,7 +303,7 @@ fn relax_neuron(l: f64, u: f64, alpha: Option<f64>, mode: RelaxMode) -> ReluRela
 /// output column from its stored weights only
 /// ([`Matrix::fused_affine_csc_into_runs`]). A dense stage switches the
 /// blocks back, and so does the end of the pass, since concretisation and
-/// `output_lower_coeffs` read row-major rows. Per element every chain
+/// the output candidate read row-major rows. Per element every chain
 /// keeps its ascending-neuron order, so the bits match the all-dense pass.
 fn back_substitute(
     net: &CanonicalNetwork,
@@ -550,18 +546,18 @@ fn concretize_max(coeffs: &[f64], region: &InputBox) -> f64 {
         .sum()
 }
 
-/// Extracts the candidate counterexample: the box corner minimising the
-/// linear lower bound of the most-violated output row.
-pub(crate) fn candidate_from(result: &BoundsResult, region: &InputBox) -> Option<Vec<f64>> {
-    let out = result.bounds.last()?;
-    let (worst_row, _) = out
-        .lower
+/// The candidate counterexample: the box corner minimising the linear
+/// lower bound of the most-violated output row, the first minimum of
+/// `output_lower` (`coeffs` holds one coefficient row per output). `None`
+/// when the output has no rows.
+fn worst_corner(output_lower: &[f64], coeffs: &Matrix, region: &InputBox) -> Option<Vec<f64>> {
+    let (worst_row, _) = output_lower
         .iter()
         .enumerate()
         .min_by(|a, b| a.1.partial_cmp(b.1).expect("bounds are not NaN"))?;
-    let coeffs = result.output_lower_coeffs.row(worst_row);
     Some(
         coeffs
+            .row(worst_row)
             .iter()
             .zip(region.lo().iter().zip(region.hi()))
             .map(|(&w, (&l, &h))| if w >= 0.0 { l } else { h })
@@ -638,9 +634,7 @@ impl DeepPoly {
         let result = out.result;
         let last = result.bounds.last().expect("non-empty");
         let p_hat = last.lower.iter().cloned().fold(f64::INFINITY, f64::min);
-        let candidate = (p_hat < 0.0)
-            .then(|| candidate_from(&result, region))
-            .flatten();
+        let candidate = result.candidate.filter(|_| p_hat < 0.0);
         CachedAnalysis {
             analysis: Analysis {
                 p_hat,

@@ -440,6 +440,33 @@ mod tests {
     }
 
     #[test]
+    fn resplitting_a_neuron_on_its_path_is_rejected() {
+        // The inner branches split `a` again below the root's split on it;
+        // the walk rejects the second split before looking at any leaf.
+        let a = n(0, 0);
+        let inner = |outer: SplitSign| ProofNode::Branch {
+            neuron: a,
+            pos: Box::new(ProofNode::leaf(vec![(a, outer), (a, SplitSign::Pos)])),
+            neg: Box::new(ProofNode::leaf(vec![(a, outer), (a, SplitSign::Neg)])),
+        };
+        let cert = Certificate::new(ProofNode::Branch {
+            neuron: a,
+            pos: Box::new(inner(SplitSign::Pos)),
+            neg: Box::new(inner(SplitSign::Neg)),
+        });
+        let duplicate = AuditError::DuplicateSplit { neuron: a };
+        assert_eq!(
+            audit_certificate(&cert, &robust_problem()),
+            Err(duplicate.clone())
+        );
+        assert_eq!(
+            audit_partial(&cert, &robust_problem()),
+            Err(duplicate.clone())
+        );
+        assert_eq!(audit_structure(&cert), Err(duplicate));
+    }
+
+    #[test]
     fn overlapping_terminals_are_rejected() {
         // Both leaves record the Pos phase: the Pos region is covered
         // twice and the Neg region not at all; overlap is found first.

@@ -28,8 +28,8 @@ use crate::audit::{audit_certificate, audit_partial};
 use abonn_bound::{AppVer, DeepPoly, FromScratch};
 use abonn_core::heuristics::HeuristicKind;
 use abonn_core::{
-    AbonnConfig, AbonnVerifier, BabBaseline, Budget, Certificate, RobustnessProblem, RunResult,
-    RunStats, Verdict, WorkerPool,
+    AbonnConfig, AbonnVerifier, BabBaseline, Budget, RobustnessProblem, RunResult, RunStats,
+    Verdict, Verifier, WorkerPool,
 };
 use abonn_nn::{Layer, Network, Shape};
 use abonn_tensor::Matrix;
@@ -255,11 +255,10 @@ fn gate_net(rng: &mut SmallRng) -> NetSpec {
     }
 }
 
-/// One engine run: verdict, stats, and optional certificate.
+/// One engine run: verdict, stats, and certificate.
 struct VariantRun {
     name: &'static str,
     result: RunResult,
-    certificate: Option<Certificate>,
 }
 
 /// Runs every engine variant on the case's problem.
@@ -279,35 +278,24 @@ fn run_variants(problem: &RobustnessProblem, budget: &Budget) -> Vec<VariantRun>
         ("abonn/nocache/1t", false, 1),
         ("abonn/cache/4t", true, 4),
     ] {
-        let (result, certificate) = AbonnVerifier::new(AbonnConfig::default(), planet(cache))
+        let result = AbonnVerifier::new(AbonnConfig::default(), planet(cache))
             .with_pool(Arc::new(WorkerPool::new(threads)))
-            .verify_with_certificate(problem, budget);
-        runs.push(VariantRun {
-            name,
-            result,
-            certificate,
-        });
+            .verify(problem, budget);
+        runs.push(VariantRun { name, result });
     }
     for (name, cache, threads) in [
         ("bab/cache/1t", true, 1),
         ("bab/nocache/1t", false, 1),
         ("bab/cache/4t", true, 4),
     ] {
-        let (result, certificate) = BabBaseline::new(HeuristicKind::DeepSplit, planet(cache))
+        let result = BabBaseline::new(HeuristicKind::DeepSplit, planet(cache))
             .with_pool(Arc::new(WorkerPool::new(threads)))
-            .verify_with_certificate(problem, budget);
-        runs.push(VariantRun {
-            name,
-            result,
-            certificate,
-        });
+            .verify(problem, budget);
+        runs.push(VariantRun { name, result });
     }
-    let (result, certificate) =
-        abonn_core::CrownStyle::default().verify_with_certificate(problem, budget);
     runs.push(VariantRun {
         name: "crown",
-        result,
-        certificate,
+        result: abonn_core::CrownStyle::default().verify(problem, budget),
     });
     runs
 }
@@ -439,7 +427,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, FuzzFailure> {
                 ),
             ));
         }
-        if ra.certificate != rb.certificate {
+        if ra.result.certificate != rb.result.certificate {
             return Err(fail(
                 FailureKind::CertificateRejected,
                 format!(
@@ -452,7 +440,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, FuzzFailure> {
     // Certificate audits.
     let mut audits_passed = 0usize;
     for run in &runs {
-        match (&run.result.verdict, &run.certificate) {
+        match (&run.result.verdict, &run.result.certificate) {
             (Verdict::Verified, Some(cert)) => {
                 audit_certificate(cert, &problem).map_err(|e| {
                     fail(
@@ -658,11 +646,11 @@ mod tests {
         let network = case.net.build();
         let problem =
             RobustnessProblem::new(&network, case.input.clone(), case.label, case.epsilon).unwrap();
-        let (r, cert) = AbonnVerifier::default()
-            .verify_with_certificate(&problem, &Budget::with_appver_calls(case.budget_calls));
+        let r = AbonnVerifier::default()
+            .verify(&problem, &Budget::with_appver_calls(case.budget_calls));
         assert!(r.stats.tree_size > 1, "gate instance did not branch");
         if r.verdict == Verdict::Verified {
-            audit_certificate(&cert.unwrap(), &problem).unwrap();
+            audit_certificate(&r.certificate.unwrap(), &problem).unwrap();
         }
         assert!(run_case(&case).is_ok());
     }
@@ -676,12 +664,13 @@ mod tests {
         let case_net = gate_net(&mut rng).build();
         let problem = RobustnessProblem::new(&case_net, vec![0.8, 0.2], 0, 0.28).unwrap();
         let budget = Budget::with_appver_calls(120);
-        let (run, cert) = BabBaseline::new(
+        let run = BabBaseline::new(
             HeuristicKind::DeepSplit,
             Arc::new(abonn_bound::LpVerifier::new()),
         )
         .with_pool(Arc::new(WorkerPool::new(1)))
-        .verify_with_certificate(&problem, &budget);
+        .verify(&problem, &budget);
+        let cert = run.certificate;
         match &run.verdict {
             Verdict::Verified => {
                 audit_certificate(&cert.expect("verified run has certificate"), &problem).unwrap();

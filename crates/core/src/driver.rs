@@ -1,6 +1,7 @@
 //! Shared verification-driver machinery: verdicts, budgets, statistics,
 //! and the [`Verifier`] trait all three approaches implement.
 
+use crate::certificate::Certificate;
 use crate::spec::RobustnessProblem;
 use abonn_attack::Pgd;
 use abonn_bound::{Analysis, AppVer, BoundComputeStats, LpVerifier, SplitSet};
@@ -189,13 +190,19 @@ impl std::fmt::Display for RunStats {
     }
 }
 
-/// Verdict plus statistics.
+/// Verdict, statistics and proof.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// The verification outcome.
     pub verdict: Verdict,
     /// Budget usage counters.
     pub stats: RunStats,
+    /// The branch tree the run built: complete on [`Verdict::Verified`],
+    /// partial (with [`ProofNode::Open`](crate::ProofNode::Open)
+    /// obligations covering what was left unexplored) on
+    /// [`Verdict::Timeout`], and `None` on [`Verdict::Falsified`], whose
+    /// witness is the evidence.
+    pub certificate: Option<Certificate>,
 }
 
 /// A complete verification approach (ABONN or a baseline).
@@ -253,19 +260,26 @@ impl Clock {
         }
     }
 
-    /// The run's result: `verdict` and the search's tree counters, plus
-    /// the calls, bound work and wall time this clock accumulated. The one
-    /// place every engine builds its [`RunResult`].
+    /// The run's result: `verdict`, its `certificate` and the search's tree
+    /// counters, plus the calls, bound work and wall time this clock
+    /// accumulated. The one place every engine builds its [`RunResult`].
     pub fn finish(
         &self,
         verdict: Verdict,
+        certificate: Option<Certificate>,
         nodes_visited: usize,
         tree_size: usize,
         max_depth: usize,
     ) -> RunResult {
+        debug_assert_eq!(
+            certificate.is_none(),
+            matches!(verdict, Verdict::Falsified(_)),
+            "a certificate accompanies every verdict but a falsification"
+        );
         let work = &self.bound_stats;
         RunResult {
             verdict,
+            certificate,
             stats: RunStats {
                 appver_calls: self.appver_calls,
                 nodes_visited,

@@ -16,8 +16,10 @@
 //! All three share the same substrates: approximated verifiers from
 //! `abonn-bound`, branching heuristics ([`heuristics`]), the exact-LP leaf
 //! fallback, and the [`RobustnessProblem`] specification encoding (built
-//! directly or from a VNN-LIB property). `Verified` runs of ABONN can
-//! additionally export a checkable [`Certificate`].
+//! directly or from a VNN-LIB property). Every run returns the branch tree
+//! it built as a [`Certificate`] ([`RunResult::certificate`]): complete
+//! when verified, partial on timeout. `abonn-check`'s `audit_certificate`
+//! is its checker.
 //!
 //! # Examples
 //!
@@ -55,7 +57,7 @@ pub mod pool;
 pub mod potentiality;
 
 pub use bab::BabBaseline;
-pub use certificate::{Certificate, CertificateError, CheckStats, ProofNode};
+pub use certificate::{Certificate, ProofNode};
 pub use crown::CrownStyle;
 pub use driver::{Budget, RunResult, RunStats, Verdict, Verifier};
 pub use mcts::{AbonnConfig, AbonnVerifier};

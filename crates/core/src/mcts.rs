@@ -182,9 +182,15 @@ fn evaluate_child(
 }
 
 impl<'p> Search<'p> {
+    /// The run's result. Unless the verdict is a falsification, the
+    /// certificate is the tree as it stands: complete once the root has
+    /// closed, with open obligations on timeout.
     fn finish(&self, verdict: Verdict) -> RunResult {
+        let certificate =
+            (!matches!(verdict, Verdict::Falsified(_))).then(|| certificate_from_tree(&self.tree));
         self.clock.finish(
             verdict,
+            certificate,
             self.nodes_visited,
             self.tree.len(),
             self.tree.max_depth(),
@@ -311,30 +317,11 @@ impl<'p> Search<'p> {
     }
 }
 
-impl AbonnVerifier {
-    /// Like [`Verifier::verify`], additionally returning a checkable
-    /// [`Certificate`] when the verdict is [`Verdict::Verified`], or a
-    /// *partial* certificate (containing [`ProofNode::Open`] obligations,
-    /// see [`Certificate::is_complete`]) when the budget ran out.
-    ///
-    /// The certificate is the branch tree: each leaf is one sub-problem a
-    /// sound `AppVer` verified, each branch an exhaustive ReLU case
-    /// split. Falsified runs carry their witness in the verdict instead.
-    #[must_use]
-    pub fn verify_with_certificate(
-        &self,
-        problem: &RobustnessProblem,
-        budget: &Budget,
-    ) -> (RunResult, Option<Certificate>) {
-        self.verify_impl(problem, budget, true)
-    }
-
-    fn verify_impl(
-        &self,
-        problem: &RobustnessProblem,
-        budget: &Budget,
-        want_certificate: bool,
-    ) -> (RunResult, Option<Certificate>) {
+impl Verifier for AbonnVerifier {
+    /// Runs Algorithm 1. The result carries the branch tree as its
+    /// certificate: each leaf is one sub-problem a sound `AppVer`
+    /// verified, each branch an exhaustive ReLU case split.
+    fn verify(&self, problem: &RobustnessProblem, budget: &Budget) -> RunResult {
         let mut clock = Clock::new(*budget);
 
         // Initialisation (Lines 1–9): analyze the root problem.
@@ -349,11 +336,11 @@ impl AbonnVerifier {
         let root_analysis = root_cached.analysis;
         let root_prefix = root_cached.prefix;
         if root_analysis.verified() {
-            let certificate = want_certificate.then(|| Certificate::new(ProofNode::root_leaf()));
-            return (clock.finish(Verdict::Verified, 1, 1, 0), certificate);
+            let certificate = Certificate::new(ProofNode::root_leaf());
+            return clock.finish(Verdict::Verified, Some(certificate), 1, 1, 0);
         }
         if let Some(w) = check_candidate(problem, &root_analysis, 0) {
-            return (clock.finish(Verdict::Falsified(w), 1, 1, 0), None);
+            return clock.finish(Verdict::Falsified(w), None, 1, 1, 0);
         }
 
         let tree = BabTree::new(root_analysis.p_hat);
@@ -383,19 +370,26 @@ impl AbonnVerifier {
         // Main loop (Lines 4–7).
         loop {
             if search.tree.node(NodeId::ROOT).state == NodeState::Closed {
-                let certificate = want_certificate.then(|| certificate_from_tree(&search.tree));
-                return (search.finish(Verdict::Verified), certificate);
+                return search.finish(Verdict::Verified);
             }
             if search.clock.exhausted() {
-                // Export the partial proof: closed leaves stand, still-open
+                // The partial proof: closed leaves stand, still-open
                 // sub-problems become `ProofNode::Open` obligations.
-                let certificate = want_certificate.then(|| certificate_from_tree(&search.tree));
-                return (search.finish(Verdict::Timeout), certificate);
+                return search.finish(Verdict::Timeout);
             }
             if let Some(w) = search.step() {
-                return (search.finish(Verdict::Falsified(w)), None);
+                return search.finish(Verdict::Falsified(w));
             }
         }
+    }
+
+    fn name(&self) -> String {
+        format!(
+            "ABONN(lambda={}, c={}, {})",
+            self.config.lambda,
+            self.config.c,
+            self.appver.name()
+        )
     }
 }
 
@@ -420,21 +414,6 @@ fn certificate_from_tree(tree: &crate::tree::BabTree) -> Certificate {
         }
     }
     Certificate::new(convert(tree, NodeId::ROOT))
-}
-
-impl Verifier for AbonnVerifier {
-    fn verify(&self, problem: &RobustnessProblem, budget: &Budget) -> RunResult {
-        self.verify_impl(problem, budget, false).0
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "ABONN(lambda={}, c={}, {})",
-            self.config.lambda,
-            self.config.c,
-            self.appver.name()
-        )
-    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! the total budget, and the first conclusive verdict wins. Timeouts fall
 //! through to the next stage with the unused budget rolled forward.
 
+use crate::certificate::{Certificate, ProofNode};
 use crate::driver::{Budget, RunResult, RunStats, Verdict, Verifier};
 use crate::spec::RobustnessProblem;
 use std::time::Instant;
@@ -113,7 +114,50 @@ impl Portfolio {
     }
 }
 
+/// Adds one stage's counters into the portfolio's: the tree size, the
+/// depth and the arena peak take the maximum over the stages, and every
+/// other count is summed. Wall time is measured over the whole portfolio
+/// instead.
+fn add_stage(total: &mut RunStats, stage: &RunStats) {
+    let RunStats {
+        appver_calls,
+        nodes_visited,
+        tree_size,
+        max_depth,
+        cache_layers_reused,
+        cache_layers_recomputed,
+        backsub_steps,
+        lp_pivots,
+        lp_warm_hits,
+        lp_cold_solves,
+        backsub_rows_skipped,
+        backsub_rows_total,
+        blocks_skipped,
+        arena_bytes_peak,
+        lp_pivot_cells,
+        wall: _,
+    } = *stage;
+    total.appver_calls += appver_calls;
+    total.nodes_visited += nodes_visited;
+    total.tree_size = total.tree_size.max(tree_size);
+    total.max_depth = total.max_depth.max(max_depth);
+    total.cache_layers_reused += cache_layers_reused;
+    total.cache_layers_recomputed += cache_layers_recomputed;
+    total.backsub_steps += backsub_steps;
+    total.lp_pivots += lp_pivots;
+    total.lp_warm_hits += lp_warm_hits;
+    total.lp_cold_solves += lp_cold_solves;
+    total.backsub_rows_skipped += backsub_rows_skipped;
+    total.backsub_rows_total += backsub_rows_total;
+    total.blocks_skipped += blocks_skipped;
+    total.arena_bytes_peak = total.arena_bytes_peak.max(arena_bytes_peak);
+    total.lp_pivot_cells += lp_pivot_cells;
+}
+
 impl Verifier for Portfolio {
+    /// Runs the stages in order. The result carries the verdict and
+    /// certificate of the last stage that ran (the first conclusive one, or
+    /// the last to time out) and the counters of every stage.
     fn verify(&self, problem: &RobustnessProblem, budget: &Budget) -> RunResult {
         // Audit: `start` slices the caller's *opt-in* `wall_limit` across
         // stages (suite/report budgets are call-only, so that branch never
@@ -127,7 +171,10 @@ impl Verifier for Portfolio {
         )]
         let start = Instant::now();
         let mut remaining_calls = budget.max_appver_calls;
-        let mut total = RunStats::default();
+        let mut stats = RunStats::default();
+        // A wall budget spent before the first stage leaves the whole
+        // region open.
+        let mut certificate = Some(Certificate::new(ProofNode::open(Vec::new())));
         let last = self.stages.len() - 1;
         for (i, stage) in self.stages.iter().enumerate() {
             let calls = if i == last {
@@ -145,26 +192,26 @@ impl Verifier for Portfolio {
                 sub = sub.and_wall_limit(left);
             }
             let result = stage.verifier.verify(problem, &sub);
-            total.appver_calls += result.stats.appver_calls;
-            total.nodes_visited += result.stats.nodes_visited;
-            total.tree_size = total.tree_size.max(result.stats.tree_size);
-            total.max_depth = total.max_depth.max(result.stats.max_depth);
+            add_stage(&mut stats, &result.stats);
             remaining_calls = remaining_calls.saturating_sub(result.stats.appver_calls);
+            certificate = result.certificate;
             if result.verdict.is_solved() {
-                total.wall = start.elapsed();
+                stats.wall = start.elapsed();
                 return RunResult {
                     verdict: result.verdict,
-                    stats: total,
+                    stats,
+                    certificate,
                 };
             }
             if remaining_calls == 0 {
                 break;
             }
         }
-        total.wall = start.elapsed();
+        stats.wall = start.elapsed();
         RunResult {
             verdict: Verdict::Timeout,
-            stats: total,
+            stats,
+            certificate,
         }
     }
 
@@ -181,6 +228,7 @@ mod tests {
     use crate::mcts::AbonnVerifier;
     use abonn_nn::{Layer, Network, Shape};
     use abonn_tensor::Matrix;
+    use std::time::Duration;
 
     fn relu_compare_net() -> Network {
         Network::new(
@@ -230,6 +278,83 @@ mod tests {
             result.stats.appver_calls <= 14,
             "portfolio overspent: {} calls",
             result.stats.appver_calls
+        );
+    }
+
+    #[test]
+    fn counters_add_up_over_the_stages_that_ran() {
+        // Robust, but two unstable "gate" ReLUs subtracted from the margin
+        // keep the root relaxation loose, so the search must branch.
+        let net = Network::new(
+            Shape::Flat(2),
+            vec![
+                Layer::dense(
+                    Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]),
+                    vec![-1.0, -0.9, 0.0, 0.0],
+                ),
+                Layer::relu(),
+                Layer::dense(
+                    Matrix::from_rows(&[&[-0.2, -0.2, 1.0, 0.0], &[0.0, 0.0, 0.0, 1.0]]),
+                    vec![0.0, 0.0],
+                ),
+            ],
+        )
+        .unwrap();
+        let p = RobustnessProblem::new(&net, vec![0.8, 0.2], 0, 0.28).unwrap();
+        let portfolio = Portfolio::new(vec![
+            Stage::new(Box::new(BabBaseline::default()), 0.25),
+            Stage::new(Box::new(AbonnVerifier::default()), 1.0),
+        ]);
+        let result = portfolio.verify(&p, &Budget::with_appver_calls(12));
+        // The same stages run alone: BaB on a quarter of the calls, ABONN
+        // on what BaB left.
+        let first = BabBaseline::default().verify(&p, &Budget::with_appver_calls(3));
+        assert_eq!(first.verdict, Verdict::Timeout, "the second stage must run");
+        let rest = Budget::with_appver_calls(12 - first.stats.appver_calls);
+        let second = AbonnVerifier::default().verify(&p, &rest);
+        let (a, b) = (first.stats, second.stats);
+        let expected = RunStats {
+            appver_calls: a.appver_calls + b.appver_calls,
+            nodes_visited: a.nodes_visited + b.nodes_visited,
+            tree_size: a.tree_size.max(b.tree_size),
+            max_depth: a.max_depth.max(b.max_depth),
+            cache_layers_reused: a.cache_layers_reused + b.cache_layers_reused,
+            cache_layers_recomputed: a.cache_layers_recomputed + b.cache_layers_recomputed,
+            backsub_steps: a.backsub_steps + b.backsub_steps,
+            lp_pivots: a.lp_pivots + b.lp_pivots,
+            lp_warm_hits: a.lp_warm_hits + b.lp_warm_hits,
+            lp_cold_solves: a.lp_cold_solves + b.lp_cold_solves,
+            backsub_rows_skipped: a.backsub_rows_skipped + b.backsub_rows_skipped,
+            backsub_rows_total: a.backsub_rows_total + b.backsub_rows_total,
+            blocks_skipped: a.blocks_skipped + b.blocks_skipped,
+            arena_bytes_peak: a.arena_bytes_peak.max(b.arena_bytes_peak),
+            lp_pivot_cells: a.lp_pivot_cells + b.lp_pivot_cells,
+            wall: Duration::ZERO,
+        };
+        assert!(a.backsub_steps > 0 && b.backsub_steps > 0, "{a}; {b}");
+        assert_eq!(
+            RunStats {
+                wall: Duration::ZERO,
+                ..result.stats
+            },
+            expected
+        );
+        // The verdict and certificate are the second stage's.
+        assert_eq!(result.verdict, second.verdict);
+        assert_eq!(result.certificate, second.certificate);
+    }
+
+    #[test]
+    fn a_spent_wall_budget_leaves_the_whole_region_open() {
+        let net = relu_compare_net();
+        let p = RobustnessProblem::new(&net, vec![0.8, 0.2], 0, 0.02).unwrap();
+        let budget = Budget::with_appver_calls(100).and_wall_limit(Duration::ZERO);
+        let result = Portfolio::standard().verify(&p, &budget);
+        assert_eq!(result.verdict, Verdict::Timeout);
+        assert_eq!(result.stats.appver_calls, 0, "no stage ran");
+        assert_eq!(
+            result.certificate,
+            Some(Certificate::new(ProofNode::open(Vec::new())))
         );
     }
 

@@ -4,8 +4,8 @@
 //! equality — parallelism may only change wall time.
 
 use abonn_core::{
-    AbonnVerifier, BabBaseline, Budget, Certificate, RobustnessProblem, Verdict, Verifier,
-    WorkerPool,
+    AbonnVerifier, BabBaseline, Budget, Certificate, RobustnessProblem, RunResult, Verdict,
+    Verifier, WorkerPool,
 };
 use abonn_nn::{Layer, Network, Shape};
 use abonn_tensor::Matrix;
@@ -41,30 +41,25 @@ struct RunSignature {
     certificate: Option<Certificate>,
 }
 
-fn abonn_signature(problem: &RobustnessProblem, budget: &Budget, threads: usize) -> RunSignature {
-    let verifier = AbonnVerifier::default().with_pool(Arc::new(WorkerPool::new(threads)));
-    let (result, certificate) = verifier.verify_with_certificate(problem, budget);
+fn signature(result: RunResult) -> RunSignature {
     RunSignature {
         verdict: result.verdict,
         appver_calls: result.stats.appver_calls,
         nodes_visited: result.stats.nodes_visited,
         tree_size: result.stats.tree_size,
         max_depth: result.stats.max_depth,
-        certificate,
+        certificate: result.certificate,
     }
+}
+
+fn abonn_signature(problem: &RobustnessProblem, budget: &Budget, threads: usize) -> RunSignature {
+    let verifier = AbonnVerifier::default().with_pool(Arc::new(WorkerPool::new(threads)));
+    signature(verifier.verify(problem, budget))
 }
 
 fn bab_signature(problem: &RobustnessProblem, budget: &Budget, threads: usize) -> RunSignature {
     let verifier = BabBaseline::default().with_pool(Arc::new(WorkerPool::new(threads)));
-    let result = verifier.verify(problem, budget);
-    RunSignature {
-        verdict: result.verdict,
-        appver_calls: result.stats.appver_calls,
-        nodes_visited: result.stats.nodes_visited,
-        tree_size: result.stats.tree_size,
-        max_depth: result.stats.max_depth,
-        certificate: None,
-    }
+    signature(verifier.verify(problem, budget))
 }
 
 proptest! {
@@ -152,14 +147,15 @@ fn timeout_mid_expansion_yields_partial_certificate_and_healthy_pool() {
     );
 
     let verifier = AbonnVerifier::default().with_pool(Arc::clone(&pool));
-    let (result, certificate) =
-        verifier.verify_with_certificate(&problem, &Budget::with_appver_calls(3));
+    let result = verifier.verify(&problem, &Budget::with_appver_calls(3));
     assert_eq!(
         result.verdict,
         Verdict::Timeout,
         "budget of 3 calls must time out"
     );
-    let cert = certificate.expect("timeout must still yield a partial certificate");
+    let cert = result
+        .certificate
+        .expect("timeout must still yield a partial certificate");
     assert!(
         !cert.is_complete(),
         "a timed-out proof has open obligations"
@@ -174,10 +170,9 @@ fn timeout_mid_expansion_yields_partial_certificate_and_healthy_pool() {
     // The pool survives: reuse it for an easy instance and verify fully.
     let easy = RobustnessProblem::new(&net, vec![0.5, 0.5], 0, 1e-4).expect("valid problem");
     let verifier = AbonnVerifier::default().with_pool(pool);
-    let (result, certificate) =
-        verifier.verify_with_certificate(&easy, &Budget::with_appver_calls(400));
+    let result = verifier.verify(&easy, &Budget::with_appver_calls(400));
     if result.verdict == Verdict::Verified {
-        let cert = certificate.expect("verified run certifies");
+        let cert = result.certificate.expect("verified run certifies");
         assert!(cert.is_complete());
         assert_eq!(cert.num_open(), 0);
     }

@@ -88,7 +88,7 @@ pub fn boundary_distance_estimate(net: &Network, x: &[f64], label: usize) -> Opt
 /// Builds verification instances for a trained model from held-out data.
 ///
 /// Instances use correctly classified samples only; each gets a radius at
-/// one of the [`EPSILON_FACTORS`] times its estimated boundary distance,
+/// one of the `EPSILON_FACTORS` times its estimated boundary distance,
 /// clamped into a sane range for `[0, 1]` pixel data.
 #[must_use]
 pub fn build_instances(
@@ -262,7 +262,7 @@ fn candidate_threshold(
 /// Two per-sample thresholds are measured: the radius ε* where the root
 /// analysis first raises a false alarm and the radius ε_c where the root
 /// *candidate* first validates (trivially violated). Radii are then placed
-/// across `[ε*, ε_c]` ([`CALIBRATED_PLACEMENTS`]), yielding a mix of
+/// across `[ε*, ε_c]` (`CALIBRATED_PLACEMENTS`), yielding a mix of
 /// certifiable-but-branching-heavy and violated-but-hidden instances.
 /// Instances solved outright by the root call are discarded.
 #[must_use]

@@ -27,7 +27,7 @@
 use crate::server::{apply_epsilon_override, Server, ServerConfig};
 use abonn_check::fuzz::generate_case;
 use abonn_check::replay_witness;
-use abonn_core::{AbonnVerifier, Budget, RobustnessProblem, Verdict};
+use abonn_core::{AbonnVerifier, Budget, RobustnessProblem, Verdict, Verifier};
 use abonn_nn::CanonicalNetwork;
 use serde_json::Value;
 use std::fmt::Write as _;
@@ -173,7 +173,7 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
         let problem = RobustnessProblem::from_vnnlib_prelowered(&network, &canon, &adjusted)
             .expect("generated case is well-formed");
         let budget = Budget::with_appver_calls(case.budget_calls);
-        let (batch, _) = AbonnVerifier::default().verify_with_certificate(&problem, &budget);
+        let batch = AbonnVerifier::default().verify(&problem, &budget);
         match batch.verdict {
             Verdict::Verified => outcome.verified += 1,
             Verdict::Falsified(_) => outcome.falsified += 1,
@@ -322,8 +322,7 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
         let dominated_problem =
             RobustnessProblem::from_vnnlib_prelowered(&network, &canon, &dominated_adjusted)
                 .expect("dominated case is well-formed");
-        let (fresh, _) =
-            AbonnVerifier::default().verify_with_certificate(&dominated_problem, &budget);
+        let fresh = AbonnVerifier::default().verify(&dominated_problem, &budget);
         if !matches!(fresh.verdict, Verdict::Timeout)
             && verdict_name(&fresh.verdict) != third.verdict
         {
@@ -390,8 +389,7 @@ pub fn run_served_campaign(seed: u64, count: u64) -> ServedOutcome {
             let probe_problem =
                 RobustnessProblem::from_vnnlib_prelowered(&network, &canon, &probe_adjusted)
                     .expect("probe case is well-formed");
-            let (fresh_probe, _) =
-                AbonnVerifier::default().verify_with_certificate(&probe_problem, &budget);
+            let fresh_probe = AbonnVerifier::default().verify(&probe_problem, &budget);
             if matches!(fresh_probe.verdict, Verdict::Verified) {
                 fail(format!(
                     "fresh engine verified the probe region containing witness {cached:?}"

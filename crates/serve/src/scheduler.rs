@@ -21,7 +21,7 @@
 //!    the exact sequential order), and its store key planned. The store
 //!    is only *peeked* (no counters, no recency).
 //! 2. **Execute only pure work in parallel.** A query that peeks as a
-//!    store miss becomes an [`EngineJob`]: a self-contained
+//!    store miss becomes an `EngineJob`: a self-contained
 //!    `(problem, budget)` pair. Its budget comes from
 //!    [`Budget::admit_slices`], which clamps each request independently
 //!    of its wave-mates — the *partition-invariance* the byte-identity
@@ -61,7 +61,9 @@ use crate::model_cache::LoweredModel;
 use crate::protocol::{self, error_line, Request, VerifyRequest};
 use crate::server::{QueryPlan, Server};
 use abonn_check::audit_certificate;
-use abonn_core::{AbonnVerifier, Budget, Certificate, RobustnessProblem, Verdict, WorkerPool};
+use abonn_core::{
+    AbonnVerifier, Budget, Certificate, RobustnessProblem, Verdict, Verifier, WorkerPool,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -125,8 +127,8 @@ pub(crate) fn run_engine(
     clamped: bool,
 ) -> EngineOutcome {
     let verifier = AbonnVerifier::default().with_pool(Arc::clone(pool));
-    let (result, certificate) = verifier.verify_with_certificate(&job.problem, &budget);
-    let audit = match (&result.verdict, job.audit, &certificate) {
+    let result = verifier.verify(&job.problem, &budget);
+    let audit = match (&result.verdict, job.audit, &result.certificate) {
         (Verdict::Verified, true, Some(cert)) => Some(
             audit_certificate(cert, &job.problem)
                 .map(|_| ())
@@ -138,7 +140,7 @@ pub(crate) fn run_engine(
         verdict: result.verdict,
         appver_calls: result.stats.appver_calls,
         nodes_visited: result.stats.nodes_visited,
-        certificate,
+        certificate: result.certificate,
         audit,
         budget_calls: budget.max_appver_calls,
         clamped,

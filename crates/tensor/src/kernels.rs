@@ -32,7 +32,7 @@
 //! The proptests in `matrix.rs` pin bit-equality against the rolled
 //! oracles on shapes that reach full register tiles.
 //!
-//! The neuron-major step ([`fused_affine_csc_runs`]) runs the same
+//! The neuron-major step (`fused_affine_csc_runs`) runs the same
 //! product transposed: its block holds one row per neuron and one lane
 //! per expression row, and it gathers each output column from a
 //! compressed sparse weight. Per element the terms still arrive in

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-/// Maximum list-nesting depth accepted by [`read_all`].
+/// Maximum list-nesting depth accepted by `read_all`.
 ///
 /// Real VNN-LIB properties nest a handful of levels
 /// (`assert`/`or`/`and`/arithmetic); the cap exists so downstream

@@ -7,6 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use abonn_repro::check::audit_certificate;
 use abonn_repro::core::{AbonnVerifier, Budget, RobustnessProblem, Verdict, Verifier};
 use abonn_repro::nn::{Layer, Network, Shape};
 use abonn_repro::tensor::Matrix;
@@ -32,20 +33,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let verifier = AbonnVerifier::default();
     let budget = Budget::with_appver_calls(500);
 
-    // Case 1: a robust instance — small ball far from the boundary. Ask
-    // for a certificate so the "Verified" claim is independently checkable.
+    // Case 1: a robust instance — small ball far from the boundary. The
+    // run returns its proof tree, so the "Verified" claim is checked
+    // independently by the auditor in `abonn-check`.
     let robust = RobustnessProblem::new(&network, vec![0.8, 0.2], 0, 0.05)?;
-    let (result, certificate) = verifier.verify_with_certificate(&robust, &budget);
+    let result = verifier.verify(&robust, &budget);
     println!(
         "robust instance   : verdict = {:?} ({} AppVer calls, tree size {})",
         result.verdict, result.stats.appver_calls, result.stats.tree_size
     );
     assert_eq!(result.verdict, Verdict::Verified);
-    let certificate = certificate.expect("verified runs produce certificates");
-    let stats = certificate.check(&robust, &abonn_repro::bound::Cascade::standard())?;
+    let certificate = result
+        .certificate
+        .expect("verified runs produce certificates");
+    let report = audit_certificate(&certificate, &robust)?;
     println!(
-        "certificate       : {} leaf obligations re-checked (depth {})",
-        stats.leaves, stats.depth
+        "certificate       : {} leaf obligations re-verified (depth {})",
+        report.leaves,
+        certificate.depth()
     );
 
     // Case 2: a vulnerable instance — the ball crosses the decision

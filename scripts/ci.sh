@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repository CI: a rustfmt check, tier-1 build + tests, a 2-thread smoke
-# run of every experiment binary, and two byte-for-byte checks of its RQ1
-# records: against the committed golden, and against a fresh 1-thread run.
+# Repository CI: a rustfmt check, tier-1 build + tests, lints and rustdoc
+# with warnings denied, a 2-thread smoke run of every experiment binary,
+# and two byte-for-byte checks of its RQ1 records: against the committed
+# golden, and against a fresh 1-thread run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +37,11 @@ echo "== lints: clippy with warnings denied =="
 # every suppression), plus the wire-path panic deny lists. An unfulfilled
 # #[expect] fails here too, so stale suppressions cannot linger.
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "== docs: rustdoc with warnings denied =="
+# Broken, private and ambiguous intra-doc links fail here, so a doc link
+# to a deleted or private item cannot dangle.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== smoke: experiment binaries on a 2-lane pool =="
 out2=$(mktemp -d)

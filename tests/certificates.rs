@@ -1,20 +1,16 @@
 //! End-to-end certificate tests: verified runs on real trained models
-//! produce certificates that check with an independent verifier, and
-//! tampered certificates are rejected.
+//! return certificates that pass the independent audit in `abonn-check`,
+//! timed-out runs return partial ones whose open obligations cover the
+//! rest, and tampered certificates are rejected.
+//!
+//! Budgets are call-only, so which instances verify does not depend on
+//! the speed of the host.
 
-use abonn_repro::bound::{Cascade, DeepPoly, LpVerifier};
+use abonn_repro::check::{audit_certificate, audit_partial, AuditError};
 use abonn_repro::core::{
-    AbonnVerifier, Budget, Certificate, ProofNode, RobustnessProblem, Verdict,
+    AbonnVerifier, Budget, Certificate, ProofNode, RobustnessProblem, Verdict, Verifier,
 };
 use abonn_repro::data::{suite, zoo::ModelKind, SuiteConfig};
-use std::sync::Arc;
-use std::time::Duration;
-
-fn checker() -> Cascade {
-    // DeepPoly first, exact LP as the decisive tier: leaves closed via the
-    // LP fallback in the search still check.
-    Cascade::new(vec![Arc::new(DeepPoly::new()), Arc::new(LpVerifier::new())])
-}
 
 #[test]
 fn verified_mnist_instances_yield_checkable_certificates() {
@@ -28,42 +24,48 @@ fn verified_mnist_instances_yield_checkable_certificates() {
             seed: 52,
         },
     );
-    let budget = Budget::with_appver_calls(300).and_wall_limit(Duration::from_secs(5));
+    let budget = Budget::with_appver_calls(300);
     let verifier = AbonnVerifier::default();
     let mut checked = 0;
     for inst in &instances {
         let problem =
             RobustnessProblem::new(&network, inst.input.clone(), inst.label, inst.epsilon)
                 .expect("valid instance");
-        let (result, certificate) = verifier.verify_with_certificate(&problem, &budget);
+        let result = verifier.verify(&problem, &budget);
         match result.verdict {
             Verdict::Verified => {
-                let cert = certificate.expect("verified run must produce a certificate");
-                let stats = cert
-                    .check(&problem, &checker())
-                    .expect("certificate must check");
-                assert!(stats.leaves >= 1);
+                let cert = result
+                    .certificate
+                    .expect("verified run must produce a certificate");
+                let report = audit_certificate(&cert, &problem).expect("certificate must audit");
+                assert_eq!(report.leaves, cert.num_leaves());
+                assert!(report.leaves >= 1);
                 checked += 1;
             }
             Verdict::Falsified(_) => {
                 assert!(
-                    certificate.is_none(),
+                    result.certificate.is_none(),
                     "falsified runs carry a witness, not a proof"
                 );
             }
             Verdict::Timeout => {
-                // Timeouts yield a *partial* certificate: well-formed, but
-                // with open obligations, so it must not check.
-                let cert = certificate.expect("timed-out run must produce a partial certificate");
+                // Timeouts yield a *partial* certificate: its open
+                // obligations cover what the search left, so it passes
+                // the partial audit and fails the strict one.
+                let cert = result
+                    .certificate
+                    .expect("timed-out run must produce a partial certificate");
                 assert!(
                     !cert.is_complete(),
                     "timeout certificate cannot be complete"
                 );
-                assert!(cert.num_open() >= 1);
-                assert!(
-                    cert.check(&problem, &checker()).is_err(),
-                    "a partial certificate must not check"
-                );
+                let report = audit_partial(&cert, &problem).expect("partial certificate audits");
+                assert_eq!(report.open, cert.num_open());
+                assert!(report.open >= 1);
+                assert!(matches!(
+                    audit_certificate(&cert, &problem),
+                    Err(AuditError::OpenObligation { .. })
+                ));
             }
         }
     }
@@ -85,36 +87,42 @@ fn tampered_certificate_is_rejected() {
             seed: 54,
         },
     );
-    let budget = Budget::with_appver_calls(400).and_wall_limit(Duration::from_secs(5));
+    let budget = Budget::with_appver_calls(400);
     let verifier = AbonnVerifier::default();
     for inst in &instances {
         let problem =
             RobustnessProblem::new(&network, inst.input.clone(), inst.label, inst.epsilon)
                 .expect("valid instance");
-        let (result, certificate) = verifier.verify_with_certificate(&problem, &budget);
-        let (Verdict::Verified, Some(cert)) = (&result.verdict, certificate) else {
+        // Only a proof that branched has two halves to tamper with. The
+        // partial certificate of a timed-out run is audited with its open
+        // obligations allowed.
+        let Some(cert) = verifier.verify(&problem, &budget).certificate else {
             continue;
         };
-        // Only interesting when the proof actually branched.
-        if cert.depth() == 0 {
+        let ProofNode::Branch { neuron, pos, .. } = cert.root() else {
             continue;
-        }
-        // Tamper: replace the whole tree by a single leaf — the root
-        // sub-problem was a false alarm by construction, so this must fail.
-        let tampered = Certificate::new(ProofNode::root_leaf());
-        // The *weak* DeepPoly checker must reject the trivial proof.
+        };
+        let audit = if cert.is_complete() {
+            audit_certificate
+        } else {
+            audit_partial
+        };
+        audit(&cert, &problem).expect("the genuine certificate audits");
+        // Tamper: the negative half is replaced by a copy of the positive
+        // half, so its terminals claim the positive phase on a negative
+        // path and the negative half-space is covered by nothing.
+        let tampered = Certificate::new(ProofNode::Branch {
+            neuron: *neuron,
+            pos: pos.clone(),
+            neg: pos.clone(),
+        });
+        let err = audit(&tampered, &problem)
+            .expect_err("a certificate with a duplicated half must fail the audit");
         assert!(
-            tampered.check(&problem, &DeepPoly::new()).is_err()
-                || cert.check(&problem, &checker()).is_ok(),
-            "a branching proof collapsed to a leaf should not check with the \
-             same-strength verifier"
+            matches!(err, AuditError::SplitMismatch { .. }),
+            "expected a split mismatch, got {err:?}"
         );
-        // And the genuine certificate still checks.
-        cert.check(&problem, &checker())
-            .expect("real certificate checks");
-        return; // one branching instance is enough
+        return; // one branching certificate is enough
     }
-    // If no instance branched the test is vacuous but not failing: the
-    // calibration strongly favours branching instances, so flag it.
-    eprintln!("warning: no branching verified instance found for tamper test");
+    panic!("no run branched; the tamper test has nothing to tamper with");
 }

@@ -209,11 +209,11 @@ fn crown_style_search_matches_from_scratch_alpha_crown() {
                 HeuristicKind::DeepSplit,
                 Arc::new(FromScratch(AlphaCrown::default())),
             );
-            let (a, a_cert) = cached.verify_with_certificate(&problem, &budget);
-            let (b, b_cert) = scratch.verify_with_certificate(&problem, &budget);
+            let a = cached.verify(&problem, &budget);
+            let b = scratch.verify(&problem, &budget);
             let what = format!("{kind} instance {}", instance.id);
             assert_eq!(a.verdict, b.verdict, "{what}: verdict or witness");
-            assert_eq!(a_cert, b_cert, "{what}: certificate");
+            assert_eq!(a.certificate, b.certificate, "{what}: certificate");
             assert_eq!(a.stats.appver_calls, b.stats.appver_calls, "{what}");
             assert_eq!(a.stats.nodes_visited, b.stats.nodes_visited, "{what}");
             assert_eq!(a.stats.tree_size, b.stats.tree_size, "{what}");

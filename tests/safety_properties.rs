@@ -2,6 +2,7 @@
 //! verification stack.
 
 use abonn_repro::bound::InputBox;
+use abonn_repro::check::audit_certificate;
 use abonn_repro::core::{
     AbonnVerifier, BabBaseline, Budget, CrownStyle, RobustnessProblem, Verdict, Verifier,
 };
@@ -106,10 +107,10 @@ fn certificates_work_for_safety_properties_too() {
     let region = InputBox::new(vec![0.6, 0.0], vec![1.0, 0.2]);
     let c = Matrix::from_rows(&[&[1.0, 0.0]]);
     let p = RobustnessProblem::from_output_constraints(&net, region, &c, &[-0.3]).unwrap();
-    let (result, certificate) =
-        AbonnVerifier::default().verify_with_certificate(&p, &Budget::with_appver_calls(500));
+    let result = AbonnVerifier::default().verify(&p, &Budget::with_appver_calls(500));
     assert_eq!(result.verdict, Verdict::Verified);
-    let cert = certificate.expect("certificate for verified safety property");
-    cert.check(&p, &abonn_repro::bound::Cascade::standard())
-        .expect("safety certificate checks");
+    let cert = result
+        .certificate
+        .expect("certificate for verified safety property");
+    audit_certificate(&cert, &p).expect("safety certificate audits");
 }

@@ -9,7 +9,7 @@ use abonn_repro::check::{audit_certificate, audit_partial, AuditError, AuditRepo
 use abonn_repro::core::heuristics::HeuristicKind;
 use abonn_repro::core::{
     AbonnVerifier, BabBaseline, Budget, Certificate, CrownStyle, ProofNode, RobustnessProblem,
-    Verdict,
+    Verdict, Verifier,
 };
 use std::sync::Arc;
 
@@ -53,21 +53,15 @@ fn timed_out_engines_emit_exactly_covering_open_obligations() {
         let budget = Budget::with_appver_calls(calls);
         let planet = || Arc::new(DeepPoly::planet());
         let runs = [
-            (
-                "abonn",
-                AbonnVerifier::default().verify_with_certificate(&problem, &budget),
-            ),
+            ("abonn", AbonnVerifier::default().verify(&problem, &budget)),
             (
                 "bab",
-                BabBaseline::new(HeuristicKind::DeepSplit, planet())
-                    .verify_with_certificate(&problem, &budget),
+                BabBaseline::new(HeuristicKind::DeepSplit, planet()).verify(&problem, &budget),
             ),
-            (
-                "crown",
-                CrownStyle::default().verify_with_certificate(&problem, &budget),
-            ),
+            ("crown", CrownStyle::default().verify(&problem, &budget)),
         ];
-        for (name, (result, certificate)) in runs {
+        for (name, result) in runs {
+            let certificate = result.certificate;
             match result.verdict {
                 Verdict::Timeout => {
                     let cert = certificate
@@ -158,10 +152,11 @@ fn rewritten_open_obligation_is_rejected() {
 #[test]
 fn flipped_phase_in_engine_certificate_is_rejected() {
     let problem = gate_instance();
-    let (result, certificate) =
-        AbonnVerifier::default().verify_with_certificate(&problem, &Budget::with_appver_calls(200));
+    let result = AbonnVerifier::default().verify(&problem, &Budget::with_appver_calls(200));
     assert_eq!(result.verdict, Verdict::Verified, "gate instance verifies");
-    let cert = certificate.expect("verified run emits a certificate");
+    let cert = result
+        .certificate
+        .expect("verified run emits a certificate");
     audit_certificate(&cert, &problem).expect("honest certificate checks");
     let flipped = Certificate::new(flip(cert.root()));
     let err =
