@@ -17,7 +17,8 @@
 //! [`Value`] indexing / `Display`, and an [`Error`] convertible into
 //! `std::io::Error`. One addition has no serde_json counterpart:
 //! [`from_str_keeping_raw`] checks a member's object without building it
-//! and hands back its text, the role `RawValue` plays in serde_json.
+//! and hands back its text, the role `RawValue` plays in serde_json; an
+//! object text it accepted before is stepped over without a second check.
 //!
 //! The parser reads every client line the serve daemon receives, so it
 //! is linear in its input and every slice it takes is checked: strings
@@ -183,10 +184,24 @@ pub enum Member<'a> {
 /// accepts or rejects it. Parsing the raw text later yields the value
 /// [`from_str`] would have built in its place.
 ///
+/// `known` lists texts that an earlier call returned as a
+/// [`Member::Raw`]. Where the unread input at a raw member starts with
+/// one of them, the parser steps over it instead of checking it again,
+/// and the result is the one the check would give: the known text was
+/// accepted by the same check at the same nesting depth, and the check
+/// of an object reads nothing past its closing brace, so it would accept
+/// exactly that span again. A listed text that is not an object span,
+/// `{` to `}`, is never stepped over. Any other text in `known` can make
+/// the parser accept a span that the check would reject.
+///
 /// # Errors
 ///
 /// The [`Error`] that [`from_str::<Value>`](from_str) returns for `text`.
-pub fn from_str_keeping_raw<'a>(text: &'a str, raw_key: &str) -> Result<Document<'a>, Error> {
+pub fn from_str_keeping_raw<'a>(
+    text: &'a str,
+    raw_key: &str,
+    known: &[&str],
+) -> Result<Document<'a>, Error> {
     let mut p = Parser::new(text);
     p.skip_ws();
     if p.peek() != Some(b'{') {
@@ -199,7 +214,13 @@ pub fn from_str_keeping_raw<'a>(text: &'a str, raw_key: &str) -> Result<Document
         let key = p.key()?;
         let member = if key == raw_key && p.peek() == Some(b'{') {
             let start = p.pos;
-            p.check_value()?;
+            match known
+                .iter()
+                .find(|k| is_object_span(k) && p.rest().starts_with(k.as_bytes()))
+            {
+                Some(k) => p.pos += k.len(),
+                None => p.check_value()?,
+            }
             Member::Raw(p.text_from(start)?)
         } else {
             Member::Value(p.value()?)
@@ -209,6 +230,13 @@ pub fn from_str_keeping_raw<'a>(text: &'a str, raw_key: &str) -> Result<Document
     })?;
     p.finish()?;
     Ok(Document::Object(members))
+}
+
+/// Whether `text` runs from a `{` to a `}`, as every [`Member::Raw`]
+/// does. Surrounding whitespace, which a model file may hold, makes the
+/// text no raw member's span.
+fn is_object_span(text: &str) -> bool {
+    text.starts_with('{') && text.ends_with('}')
 }
 
 // ---------------------------------------------------------------------------
@@ -677,7 +705,7 @@ mod tests {
                 assert!(from_str::<Value>(&nested(RECURSION_LIMIT, objects)).is_ok());
             }
             let doc = format!("{{\"raw\":{}}}", nested(RECURSION_LIMIT - 1, true));
-            let Document::Object(members) = from_str_keeping_raw(&doc, "raw").unwrap() else {
+            let Document::Object(members) = from_str_keeping_raw(&doc, "raw", &[]).unwrap() else {
                 panic!("an object document");
             };
             assert!(matches!(members[0].1, Member::Raw(_)));
@@ -699,7 +727,7 @@ mod tests {
             }
             // The raw check stops where the building parser does.
             let doc = format!("{{\"raw\":{}}}", nested(RECURSION_LIMIT, true));
-            let raw = from_str_keeping_raw(&doc, "raw").unwrap_err();
+            let raw = from_str_keeping_raw(&doc, "raw", &[]).unwrap_err();
             assert_eq!(raw, from_str::<Value>(&doc).unwrap_err());
             let want = format!(
                 "recursion limit exceeded at byte {}",
@@ -709,7 +737,7 @@ mod tests {
             // 300 KB of open brackets fail at the limit, not on the stack.
             let flood = format!("{{\"cmd\":\"stats\",\"id\":{}", "[".repeat(300_000));
             assert!(from_str::<Value>(&flood).is_err());
-            assert!(from_str_keeping_raw(&flood, "model").is_err());
+            assert!(from_str_keeping_raw(&flood, "model", &[]).is_err());
         });
     }
 
@@ -834,7 +862,7 @@ mod tests {
     fn raw_members_are_exact_spans() {
         let doc = r#" {"id": 1, "model" : { "a" : [1, 2.50, -0.0, 15e-1], "b": "\u0041" } ,
                       "x": {"y": 1}, "model": "m.json"} "#;
-        let Document::Object(members) = from_str_keeping_raw(doc, "model").unwrap() else {
+        let Document::Object(members) = from_str_keeping_raw(doc, "model", &[]).unwrap() else {
             panic!("an object document")
         };
         let raw = r#"{ "a" : [1, 2.50, -0.0, 15e-1], "b": "\u0041" }"#;
@@ -847,13 +875,54 @@ mod tests {
     }
 
     #[test]
+    fn known_texts_are_stepped_over_with_the_check_s_result() {
+        let model = r#"{"a":[1,2.50,-0.0,{"b":"\u0041"}],"c":null}"#;
+        let docs = [
+            format!(r#"{{"id":1,"model":{model},"x":2}}"#),
+            format!(r#"{{"model":{model}x}}"#),
+            format!(r#"{{"model":{model} ,"model":{model}}}"#),
+            format!(r#"{{"model":{model}{model}}}"#),
+            format!(r#"{{"model":{model}"#),
+            format!(r#"{{"model":{}}}"#, model.strip_suffix('}').unwrap()),
+            format!(r#"{{"model":{}}}"#, model.replace("2.50", "2.5e")),
+        ];
+        let spaced = format!(" {model}\n");
+        let knowns: [&[&str]; 4] = [&[model], &[&spaced], &["{}", model], &["", "{", "}"]];
+        for doc in &docs {
+            for known in knowns {
+                assert_eq!(
+                    from_str_keeping_raw(doc, "model", known),
+                    from_str_keeping_raw(doc, "model", &[]),
+                    "{doc} knowing {known:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_known_object_span_is_not_checked_again() {
+        // A known text is trusted to pass the check, so a text it would
+        // reject shows that the check did not run; surrounding whitespace
+        // makes a text no object span, and it is never stepped over.
+        let bad = r#"{"a":1e}"#;
+        let doc = format!(r#"{{"model":{bad}}}"#);
+        assert!(from_str_keeping_raw(&doc, "model", &[]).is_err());
+        let Document::Object(members) = from_str_keeping_raw(&doc, "model", &[bad]).unwrap() else {
+            panic!("an object document")
+        };
+        assert_eq!(members, vec![("model".to_string(), Member::Raw(bad))]);
+        let spaced = format!("{bad} ");
+        assert!(from_str_keeping_raw(&doc, "model", &[&spaced]).is_err());
+    }
+
+    #[test]
     fn only_top_level_objects_stay_raw() {
         assert_eq!(
-            from_str_keeping_raw(" [1] ", "model").unwrap(),
+            from_str_keeping_raw(" [1] ", "model", &[]).unwrap(),
             Document::Other(json!([1]))
         );
         let doc = r#"{"model":[1],"inner":{"model":{}}}"#;
-        let Document::Object(members) = from_str_keeping_raw(doc, "model").unwrap() else {
+        let Document::Object(members) = from_str_keeping_raw(doc, "model", &[]).unwrap() else {
             panic!("an object document")
         };
         assert_eq!(members[0].1, Member::Value(json!([1])));
@@ -889,7 +958,7 @@ mod tests {
         ];
         for doc in docs {
             assert_eq!(
-                from_str_keeping_raw(doc, "model").err(),
+                from_str_keeping_raw(doc, "model", &[]).err(),
                 from_str::<Value>(doc).err(),
                 "{doc}"
             );

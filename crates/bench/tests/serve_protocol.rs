@@ -7,7 +7,8 @@
 //! Setting `ABONN_REGEN_GOLDEN=1` regenerates the committed smoke-gate
 //! fixtures (`scripts/serve-session.jsonl` and
 //! `scripts/serve-session.golden`) that `scripts/ci.sh` byte-diffs
-//! against a live run.
+//! against a live run: the lifecycle session, then the lines that probe
+//! how the parser treats a model text the daemon already keeps.
 
 use abonn_nn::{Layer, Network, Shape};
 use abonn_tensor::Matrix;
@@ -54,23 +55,31 @@ fn verify_line(id: u64, model_json: &str, center: &[f64], eps: f64, label: usize
     )
 }
 
-/// The canonical protocol session: covers every response shape.
-fn session_lines() -> Vec<String> {
-    let net = demo_net();
+/// The demo network as one line of JSON.
+fn model_json() -> String {
     // `to_json` pretty-prints; the wire needs the model on one line.
-    let model_json: String = {
-        let value: serde_json::Value =
-            serde_json::from_str(&abonn_nn::io::to_json(&net).unwrap()).unwrap();
-        serde_json::to_string(&value).unwrap()
-    };
+    let value: serde_json::Value =
+        serde_json::from_str(&abonn_nn::io::to_json(&demo_net()).unwrap()).unwrap();
+    serde_json::to_string(&value).unwrap()
+}
+
+/// The session's center and the label the demo network gives it.
+fn center_and_label() -> ([f64; 2], usize) {
     let center = [0.6, 0.4];
-    let label = net
+    let label = demo_net()
         .forward(&center)
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .unwrap();
+    (center, label)
+}
+
+/// The canonical protocol session: covers every response shape.
+fn session_lines() -> Vec<String> {
+    let model_json = model_json();
+    let (center, label) = center_and_label();
     let wrong = (label + 1) % 3;
     vec![
         // 1: fresh verification (miss, verified, audited).
@@ -98,6 +107,23 @@ fn session_lines() -> Vec<String> {
         r#"{"id":9,"cmd":"launch"}"#.to_string(),
         // 10: counters.
         r#"{"id":10,"cmd":"stats"}"#.to_string(),
+    ]
+}
+
+/// Lines around the model text the daemon keeps from line 1, sent after
+/// the session's stats line; none runs the engine.
+fn known_text_lines() -> Vec<String> {
+    let model_json = model_json();
+    let (center, label) = center_and_label();
+    vec![
+        // 11: the kept text, then garbage where a `,` or `}` belongs.
+        verify_line(11, &format!("{model_json}x"), &center, 0.02, label),
+        // 12: line 1's query, its model re-spelled with one more space:
+        //     parsed, a model-cache hit, and an exact store hit.
+        verify_line(12, &model_json.replacen(':', ": ", 1), &center, 0.02, label),
+        // 13: line 1's query with `X_1` spelled `X_01`, which is no
+        //     variable name.
+        verify_line(13, &model_json, &center, 0.02, label).replace("X_1 ", "X_01 "),
     ]
 }
 
@@ -214,6 +240,33 @@ fn protocol_session_covers_the_lifecycle() {
 }
 
 #[test]
+fn a_kept_model_text_answers_as_a_full_parse_would() {
+    let known = known_text_lines();
+    let input = session_lines().join("\n") + "\n" + &known.join("\n") + "\n";
+    let out = run_session(&input, &["--threads", "1"]);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 13, "one response per request:\n{out}");
+    let model_end = known[0].find("x,\"property\"").unwrap();
+    assert_eq!(
+        lines[10],
+        format!(
+            "{{\"id\":null,\"status\":\"error\",\"error\":\"invalid JSON: expected `,` or \
+             `}}` at byte {model_end}\"}}"
+        )
+    );
+    assert_eq!(
+        lines[11],
+        "{\"id\":12,\"status\":\"ok\",\"verdict\":\"verified\",\"store\":\"exact\",\
+         \"appver_calls\":0,\"nodes_visited\":0,\"audit\":\"passed\"}"
+    );
+    assert_eq!(
+        lines[12],
+        "{\"id\":13,\"status\":\"error\",\"error\":\"invalid property: unsupported \
+         construct: variable 'X_01'\"}"
+    );
+}
+
+#[test]
 fn response_stream_is_byte_identical_across_thread_counts() {
     let input = session_lines().join("\n") + "\n";
     let single = run_session(&input, &["--threads", "1"]);
@@ -258,6 +311,28 @@ fn store_stats_artifact_is_written() {
     assert!(stats.contains("\"reuse_unsat\": 1"), "{stats}");
 }
 
+/// A line longer than the daemon's cap is answered with an error that
+/// names the cap, without the daemon keeping it, and the next line is
+/// answered as usual.
+#[test]
+fn oversized_line_is_an_error_not_a_buffer() {
+    let cap = abonn_serve::MAX_LINE_BYTES;
+    let long = format!(r#"{{"cmd":"stats","id":"{}"}}"#, "x".repeat(cap));
+    let input = format!("{long}\n{{\"id\":2,\"cmd\":\"stats\"}}\n");
+    let out = run_session(&input, &["--threads", "1"]);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "one response per line:\n{out}");
+    assert_eq!(field(lines[0], "id"), Some("null"), "{}", lines[0]);
+    assert_eq!(field(lines[0], "status"), Some("\"error\""), "{}", lines[0]);
+    assert!(
+        lines[0].contains(&format!("longer than {cap} bytes")) && lines[0].contains("--model-dir"),
+        "{}",
+        lines[0]
+    );
+    assert_eq!(field(lines[1], "id"), Some("2"), "{}", lines[1]);
+    assert_eq!(field(lines[1], "status"), Some("\"ok\""), "{}", lines[1]);
+}
+
 /// Regenerates the committed CI smoke fixtures when asked to.
 #[test]
 fn regen_golden_fixtures_when_requested() {
@@ -265,7 +340,9 @@ fn regen_golden_fixtures_when_requested() {
         return;
     }
     let scripts = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scripts");
-    let input = session_lines().join("\n") + "\n";
+    let mut lines = session_lines();
+    lines.extend(known_text_lines());
+    let input = lines.join("\n") + "\n";
     // The committed golden is produced at --threads 2 so the CI gate also
     // exercises the pooled configuration.
     let out = run_session(&input, &["--threads", "2"]);

@@ -56,7 +56,7 @@ pub use hash::{
 pub use model_cache::{LoweredModel, ModelCache, ModelCacheCounters};
 pub use persist::{LoadReport, SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 pub use protocol::{parse_request, ModelRef, Request, VerifyRequest};
-pub use server::{apply_epsilon_override, Server, ServerConfig, ENGINE_CONFIG};
+pub use server::{apply_epsilon_override, Server, ServerConfig, ENGINE_CONFIG, MAX_LINE_BYTES};
 pub use store::{
     ball_contains, CachedEntry, CachedVerdict, EpsLattice, FamilyMeta, Hit, HitKind, ResultStore,
     StoreCounters,

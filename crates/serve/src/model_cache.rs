@@ -25,6 +25,13 @@
 //! then keeps the newer spelling. A kept text leaves with its entry when
 //! the entry is evicted, so `capacity` bounds the texts too.
 //!
+//! A text kept from an inline request model is also handed to the
+//! request parser as known ([`ModelCache::inline_texts`]): the parser
+//! accepted those bytes as a request's `model` member before, so it
+//! steps over them in a later line instead of checking them again. A
+//! named file's text is not handed over, because it was parsed as a
+//! document of its own, one nesting level higher than a member.
+//!
 //! Recency is a deterministic logical tick (queries processed), not wall
 //! time, so eviction order is identical on every machine. Ties (which
 //! cannot happen — ticks are unique per touch) would break by key.
@@ -62,6 +69,8 @@ struct Entry {
     model: Arc<LoweredModel>,
     /// The JSON text that last resolved to this model.
     text: String,
+    /// Whether `text` arrived as an inline request model.
+    inline: bool,
 }
 
 /// Deterministic LRU of lowered models keyed by content hash.
@@ -109,9 +118,21 @@ impl ModelCache {
         self.get(hash).map(|model| (hash, model))
     }
 
+    /// The kept texts that arrived as inline request models, in key
+    /// order.
+    #[must_use]
+    pub fn inline_texts(&self) -> Vec<&str> {
+        self.entries
+            .values()
+            .filter(|entry| entry.inline)
+            .map(|entry| entry.text.as_str())
+            .collect()
+    }
+
     /// Lowers and admits a network parsed from `text`, evicting the
     /// least-recently-used model if over capacity; the model's entry
-    /// keeps `text`. Returns `(content_hash, lowered)`.
+    /// keeps `text`, and `inline` says whether it arrived as an inline
+    /// request model. Returns `(content_hash, lowered)`.
     ///
     /// # Errors
     ///
@@ -121,11 +142,13 @@ impl ModelCache {
         &mut self,
         network: Network,
         text: &str,
+        inline: bool,
     ) -> Result<(u64, Arc<LoweredModel>), String> {
         let hash = model_hash(&network);
         if let Some(model) = self.get(hash) {
             if let Some(entry) = self.entries.get_mut(&hash) {
                 text.clone_into(&mut entry.text);
+                entry.inline = inline;
             }
             return Ok((hash, model));
         }
@@ -137,6 +160,7 @@ impl ModelCache {
             last_used: self.tick,
             model: Arc::clone(&model),
             text: text.to_owned(),
+            inline,
         };
         self.entries.insert(hash, entry);
         while self.entries.len() > self.capacity {
@@ -190,10 +214,11 @@ mod tests {
         .unwrap()
     }
 
-    /// Parses and admits `text`, as the server does when no entry keeps it.
+    /// Parses and admits `text` as an inline model, as the server does
+    /// when no entry keeps it.
     fn admit_text(cache: &mut ModelCache, text: &str) -> u64 {
         let net = abonn_nn::io::from_json(text).unwrap();
-        cache.admit(net, text).unwrap().0
+        cache.admit(net, text, true).unwrap().0
     }
 
     fn text(bias: f64) -> String {
@@ -251,6 +276,31 @@ mod tests {
         let before = by_text.counters();
         assert!(by_text.resolve_text(&d).is_none());
         assert_eq!(by_text.counters(), before);
+    }
+
+    #[test]
+    fn only_texts_that_arrived_inline_are_handed_to_the_parser() {
+        let (a, b, c) = (text(0.0), text(1.0), text(2.0));
+        let from_file = |cache: &mut ModelCache, text: &str| {
+            let net = abonn_nn::io::from_json(text).unwrap();
+            cache.admit(net, text, false).unwrap().0
+        };
+        let mut cache = ModelCache::new(2);
+        admit_text(&mut cache, &a);
+        from_file(&mut cache, &b);
+        assert_eq!(cache.inline_texts(), vec![a.as_str()]);
+        // The newer text decides: `a` arrives from a file, `b` inline.
+        from_file(&mut cache, &a);
+        assert!(cache.inline_texts().is_empty());
+        admit_text(&mut cache, &b);
+        assert_eq!(cache.inline_texts(), vec![b.as_str()]);
+        // An evicted entry's text goes with it (`a` is the older entry).
+        admit_text(&mut cache, &c);
+        let mut kept = cache.inline_texts();
+        kept.sort_unstable();
+        let mut want = vec![b.as_str(), c.as_str()];
+        want.sort_unstable();
+        assert_eq!(kept, want);
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //! nearly all of a request's bytes, is checked by the same grammar as the
 //! rest of the line but not built: [`ModelRef::Inline`] carries its exact
 //! text, which the model cache compares byte for byte before it parses
-//! anything (see [`crate::model_cache`]). A line is accepted or rejected,
-//! with the same message, exactly when a full parse of it would be.
+//! anything (see [`crate::model_cache`]). A model text the cache already
+//! keeps from an earlier request is not even checked: the parser steps
+//! over it, since that check has passed on those very bytes. A line is
+//! accepted or rejected, with the same message, exactly when a full parse
+//! of it would be.
 //!
 //! Responses are built as insertion-ordered [`Value::Object`]s with a
 //! fixed field order, so the byte stream is identical across thread
@@ -160,7 +163,15 @@ fn finite_number(v: &Value, field: &str) -> Result<f64, String> {
 /// JSON, non-object top level, unknown/duplicate/missing fields, wrong
 /// types, or out-of-domain values.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let document = serde_json::from_str_keeping_raw(line, "model")
+    parse_request_knowing(line, &[])
+}
+
+/// [`parse_request`], stepping over an inline model whose text is one of
+/// `known_models` instead of checking it again. Each must be the text of
+/// an inline model that an earlier parse accepted, as the model cache
+/// keeps them; the result is then the one [`parse_request`] gives.
+pub(crate) fn parse_request_knowing(line: &str, known_models: &[&str]) -> Result<Request, String> {
+    let document = serde_json::from_str_keeping_raw(line, "model", known_models)
         .map_err(|e| format!("invalid JSON: {e}"))?;
     request_from_document(document)
 }

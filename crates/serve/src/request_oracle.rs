@@ -11,10 +11,17 @@
 //! loader rejects it), and an integer field spelled `-0` (the old
 //! write-back turned it into `0`; now it is rejected inline as it always
 //! was from a model file).
+//!
+//! The same corpus, with adversarial lines around a kept model text,
+//! holds the known-text step of the parser to the parse without it:
+//! knowing the inline texts a server's model cache keeps at each line
+//! must change no result, no error text and no inline model byte.
 
 use crate::fuzz::request_line;
 use crate::hash::model_hash;
-use crate::protocol::{parse_request, request_from_document, ModelRef, Request};
+use crate::protocol::{
+    parse_request, parse_request_knowing, request_from_document, ModelRef, Request,
+};
 use crate::server::{Server, ServerConfig};
 use abonn_check::fuzz::generate_case;
 use abonn_nn::{Conv2d, Layer, Network, Shape};
@@ -108,13 +115,15 @@ fn verify_with(model: &str, epsilon: f64) -> String {
     request_line(model, &property, &[0.6, 0.4], epsilon, 200)
 }
 
+const COMMITTED_SESSIONS: [&str; 3] = [
+    "scripts/serve-session.jsonl",
+    "scripts/serve-client-a.jsonl",
+    "scripts/serve-client-b.jsonl",
+];
+
 #[test]
 fn committed_sessions_resolve_as_the_full_parse_did() {
-    for file in [
-        "scripts/serve-session.jsonl",
-        "scripts/serve-client-a.jsonl",
-        "scripts/serve-client-b.jsonl",
-    ] {
+    for file in COMMITTED_SESSIONS {
         let text = workspace_file(file);
         for line in text.lines() {
             assert_same(line);
@@ -122,10 +131,10 @@ fn committed_sessions_resolve_as_the_full_parse_did() {
     }
 }
 
-#[test]
-fn served_fuzz_lines_resolve_as_the_full_parse_did() {
-    // The first, repeated and dominated requests of the served fuzz
-    // smoke (`fuzz --served --seed 2025 --count 12`).
+/// The first, repeated and dominated requests of the served fuzz smoke
+/// (`fuzz --served --seed 2025 --count 12`), each with its network.
+fn served_fuzz_lines() -> Vec<(String, Network)> {
+    let mut lines = Vec::new();
     for index in 0..12 {
         let case = generate_case(2025, index);
         let network = case.net.build();
@@ -138,15 +147,23 @@ fn served_fuzz_lines_resolve_as_the_full_parse_did() {
         );
         for epsilon in [case.epsilon, case.epsilon * 0.5, case.epsilon * 1.5] {
             let line = request_line(&model, &property, &case.input, epsilon, case.budget_calls);
-            assert_same(&line);
-            let (_, hash) = resolve(parse_request(&line)).unwrap();
-            assert_eq!(hash, Some(model_hash(&network)));
+            lines.push((line, network.clone()));
         }
     }
+    lines
 }
 
 #[test]
-fn hand_made_lines_resolve_as_the_full_parse_did() {
+fn served_fuzz_lines_resolve_as_the_full_parse_did() {
+    for (line, network) in served_fuzz_lines() {
+        assert_same(&line);
+        let (_, hash) = resolve(parse_request(&line)).unwrap();
+        assert_eq!(hash, Some(model_hash(&network)));
+    }
+}
+
+/// Hand-made spellings of the demo model and errors in and around it.
+fn hand_made_lines() -> Vec<String> {
     let model = compact(&demo_net(1.0));
     let pretty = abonn_nn::io::to_json(&demo_net(1.0)).unwrap();
     assert!(pretty.contains('\n'));
@@ -209,7 +226,12 @@ fn hand_made_lines_resolve_as_the_full_parse_did() {
         "[1,2]".to_string(),
         String::new(),
     ];
-    for line in &lines {
+    lines.to_vec()
+}
+
+#[test]
+fn hand_made_lines_resolve_as_the_full_parse_did() {
+    for line in &hand_made_lines() {
         assert_same(line);
     }
 }
@@ -356,4 +378,192 @@ fn capacity_one_serves_no_evicted_model_from_its_text() {
         .handle_line("{\"id\":\"end\",\"cmd\":\"stats\"}")
         .unwrap();
     assert_eq!(stats, CAPACITY_ONE_STATS);
+}
+
+/// Plans `lines` in order on `server`, as its wave scheduler does, and
+/// parses each line twice on the way: knowing the inline model texts the
+/// server's cache keeps at that point, and knowing none. Both must give
+/// the same request, inline model bytes included, or the same error
+/// text. Returns how many lines carried a known text as their model.
+fn assert_knowing_changes_nothing(server: &mut Server, lines: &[String]) -> usize {
+    let mut stepped = 0;
+    for line in lines {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let knowing = {
+            let known = server.models.inline_texts();
+            let model_at = line.find("\"model\":").map(|at| at + "\"model\":".len());
+            let starts_known = |at: usize| known.iter().any(|k| line[at..].starts_with(k));
+            stepped += usize::from(model_at.is_some_and(starts_known));
+            parse_request_knowing(line, &known)
+        };
+        assert_eq!(
+            knowing,
+            parse_request(line),
+            "knowing the kept texts changed {line}"
+        );
+        if let Ok(Request::Verify(request)) = knowing {
+            // Planning is the only step that touches the model cache.
+            let _ = server.plan_verify(&request);
+        }
+    }
+    stepped
+}
+
+#[test]
+fn committed_sessions_parse_alike_knowing_the_kept_texts() {
+    let mut shared = Server::new(ServerConfig::default());
+    let mut stepped = 0;
+    for file in COMMITTED_SESSIONS {
+        let lines: Vec<String> = workspace_file(file).lines().map(str::to_string).collect();
+        stepped +=
+            assert_knowing_changes_nothing(&mut Server::new(ServerConfig::default()), &lines);
+        assert_knowing_changes_nothing(&mut shared, &lines);
+    }
+    assert!(stepped >= 10, "{stepped} lines carried a kept text");
+}
+
+#[test]
+fn served_fuzz_lines_parse_alike_knowing_the_kept_texts() {
+    let lines: Vec<String> = served_fuzz_lines()
+        .into_iter()
+        .map(|(line, _)| line)
+        .collect();
+    // Eight models fit the default cache, so the last four cases evict.
+    for capacity in [1, 8] {
+        let mut server = Server::new(ServerConfig {
+            model_cache_capacity: capacity,
+            ..ServerConfig::default()
+        });
+        let stepped = assert_knowing_changes_nothing(&mut server, &lines);
+        assert_eq!(stepped, 24, "two of each case's three lines");
+    }
+}
+
+#[test]
+fn hand_made_lines_parse_alike_knowing_the_kept_texts() {
+    let lines = hand_made_lines();
+    let stepped = assert_knowing_changes_nothing(&mut Server::new(ServerConfig::default()), &lines);
+    assert!(stepped > 0, "no line carried a kept text");
+}
+
+#[test]
+fn lines_around_a_kept_text_parse_alike_knowing_it() {
+    let model = compact(&demo_net(1.0));
+    let base = verify_with(&model, 0.02);
+    let model_at = base.find(&model).unwrap();
+    let model_end = model_at + model.len();
+    let mut lines = vec![base.clone()];
+    // The kept text followed by garbage, by itself, or by more members.
+    for after in [
+        "x", " x", "}", "\"", ",", ",}", " ,,", "]", "{}", "1", " :1", "\t",
+    ] {
+        lines.push(base.replacen(&model, &format!("{model}{after}"), 1));
+    }
+    lines.push(base.replacen(&model, &format!("{model}{model}"), 1));
+    lines.push(base.replacen(&model, &format!("{model},\"model\":{model}"), 1));
+    lines.push(base.replacen(&model, &format!("{model},\"bogus\":{model}"), 1));
+    lines.push(base.replacen("\"calls\":", "\"model\":\"net.json\",\"calls\":", 1));
+    lines.push(format!("{{\"cmd\":\"verify\",\"model\":{model}}}"));
+    lines.push(format!("{{\"cmd\":\"stats\",\"model\":{model}}}"));
+    lines.push(format!("{{\"model\":{model},\"cmd\":\"verify\"}}garbage"));
+    // The line cut at every byte from the model's start to its end.
+    for cut in model_at..=base.len() {
+        lines.push(base[..cut].to_string());
+    }
+    // The kept text with one byte flipped, at every byte.
+    for i in 0..model.len() {
+        let mut bytes = model.clone().into_bytes();
+        bytes[i] ^= 1;
+        let flipped = String::from_utf8(bytes).unwrap();
+        lines.push(base.replacen(&model, &flipped, 1));
+    }
+    // The lines are planned in turn: the demo model is kept from the
+    // first line on, and a flipped byte that leaves a valid network
+    // admits another model.
+    let mut server = Server::new(ServerConfig::default());
+    let stepped = assert_knowing_changes_nothing(&mut server, &lines);
+    assert!(
+        stepped > base.len() - model_end,
+        "{stepped} lines carried a kept text"
+    );
+}
+
+#[test]
+fn a_kept_text_in_surrounding_whitespace_is_not_stepped_over() {
+    let model = compact(&demo_net(1.0));
+    let base = verify_with(&model, 0.02);
+    let spaced = base.replacen(&model, &format!("{model} "), 1);
+    // As a `--model-dir` file may hold it: the parser must check the
+    // object, or its raw span would take in the whitespace.
+    for known in [
+        format!("{model} "),
+        format!(" {model}\n"),
+        format!("{model}\n"),
+    ] {
+        for line in [&base, &spaced] {
+            assert_eq!(
+                parse_request_knowing(line, &[&known]),
+                parse_request(line),
+                "{known:?}"
+            );
+        }
+    }
+    // Through a server: the file's text is kept but never handed to the
+    // parser, and the inline spelling is handed over once it is kept.
+    let dir = std::env::temp_dir().join(format!("abonn-serve-oracle-ws-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("net.json"), format!(" {model}\n")).unwrap();
+    let mut server = Server::new(ServerConfig {
+        model_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let named = verify_with("\"net.json\"", 0.02);
+    assert_eq!(
+        assert_knowing_changes_nothing(&mut server, std::slice::from_ref(&named)),
+        0
+    );
+    assert!(
+        server.models.inline_texts().is_empty(),
+        "the file's text is kept"
+    );
+    // The inline spelling is parsed and then kept; the file's text
+    // replaces it, and it replaces the file's text again.
+    let lines = [spaced.clone(), named, base, spaced];
+    let stepped = assert_knowing_changes_nothing(&mut server, &lines);
+    assert_eq!(
+        stepped, 1,
+        "only the last line, after the inline text was kept"
+    );
+    assert_eq!(model_counters(&server), (4, 1, 0));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_named_file_s_text_is_not_stepped_over() {
+    // `Network` ignores unknown members, so a model file can nest exactly
+    // `RECURSION_LIMIT` levels: it loads as a document of its own, but as
+    // a request's `model` member it is one level too deep.
+    let limit = serde_json::RECURSION_LIMIT;
+    let note = format!("{}0{}", "[".repeat(limit - 1), "]".repeat(limit - 1));
+    let model = compact(&demo_net(1.0)).replacen('{', &format!("{{\"note\":{note},"), 1);
+    assert!(abonn_nn::io::from_json(&model).is_ok());
+    let dir = std::env::temp_dir().join(format!("abonn-serve-oracle-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("deep.json"), &model).unwrap();
+    let mut server = Server::new(ServerConfig {
+        model_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let lines = [
+        verify_with("\"deep.json\"", 0.02),
+        verify_with(&model, 0.02),
+    ];
+    assert_eq!(assert_knowing_changes_nothing(&mut server, &lines), 0);
+    let err = parse_request(&lines[1]).unwrap_err();
+    assert!(err.contains("recursion limit exceeded"), "{err}");
+    assert_eq!(model_counters(&server), (0, 1, 0));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -19,7 +19,9 @@
 //! 1. **Plan in input order.** Each line is parsed, its model resolved
 //!    (the only model-cache mutation, so cache counters and LRU state see
 //!    the exact sequential order), and its store key planned. The store
-//!    is only *peeked* (no counters, no recency).
+//!    is only *peeked* (no counters, no recency). The parse steps over
+//!    inline model texts the cache keeps, which changes its speed and
+//!    never its result (see [`crate::protocol`]).
 //! 2. **Execute only pure work in parallel.** A query that peeks as a
 //!    store miss becomes an `EngineJob`: a self-contained
 //!    `(problem, budget)` pair. Its budget comes from
@@ -165,7 +167,8 @@ impl Server {
                 responses.push(None);
                 continue;
             }
-            let planned = match protocol::parse_request(line) {
+            let parsed = protocol::parse_request_knowing(line, &self.models.inline_texts());
+            let planned = match parsed {
                 Err(msg) => Planned::Ready(error_line(&protocol::best_effort_id(line), &msg)),
                 Ok(Request::Stats { id }) => {
                     // Full barrier: stats must observe exactly the effects

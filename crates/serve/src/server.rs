@@ -41,6 +41,13 @@ use std::sync::Arc;
 /// adaptive DeepPoly, whatever the `planet` in the tag suggests.
 pub const ENGINE_CONFIG: &str = "abonn/planet/v1";
 
+/// Longest request line the daemon reads, in bytes before its newline:
+/// 16 MiB, about 100 times the longest line the workspace sends (an
+/// MNIST_L4 model inline, about 150 KB). A longer line is answered with
+/// an error, and its bytes are dropped as they arrive, so a stream with
+/// no newline cannot grow the daemon's memory without limit.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -163,9 +170,9 @@ impl Server {
     /// accidents, which is safe because responses are wave-partition
     /// invariant (see [`crate::scheduler`]).
     ///
-    /// Lines that are not valid UTF-8 get a structured error response;
-    /// output is flushed after every wave so pipes see responses
-    /// promptly.
+    /// Lines that are not valid UTF-8 or longer than [`MAX_LINE_BYTES`]
+    /// get a structured error response; output is flushed after every
+    /// wave so pipes see responses promptly.
     ///
     /// # Errors
     ///
@@ -217,19 +224,28 @@ impl Server {
     }
 
     /// Processes one wave of raw request lines into response lines,
-    /// routing invalid UTF-8 to structured errors in stream order.
-    fn respond_wave(&mut self, raw_lines: &[Vec<u8>]) -> Vec<String> {
+    /// routing overlong lines and invalid UTF-8 to structured errors in
+    /// stream order.
+    fn respond_wave(&mut self, raw_lines: &[RawLine]) -> Vec<String> {
         let mut decoded: Vec<&str> = Vec::new();
         let mut responses: Vec<String> = Vec::new();
         for raw in raw_lines {
-            match std::str::from_utf8(raw) {
-                Ok(line) => decoded.push(line),
-                Err(_) => {
-                    responses.extend(self.handle_batch(&decoded).into_iter().flatten());
-                    decoded.clear();
-                    responses.push(error_line(&Value::Null, "request line is not valid UTF-8"));
-                }
-            }
+            let refusal = match raw {
+                RawLine::Bytes(bytes) => match std::str::from_utf8(bytes) {
+                    Ok(line) => {
+                        decoded.push(line);
+                        continue;
+                    }
+                    Err(_) => "request line is not valid UTF-8".to_string(),
+                },
+                RawLine::TooLong => format!(
+                    "request line is longer than {MAX_LINE_BYTES} bytes; put large models \
+                     in --model-dir and name them"
+                ),
+            };
+            responses.extend(self.handle_batch(&decoded).into_iter().flatten());
+            decoded.clear();
+            responses.push(error_line(&Value::Null, &refusal));
         }
         responses.extend(self.handle_batch(&decoded).into_iter().flatten());
         responses
@@ -278,8 +294,9 @@ impl Server {
             ModelRef::Inline(_) => format!("invalid model: {e}"),
             ModelRef::Named(name) => format!("unknown model '{name}': {e}"),
         })?;
+        let inline = matches!(model, ModelRef::Inline(_));
         self.models
-            .admit(network, text)
+            .admit(network, text, inline)
             .map_err(|e| format!("model does not lower: {e}"))
     }
 
@@ -563,24 +580,76 @@ impl Server {
     }
 }
 
+/// One line of the request stream, as [`read_wave`] read it.
+#[derive(Debug, PartialEq)]
+enum RawLine {
+    /// The line's bytes, its newline included.
+    Bytes(Vec<u8>),
+    /// A line longer than [`MAX_LINE_BYTES`], dropped as it was read.
+    TooLong,
+}
+
 /// Reads one wave of raw lines: the first blocks, further lines are
 /// taken greedily — only while already buffered on the reader — up to
 /// `limit`. Returns `None` at EOF.
-fn read_wave<R: Read>(input: &mut BufReader<R>, limit: usize) -> io::Result<Option<Vec<Vec<u8>>>> {
-    use io::BufRead as _;
-    let mut raw_lines: Vec<Vec<u8>> = Vec::new();
-    let mut buf = Vec::new();
-    if input.read_until(b'\n', &mut buf)? == 0 {
+fn read_wave<R: Read>(input: &mut BufReader<R>, limit: usize) -> io::Result<Option<Vec<RawLine>>> {
+    let Some(first) = read_line(input)? else {
         return Ok(None);
-    }
-    raw_lines.push(std::mem::take(&mut buf));
+    };
+    let mut raw_lines = vec![first];
     while raw_lines.len() < limit && !input.buffer().is_empty() {
-        if input.read_until(b'\n', &mut buf)? == 0 {
-            break;
+        match read_line(input)? {
+            Some(line) => raw_lines.push(line),
+            None => break,
         }
-        raw_lines.push(std::mem::take(&mut buf));
     }
     Ok(Some(raw_lines))
+}
+
+/// Reads up to and including the next newline, or to EOF. Bytes past
+/// [`MAX_LINE_BYTES`] are consumed without being kept, and the line
+/// comes back as [`RawLine::TooLong`]. Returns `None` at EOF.
+fn read_line<R: Read>(input: &mut BufReader<R>) -> io::Result<Option<RawLine>> {
+    use io::BufRead as _;
+    let mut line = Vec::new();
+    let mut too_long = false;
+    let mut read_any = false;
+    loop {
+        let available = match input.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = available.iter().position(|&b| b == b'\n');
+        let (chunk, content) = match newline {
+            Some(at) => (available.get(..=at).unwrap_or(available), at),
+            None => (available, available.len()),
+        };
+        too_long |= line.len() + content > MAX_LINE_BYTES;
+        if too_long {
+            // Free what was kept; the rest of the line is consumed unkept.
+            line = Vec::new();
+        } else {
+            line.extend_from_slice(chunk);
+        }
+        let used = chunk.len();
+        input.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if !read_any {
+        return Ok(None);
+    }
+    Ok(Some(if too_long {
+        RawLine::TooLong
+    } else {
+        RawLine::Bytes(line)
+    }))
 }
 
 fn write_responses<W: Write>(output: &mut W, responses: &[String]) -> io::Result<()> {
@@ -754,6 +823,62 @@ mod tests {
         assert!(second.contains("\"source_eps\""), "got: {second}");
         let stats = server.handle_line(r#"{"id":9,"cmd":"stats"}"#).unwrap();
         assert!(stats.contains("\"reuse_cross\":1"), "got: {stats}");
+    }
+
+    #[test]
+    fn read_wave_refuses_a_line_past_the_cap_and_reads_on() {
+        let at_cap = vec![b'x'; MAX_LINE_BYTES];
+        let mut input = at_cap.clone();
+        input.extend_from_slice(b"\n");
+        input.extend_from_slice(&at_cap);
+        input.extend_from_slice(b"y\r\n{\"id\":2}\n");
+        input.extend_from_slice(&at_cap);
+        input.extend_from_slice(b"zz");
+        let mut reader = BufReader::new(io::Cursor::new(input));
+        let wave = read_wave(&mut reader, 8).unwrap().unwrap();
+        let mut first = at_cap.clone();
+        first.push(b'\n');
+        assert_eq!(wave.len(), 4);
+        assert_eq!(wave[0], RawLine::Bytes(first));
+        assert_eq!(wave[1], RawLine::TooLong);
+        assert_eq!(wave[2], RawLine::Bytes(b"{\"id\":2}\n".to_vec()));
+        // A line cut off by EOF is measured the same way.
+        assert_eq!(wave[3], RawLine::TooLong);
+        assert!(read_wave(&mut reader, 8).unwrap().is_none());
+    }
+
+    #[test]
+    fn an_overlong_line_is_answered_in_stream_order() {
+        let mut input = b"{\"id\":1,\"cmd\":\"stats\"}\n{\"id\":\"".to_vec();
+        input.resize(input.len() + MAX_LINE_BYTES, b'x');
+        input.extend_from_slice(b"\",\"cmd\":\"stats\"}\n{\"id\":3,\"cmd\":\"stats\"}\n");
+        for batch in [1, 8] {
+            let mut server = Server::new(ServerConfig {
+                batch,
+                ..ServerConfig::default()
+            });
+            let mut out = Vec::new();
+            let mut reader = BufReader::new(io::Cursor::new(&input));
+            server.run(&mut reader, &mut out).unwrap();
+            let out = String::from_utf8(out).unwrap();
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), 3, "{out}");
+            assert!(
+                lines[0].starts_with("{\"id\":1,\"status\":\"ok\""),
+                "{}",
+                lines[0]
+            );
+            assert_eq!(
+                lines[1],
+                "{\"id\":null,\"status\":\"error\",\"error\":\"request line is longer than \
+                 16777216 bytes; put large models in --model-dir and name them\"}"
+            );
+            assert!(
+                lines[2].starts_with("{\"id\":3,\"status\":\"ok\""),
+                "{}",
+                lines[2]
+            );
+        }
     }
 
     #[test]

@@ -49,9 +49,25 @@ enum Var {
 
 fn parse_var(name: &str) -> Option<Var> {
     if let Some(rest) = name.strip_prefix("X_") {
-        rest.parse().ok().map(Var::Input)
+        parse_index(rest).map(Var::Input)
     } else if let Some(rest) = name.strip_prefix("Y_") {
-        rest.parse().ok().map(Var::Output)
+        parse_index(rest).map(Var::Output)
+    } else {
+        None
+    }
+}
+
+/// A variable index in its one spelling: decimal digits with no leading
+/// zero, except `0` itself. `str::parse` also takes `+1` and `01`, which
+/// would make `X_01` and `X_+1` other names for `X_1`.
+fn parse_index(digits: &str) -> Option<usize> {
+    let canonical = match digits.as_bytes() {
+        [b'0'] => true,
+        [b'1'..=b'9', rest @ ..] => rest.iter().all(u8::is_ascii_digit),
+        _ => false,
+    };
+    if canonical {
+        digits.parse().ok()
     } else {
         None
     }
@@ -102,7 +118,7 @@ fn parse_expr(e: &Sexpr) -> Result<Expr, ParseError> {
             let [Sexpr::Atom(op), rest @ ..] = items.as_slice() else {
                 return Err(ParseError::Unsupported(format!("expression '{e}'")));
             };
-            match op.as_str() {
+            match *op {
                 "+" | "-" => {
                     let mut terms = rest.iter().map(parse_expr);
                     let Some(first) = terms.next() else {
@@ -110,7 +126,7 @@ fn parse_expr(e: &Sexpr) -> Result<Expr, ParseError> {
                     };
                     let mut acc = to_outputs(first?)?;
                     for t in terms {
-                        let sign = if op == "-" { -1.0 } else { 1.0 };
+                        let sign = if *op == "-" { -1.0 } else { 1.0 };
                         acc.add_scaled(sign, &to_outputs(t?)?);
                     }
                     Ok(Expr::OverOutputs(acc))
@@ -206,8 +222,8 @@ fn parse_checked(text: &str) -> Result<Property, ParseError> {
             return Err(ParseError::Unsupported(format!("top-level atom '{e}'")));
         };
         match items.as_slice() {
-            [Sexpr::Atom(kw), Sexpr::Atom(name), Sexpr::Atom(ty)] if kw == "declare-const" => {
-                if ty != "Real" {
+            [Sexpr::Atom(kw), Sexpr::Atom(name), Sexpr::Atom(ty)] if *kw == "declare-const" => {
+                if *ty != "Real" {
                     return Err(ParseError::Unsupported(format!("sort '{ty}'")));
                 }
                 match parse_var(name) {
@@ -216,7 +232,7 @@ fn parse_checked(text: &str) -> Result<Property, ParseError> {
                     None => return Err(ParseError::Unsupported(format!("variable '{name}'"))),
                 }
             }
-            [Sexpr::Atom(kw), body] if kw == "assert" => {
+            [Sexpr::Atom(kw), body] if *kw == "assert" => {
                 lo.resize(n_inputs, f64::NEG_INFINITY);
                 hi.resize(n_inputs, f64::INFINITY);
                 parse_assert(body, &mut lo, &mut hi, &mut violation)?;
@@ -258,7 +274,7 @@ fn parse_assert(
     let [Sexpr::Atom(op), rest @ ..] = items.as_slice() else {
         return Err(ParseError::Unsupported(format!("assert body '{body}'")));
     };
-    match op.as_str() {
+    match *op {
         "<=" | ">=" => {
             let [a, b] = rest else {
                 return Err(ParseError::Unsupported(format!("'{op}' arity")));
@@ -282,7 +298,7 @@ fn parse_assert(
                 let (Some(l), Some(h)) = (lo.get_mut(*i), hi.get_mut(*i)) else {
                     return Err(ParseError::Unsupported(format!("undeclared input X_{i}")));
                 };
-                if op == "<=" {
+                if *op == "<=" {
                     *h = h.min(*constant);
                 } else {
                     *l = l.max(*constant);
@@ -292,7 +308,7 @@ fn parse_assert(
             // Output atom: one top-level conjunct of a single atom.
             let atom = OutputAtom {
                 lhs: to_outputs(ea)?,
-                rel: if op == "<=" {
+                rel: if *op == "<=" {
                     Relation::Le
                 } else {
                     Relation::Ge
@@ -325,10 +341,10 @@ fn parse_conjunct(e: &Sexpr) -> Result<Vec<OutputAtom>, ParseError> {
     match items.as_slice() {
         // An empty `(and)` is vacuously true, which would mark the whole
         // input box as violated — reject it instead of mis-encoding it.
-        [Sexpr::Atom(op)] if op == "and" => {
+        [Sexpr::Atom(op)] if *op == "and" => {
             Err(ParseError::Unsupported("empty conjunction '(and)'".into()))
         }
-        [Sexpr::Atom(op), rest @ ..] if op == "and" => rest.iter().map(parse_atom).collect(),
+        [Sexpr::Atom(op), rest @ ..] if *op == "and" => rest.iter().map(parse_atom).collect(),
         _ => Ok(vec![parse_atom(e)?]),
     }
 }
@@ -340,7 +356,7 @@ fn parse_atom(e: &Sexpr) -> Result<OutputAtom, ParseError> {
     let [Sexpr::Atom(op), a, b] = items.as_slice() else {
         return Err(ParseError::Unsupported(format!("atom '{e}'")));
     };
-    let rel = match op.as_str() {
+    let rel = match *op {
         "<=" => Relation::Le,
         ">=" => Relation::Ge,
         _ => return Err(ParseError::Unsupported(format!("relation '{op}'"))),
@@ -419,6 +435,50 @@ mod tests {
             parse("(declare-const Z_0 Real)"),
             Err(ParseError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn variable_indices_have_one_spelling() {
+        for name in [
+            "X_01", "X_+1", "X_00", "X_-1", "X_", "X_1a", "Y_01", "Y_+0", "X_٣",
+        ] {
+            let text = format!("(declare-const {name} Real)");
+            let err = parse(&text).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported construct: variable '{name}'"),
+                "{text}"
+            );
+        }
+        // An alias of a declared input names no variable in an assertion.
+        let text = "(declare-const X_0 Real)\n(declare-const X_1 Real)\n(assert (<= X_01 1.0))";
+        assert_eq!(
+            parse(text).unwrap_err(),
+            ParseError::Unsupported("atom 'X_01'".into())
+        );
+        // `X_01` used to declare `X_1` a second time, so these three
+        // declarations passed for a 2-input property.
+        let text = "\
+(declare-const X_0 Real)
+(declare-const X_1 Real)
+(declare-const X_01 Real)
+(assert (>= X_0 0.0))
+(assert (<= X_0 1.0))
+(assert (>= X_1 0.0))
+(assert (<= X_1 1.0))
+";
+        assert_eq!(
+            parse(text).unwrap_err(),
+            ParseError::Unsupported("variable 'X_01'".into())
+        );
+        // Canonical indices past one digit still parse.
+        let mut text = "(declare-const Y_0 Real)\n(declare-const Y_10 Real)\n".to_string();
+        for i in 0..11 {
+            text += &format!("(declare-const X_{i} Real)\n(assert (>= X_{i} 0.0))\n");
+            text += &format!("(assert (<= X_{i} 1.0))\n");
+        }
+        let p = parse(&text).unwrap();
+        assert_eq!((p.num_inputs(), p.num_outputs), (11, 11));
     }
 
     #[test]

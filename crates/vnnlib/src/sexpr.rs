@@ -6,8 +6,14 @@
 //! size or depth yields a [`SexprError`] instead of a panic or a stack
 //! overflow (reading, printing, and dropping a tree all recurse at most
 //! [`MAX_DEPTH`] frames).
+//!
+//! Nothing is copied per token: an atom borrows its text from the input,
+//! and a parenthesis is a token kind, not a string. The only allocations
+//! are the lists themselves.
 
 use std::fmt;
+use std::iter::Peekable;
+use std::str::CharIndices;
 
 /// Maximum list-nesting depth accepted by `read_all`.
 ///
@@ -19,14 +25,14 @@ pub const MAX_DEPTH: usize = 200;
 
 /// An s-expression: an atom or a parenthesised list.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Sexpr {
-    /// A bare token (symbol or numeral).
-    Atom(String),
+pub enum Sexpr<'a> {
+    /// A bare token (symbol or numeral), as it appears in the input.
+    Atom(&'a str),
     /// A `( … )` list.
-    List(Vec<Sexpr>),
+    List(Vec<Sexpr<'a>>),
 }
 
-impl fmt::Display for Sexpr {
+impl fmt::Display for Sexpr<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Sexpr::Atom(a) => f.write_str(a),
@@ -68,14 +74,13 @@ impl std::error::Error for SexprError {}
 ///
 /// Returns [`SexprError`] on unbalanced parentheses, stray tokens, or
 /// nesting deeper than [`MAX_DEPTH`].
-pub fn read_all(text: &str) -> Result<Vec<Sexpr>, SexprError> {
-    let tokens = tokenize(text);
+pub fn read_all(text: &str) -> Result<Vec<Sexpr<'_>>, SexprError> {
     let mut top = Vec::new();
     // Explicit stack of open lists: (offset of the '(', items so far).
-    let mut stack: Vec<(usize, Vec<Sexpr>)> = Vec::new();
-    for (offset, tok) in tokens {
-        match tok.as_str() {
-            "(" => {
+    let mut stack: Vec<(usize, Vec<Sexpr<'_>>)> = Vec::new();
+    for (offset, token) in Tokens::new(text) {
+        match token {
+            Token::Open => {
                 if stack.len() >= MAX_DEPTH {
                     return Err(SexprError {
                         offset,
@@ -84,7 +89,7 @@ pub fn read_all(text: &str) -> Result<Vec<Sexpr>, SexprError> {
                 }
                 stack.push((offset, Vec::new()));
             }
-            ")" => {
+            Token::Close => {
                 let Some((_, items)) = stack.pop() else {
                     return Err(SexprError {
                         offset,
@@ -97,8 +102,8 @@ pub fn read_all(text: &str) -> Result<Vec<Sexpr>, SexprError> {
                     None => top.push(list),
                 }
             }
-            _ => {
-                let atom = Sexpr::Atom(tok);
+            Token::Atom(atom) => {
+                let atom = Sexpr::Atom(atom);
                 match stack.last_mut() {
                     Some((_, items)) => items.push(atom),
                     None => top.push(atom),
@@ -115,50 +120,75 @@ pub fn read_all(text: &str) -> Result<Vec<Sexpr>, SexprError> {
     Ok(top)
 }
 
-/// Character-based tokenizer: offsets index bytes, but scanning advances
-/// whole characters so atom slices always land on UTF-8 boundaries.
-fn tokenize(text: &str) -> Vec<(usize, String)> {
-    let mut tokens = Vec::new();
-    let mut chars = text.char_indices().peekable();
-    while let Some(&(i, c)) = chars.peek() {
-        match c {
-            ';' => {
-                for (_, c) in chars.by_ref() {
-                    if c == '\n' {
-                        break;
-                    }
-                }
-            }
-            '(' | ')' => {
-                tokens.push((i, c.to_string()));
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            _ => {
-                let start = i;
-                let mut end = text.len();
-                while let Some(&(j, c)) = chars.peek() {
-                    if c.is_whitespace() || c == '(' || c == ')' || c == ';' {
-                        end = j;
-                        break;
-                    }
-                    chars.next();
-                }
-                if chars.peek().is_none() {
-                    end = text.len();
-                }
-                #[expect(
-                    clippy::string_slice,
-                    reason = "start and end both come from char_indices of this very str so the \
-                              slice bounds sit on char boundaries"
-                )]
-                tokens.push((start, text[start..end].to_string()));
-            }
+/// A token of the input.
+enum Token<'a> {
+    /// `(`.
+    Open,
+    /// `)`.
+    Close,
+    /// A maximal run of characters other than whitespace, parentheses
+    /// and `;`.
+    Atom(&'a str),
+}
+
+/// Character-based tokenizer yielding each token with the byte offset it
+/// starts at: offsets index bytes, but scanning advances whole
+/// characters so atom slices always land on UTF-8 boundaries.
+struct Tokens<'a> {
+    text: &'a str,
+    chars: Peekable<CharIndices<'a>>,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            chars: text.char_indices().peekable(),
         }
     }
-    tokens
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = (usize, Token<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while let Some(&(i, c)) = self.chars.peek() {
+            match c {
+                ';' => {
+                    for (_, c) in self.chars.by_ref() {
+                        if c == '\n' {
+                            break;
+                        }
+                    }
+                }
+                '(' | ')' => {
+                    self.chars.next();
+                    let token = if c == '(' { Token::Open } else { Token::Close };
+                    return Some((i, token));
+                }
+                c if c.is_whitespace() => {
+                    self.chars.next();
+                }
+                _ => {
+                    let mut end = self.text.len();
+                    while let Some(&(j, c)) = self.chars.peek() {
+                        if c.is_whitespace() || c == '(' || c == ')' || c == ';' {
+                            end = j;
+                            break;
+                        }
+                        self.chars.next();
+                    }
+                    #[expect(
+                        clippy::string_slice,
+                        reason = "i and end both come from char_indices of this very str (or are \
+                                  its length) so the slice bounds sit on char boundaries"
+                    )]
+                    return Some((i, Token::Atom(&self.text[i..end])));
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -189,11 +219,7 @@ mod tests {
         let out = read_all("a b 1.5").unwrap();
         assert_eq!(
             out,
-            vec![
-                Sexpr::Atom("a".into()),
-                Sexpr::Atom("b".into()),
-                Sexpr::Atom("1.5".into())
-            ]
+            vec![Sexpr::Atom("a"), Sexpr::Atom("b"), Sexpr::Atom("1.5")]
         );
     }
 
@@ -215,7 +241,7 @@ mod tests {
         // U+00A0 (no-break space) is whitespace but two bytes in UTF-8;
         // the old byte-based scanner sliced inside it and panicked.
         let out = read_all("a\u{00A0}b").unwrap();
-        assert_eq!(out, vec![Sexpr::Atom("a".into()), Sexpr::Atom("b".into())]);
+        assert_eq!(out, vec![Sexpr::Atom("a"), Sexpr::Atom("b")]);
         // Multi-byte symbol characters survive as atoms.
         let out = read_all("(é π)").unwrap();
         assert_eq!(out[0].to_string(), "(é π)");
@@ -224,6 +250,6 @@ mod tests {
     #[test]
     fn atom_at_end_of_input_is_complete() {
         let out = read_all("abc").unwrap();
-        assert_eq!(out, vec![Sexpr::Atom("abc".into())]);
+        assert_eq!(out, vec![Sexpr::Atom("abc")]);
     }
 }
